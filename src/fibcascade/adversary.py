@@ -24,12 +24,14 @@ accumulated root as first (tie-winning) link argument.  Key choices that make
 the right nodes win are asserted before every delete-min, and
 :func:`verify_t_shape` re-derives the shape from the raw pointers, so a
 violated assumption fails loudly instead of producing a subtly wrong run.
+
+Recorded schedules are rerun with :func:`fibcascade.oracle.replay_ops`, the
+mirror-free consumer of the one trace interpreter, re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from .core import Heap, Node, Policy, Universe
 from .instrumentation import (
@@ -38,6 +40,7 @@ from .instrumentation import (
     iter_children,
     subtree_size,
 )
+from .oracle import replay_ops  # noqa: F401  (re-exported: schedules are replayed with it)
 
 SIGMA_STRIDE = 1 << 16  # low zone: root-line keys (initial roots, promotes, repulls)
 RUNG_BASE = 1 << 50  # high zone: broom roots and their leaves
@@ -495,74 +498,3 @@ def run_lower_bound(
         rounds_sample=sample,
     )
     return result, builder
-
-
-def replay_ops(
-    ops: Any,
-    policy: Policy | str | None = None,
-    seed: int = 0,
-    record_sink: Any = None,
-    track_active: bool = False,
-    on_op: Any = None,
-) -> tuple[Universe, dict[str, Heap]]:
-    """Execute a trace (no reference mirror) and hand back the end state.
-
-    Used to rerun recorded adversary schedules on other policies and to
-    verify that a dumped trace rebuilds the shape it came from.  ``on_op``
-    is called as ``on_op(index, universe, heaps)`` after every operation,
-    for callers that want to inspect intermediate states.
-    """
-    if isinstance(policy, str):
-        policy = Policy.from_tag(policy)
-    universe = Universe(seed=seed, track_active=track_active)
-    if record_sink is not None:
-        universe.telemetry.record_sink = record_sink
-    heaps: dict[str, Heap] = {}
-    items: dict[str, Node] = {}
-    for index, op in enumerate(ops):
-        verb = op[0]
-        if verb == "newheap":
-            pol = policy if policy is not None else Policy.from_tag(op[2])
-            heaps[op[1]] = universe.make_heap(pol, op[1])
-        elif verb == "item":
-            items[op[1]] = universe.make_item(op[2], info=op[1])
-        elif verb == "insert":
-            if len(op) == 4:
-                items[op[2]] = universe.make_item(op[3], info=op[2])
-            heaps[op[1]].insert(items[op[2]])
-        elif verb == "deletemin":
-            heaps[op[1]].delete_min()
-        elif verb == "decreasekey":
-            node = items[op[1]]
-            top = node
-            while top.parent is not top:
-                top = top.parent
-            for heap in heaps.values():
-                if heap.root is top or (
-                    heap.policy is Policy.CLASSIC and top in heap.roots
-                ):
-                    heap.decrease_key(node, op[2])
-                    break
-            else:
-                raise ValueError(f"item {op[1]!r} is in no live heap")
-        elif verb == "delete":
-            node = items[op[1]]
-            top = node
-            while top.parent is not top:
-                top = top.parent
-            for heap in heaps.values():
-                if heap.root is top or (
-                    heap.policy is Policy.CLASSIC and top in heap.roots
-                ):
-                    heap.delete(node)
-                    break
-        elif verb == "meld":
-            heaps[op[1]].meld(heaps[op[2]])
-            del heaps[op[2]]
-        elif verb == "findmin":
-            heaps[op[1]].find_min()
-        else:
-            raise ValueError(f"unknown trace verb {verb!r}")
-        if on_op is not None:
-            on_op(index, universe, heaps)
-    return universe, heaps

@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
+from typing import NoReturn
 
 from .adversary import (
     AdversaryBuilder,
@@ -134,6 +135,11 @@ def _log(sink: RowSink, message: str) -> None:
     print(message, file=stream)
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_policies(values: list[str] | None, default: list[str]) -> list[Policy]:
     tags: list[str] = []
     for value in values or default:
@@ -143,11 +149,9 @@ def _parse_policies(values: list[str] | None, default: list[str]) -> list[Policy
     out = []
     for tag in tags:
         if tag not in POLICY_TAGS:
-            print(
-                f"unknown policy {tag!r} (choose from {', '.join(POLICY_TAGS)})",
-                file=sys.stderr,
+            _usage_error(
+                f"unknown policy {tag!r} (choose from {', '.join(POLICY_TAGS)})"
             )
-            raise SystemExit(2)
         out.append(Policy.from_tag(tag))
     return out
 
@@ -455,11 +459,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         Policy.NON_CASCADING,
         Policy.SIMPLE,
     ):
-        print(
-            "adversary takes exactly one policy: non-cascading or simple",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        _usage_error("adversary takes exactly one policy: non-cascading or simple")
     policy = policies[0]
     sink = RowSink(args.out, args.format)
     failed = False
@@ -625,10 +625,13 @@ def dijkstra_policy(
 
 def cmd_dijkstra(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, ["all"])
+    try:
+        graph = gen_graph(args.vertices, args.edges, args.seed)
+    except ValueError as exc:
+        _usage_error(f"--vertices {args.vertices} --edges {args.edges}: {exc}")
     sink = RowSink(args.out, args.format)
     failed = False
     try:
-        graph = gen_graph(args.vertices, args.edges, args.seed)
         adj = graph.adjacency()
         reference = dijkstra_reference(adj)
         for policy in policies:
@@ -688,6 +691,9 @@ def cmd_dijkstra(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    policies = _parse_policies(args.policy, [])
+    if len(policies) > 1:
+        _usage_error("replay takes at most one policy")
     if args.trace == "-":
         text = sys.stdin.read()
     else:
@@ -699,7 +705,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         t0 = time.perf_counter_ns()
         verdict = replay_differential(
             ops,
-            policy=args.policy[0] if args.policy else None,
+            policy=policies[0] if policies else None,
             seed=args.seed,
             strict_identity=args.strict,
             check_interval=25 if args.check else 0,

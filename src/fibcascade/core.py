@@ -1,12 +1,12 @@
 """Mergeable heaps built from a single heap-ordered tree.
 
-The data structure keeps one tree per heap (the classic multi-root variant is
-the exception, see :data:`Policy.CLASSIC`).  Roots are combined by *naive*
-links that ignore ranks; delete-min combines roots of equal rank with *fair*
-links that bump the winner's rank, which is the only place ranks grow.  What
-happens to ranks when a node loses a child is the pluggable part: each
-:class:`Policy` names one rank-maintenance rule, implemented in
-:mod:`fibcascade.policies`.
+The data structure keeps one tree per heap; the textbook multi-root baseline,
+:class:`ClassicHeap`, overrides only the private root hooks.  Roots are
+combined by *naive* links that ignore ranks; delete-min combines roots of
+equal rank with *fair* links that bump the winner's rank, which is the only
+place ranks grow.  What happens to ranks when a node loses a child is the
+pluggable part: each :class:`Policy` names one rank-maintenance rule,
+implemented in :mod:`fibcascade.policies`.
 
 Ties: ``link(x, y)`` compares with a strict ``x.key > y.key``, so the first
 argument wins ties everywhere (inserted singletons beat equal-keyed roots,
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import zlib
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .instrumentation import Telemetry
 
@@ -172,7 +172,8 @@ class Universe:
             policy = Policy.from_tag(policy)
         if name is None:
             name = f"h{len(self._heaps)}"
-        heap = Heap(self, policy, name)
+        cls = ClassicHeap if policy is Policy.CLASSIC else Heap
+        heap = cls(self, policy, name)
         self._heaps.append(heap)
         self.telemetry.op_begin("make-heap", 0)
         self.telemetry.op_end()
@@ -228,8 +229,6 @@ class Heap:
         "policy",
         "name",
         "root",
-        "roots",
-        "min_node",
         "_size",
         "coin_seed",
         "_coin",
@@ -242,8 +241,6 @@ class Heap:
         self.policy = policy
         self.name = name
         self.root: Node | None = None
-        self.roots: list[Node] = []  # classic only
-        self.min_node: Node | None = None  # classic only
         self._size = 0
         self.coin_seed = _seed_for_name(universe.seed, name)
         self._coin: random.Random | None = None
@@ -260,10 +257,12 @@ class Heap:
         return self._size == 0
 
     def iter_roots(self) -> Iterator[Node]:
-        if self.policy is Policy.CLASSIC:
-            yield from self.roots
-        elif self.root is not None:
+        if self.root is not None:
             yield self.root
+
+    def peek(self) -> Node | None:
+        """The minimum item, without counting an operation (for observers)."""
+        return self.root
 
     def coin(self) -> random.Random:
         if self._coin is None:
@@ -342,7 +341,6 @@ class Heap:
         """Remove a childless root from the universe and settle its phi."""
         tele = self.universe.telemetry
         tele.phi += node.rank - 1 - (2 if node.state == MARKED else 0)
-        tele.live_nodes -= 1
         if tele.track_active:
             tele.active.pop(node, None)
         node.live = False
@@ -358,7 +356,7 @@ class Heap:
         self._check_live()
         tele = self.universe.telemetry
         tele.op_begin("find-min", self._size)
-        out = self.min_node if self.policy is Policy.CLASSIC else self.root
+        out = self.peek()
         tele.op_end()
         return out
 
@@ -371,21 +369,8 @@ class Heap:
         tele = self.universe.telemetry
         tele.op_begin("insert", self._size)
         x.in_heap = True
-        tele.live_nodes += 1
         tele.phi += 1  # a fresh singleton root
-        if self.policy is Policy.CLASSIC:
-            self.roots.append(x)
-            if self.min_node is None:
-                self.min_node = x
-            else:
-                tele.comparisons += 1
-                if x.key < self.min_node.key:
-                    self.min_node = x
-        elif self.root is None:
-            self.root = x
-        else:
-            # inserted node is the first link argument, so it wins ties
-            self.root = self._link(x, self.root, fair=False)
+        self._add_root(x)
         self._size += 1
         tele.op_end()
 
@@ -402,22 +387,7 @@ class Heap:
             )
         tele = self.universe.telemetry
         tele.op_begin("meld", self._size + other._size)
-        if self.policy is Policy.CLASSIC:
-            self.roots.extend(other.roots)
-            other.roots = []
-            if self.min_node is None:
-                self.min_node = other.min_node
-            elif other.min_node is not None:
-                tele.comparisons += 1
-                if other.min_node.key < self.min_node.key:
-                    self.min_node = other.min_node
-            other.min_node = None
-        else:
-            if self.root is None:
-                self.root = other.root
-            elif other.root is not None:
-                self.root = self._link(self.root, other.root, fair=False)
-            other.root = None
+        self._absorb(other)
         self._size += other._size
         other._size = 0
         other.live = False
@@ -455,10 +425,7 @@ class Heap:
             raise PreconditionError("delete-min on an empty heap")
         tele = self.universe.telemetry
         tele.op_begin("delete-min", self._size)
-        if self.policy is Policy.CLASSIC:
-            removed = self._classic_delete_min()
-        else:
-            removed = self._tree_delete_min()
+        removed = self._remove_min()
         self._size -= 1
         tele.op_end()
         return removed
@@ -475,86 +442,53 @@ class Heap:
             raise HeapError("delete removed a different item than requested")
         return removed
 
-    # -- delete-min machinery ----------------------------------------------
+    # -- root hooks (overridden by ClassicHeap) -----------------------------
 
-    def _tree_delete_min(self) -> Node:
-        """Detach the root's children, then one registry pass: equal-rank
-        roots meet in fair links while scanning first-to-last, and a final
-        sweep over ascending ranks naive-links the survivors together.
+    def _add_root(self, x: Node) -> None:
+        if self.root is None:
+            self.root = x
+        else:
+            # inserted node is the first link argument, so it wins ties
+            self.root = self._link(x, self.root, fair=False)
 
-        The registry slot is cleared at the winner's pre-bump rank, and the
-        scanned (or accumulated) node is always the first link argument.
-        """
+    def _absorb(self, other: "Heap") -> None:
+        if self.root is None:
+            self.root = other.root
+        elif other.root is not None:
+            self.root = self._link(self.root, other.root, fair=False)
+        other.root = None
+
+    def _remove_min(self) -> Node:
+        """Fair-link the root's children through the registry, then
+        naive-link the survivors over ascending ranks, the accumulated root
+        being the first link argument."""
         h = self.root
         assert h is not None
-        A = self.universe.registry
-        x = h.child
-        h.child = None
-        max_rank = 0
-        while x is not None:
-            y = x
-            x = x.after
-            y.parent = y
-            y.before = None
-            y.after = None
-            while True:
-                r = y.rank
-                if r >= len(A):
-                    A.extend([None] * (r + 1 - len(A)))
-                    self.universe.registry = A
-                occupant = A[r]
-                if occupant is None:
-                    break
-                A[r] = None
-                y = self._link(y, occupant, fair=True)
-            A[y.rank] = y
-            if y.rank > max_rank:
-                max_rank = y.rank
         root: Node | None = None
-        for i in range(max_rank + 1):
-            occupant = A[i]
-            if occupant is not None:
-                A[i] = None
-                if root is None:
-                    root = occupant
-                else:
-                    root = self._link(root, occupant, fair=False)
+        for occupant in self._fill_registry(_detach_children(h)):
+            if root is None:
+                root = occupant
+            else:
+                root = self._link(root, occupant, fair=False)
         self.root = root
         self._destroy(h)
         return h
 
-    def _classic_delete_min(self) -> Node:
-        tele = self.universe.telemetry
-        m = self.min_node
-        assert m is not None
-        self.roots.remove(m)
-        child = m.child
-        m.child = None
-        while child is not None:
-            nxt = child.after
-            child.parent = child
-            child.before = None
-            child.after = None
-            set_state(child, UNMARKED, tele)  # roots are never marked
-            self.roots.append(child)
-            child = nxt
-        self._consolidate_classic()
-        self._destroy(m)
-        return m
+    def _fill_registry(self, roots: Iterable[Node]) -> list[Node]:
+        """Fair-link equal-rank roots through the registry, scanning
+        ``roots`` first to last; return the survivors in ascending rank
+        order and leave the registry clear.
 
-    def _consolidate_classic(self) -> None:
-        """Fair links only, front-to-back over the root list; survivors are
-        relisted in increasing rank order and the min reference is recomputed
-        with counted comparisons."""
-        tele = self.universe.telemetry
+        The registry slot is cleared at the winner's pre-bump rank, and the
+        scanned (or accumulated) node is always the first link argument.
+        """
         A = self.universe.registry
         max_rank = 0
-        for y in self.roots:
+        for y in roots:
             while True:
                 r = y.rank
                 if r >= len(A):
                     A.extend([None] * (r + 1 - len(A)))
-                    self.universe.registry = A
                 occupant = A[r]
                 if occupant is None:
                     break
@@ -565,16 +499,80 @@ class Heap:
                 max_rank = y.rank
         survivors: list[Node] = []
         for i in range(max_rank + 1):
-            if A[i] is not None:
-                survivors.append(A[i])  # type: ignore[arg-type]
+            occupant = A[i]
+            if occupant is not None:
                 A[i] = None
-        self.roots = survivors
-        best: Node | None = None
-        for y in survivors:
-            if best is None:
-                best = y
-            else:
-                tele.comparisons += 1
-                if y.key < best.key:
-                    best = y
-        self.min_node = best
+                survivors.append(occupant)
+        return survivors
+
+
+def _detach_children(node: Node) -> Iterator[Node]:
+    """Yield node's children first to last, each made a root just before it
+    is handed out (the caller may relink it at once)."""
+    x = node.child
+    node.child = None
+    while x is not None:
+        y = x
+        x = x.after
+        y.parent = y
+        y.before = None
+        y.after = None
+        yield y
+
+
+class ClassicHeap(Heap):
+    """The textbook multi-root Fibonacci heap (:data:`Policy.CLASSIC`).
+
+    Insert and meld append to the root list; delete-min fair-links the whole
+    list (never a naive link), relists the survivors by increasing rank and
+    recomputes the minimum pointer with counted comparisons.
+    """
+
+    __slots__ = ("roots", "min_node")
+
+    def __init__(self, universe: Universe, policy: Policy, name: str) -> None:
+        super().__init__(universe, policy, name)
+        self.roots: list[Node] = []
+        self.min_node: Node | None = None
+
+    def iter_roots(self) -> Iterator[Node]:
+        return iter(self.roots)
+
+    def peek(self) -> Node | None:
+        return self.min_node
+
+    def _offer_min(self, x: Node) -> None:
+        """Make x the minimum if it beats the current one (one counted
+        comparison, none when there is no minimum yet)."""
+        if self.min_node is None:
+            self.min_node = x
+        else:
+            self.universe.telemetry.comparisons += 1
+            if x.key < self.min_node.key:
+                self.min_node = x
+
+    def _add_root(self, x: Node) -> None:
+        self.roots.append(x)
+        self._offer_min(x)
+
+    def _absorb(self, other: "ClassicHeap") -> None:
+        self.roots.extend(other.roots)
+        other.roots = []
+        if other.min_node is not None:
+            self._offer_min(other.min_node)
+        other.min_node = None
+
+    def _remove_min(self) -> Node:
+        tele = self.universe.telemetry
+        m = self.min_node
+        assert m is not None
+        self.roots.remove(m)
+        for child in _detach_children(m):
+            set_state(child, UNMARKED, tele)  # roots are never marked
+            self.roots.append(child)
+        self.roots = self._fill_registry(self.roots)
+        self.min_node = None
+        for y in self.roots:
+            self._offer_min(y)
+        self._destroy(m)
+        return m

@@ -147,9 +147,7 @@ class Telemetry:
 
     __slots__ = COUNTER_FIELDS + (
         "phi",
-        "live_nodes",
         "record_sink",
-        "last_record",
         "active",
         "track_active",
         "_op_kind",
@@ -161,9 +159,7 @@ class Telemetry:
         for name in COUNTER_FIELDS:
             setattr(self, name, 0)
         self.phi = 0
-        self.live_nodes = 0
         self.record_sink: Callable[[OpRecord], None] | None = None
-        self.last_record: OpRecord | None = None
         self.track_active = track_active
         self.active: dict[Any, bool] = {}
         self._op_kind = ""
@@ -188,7 +184,6 @@ class Telemetry:
         for i, name in enumerate(COUNTER_FIELDS):
             setattr(rec, name, getattr(self, name) - base[i])
         rec.d_phi = self.phi - base[len(COUNTER_FIELDS)]
-        self.last_record = rec
         if self.record_sink is not None:
             self.record_sink(rec)
         return rec

@@ -16,8 +16,12 @@ per line::
 ``#`` starts a comment; keys are signed decimal integers; heap and item names
 are single-use tokens (a melded-away heap name is never reused).
 
-:func:`replay_differential` runs a trace on a policy heap and on the sorted
-reference in lockstep and reports the first divergence.  Equality is on keys:
+:func:`run_trace` is the one trace interpreter: it runs the ops on policy
+heaps and yields after each one.  :func:`replay_ops` consumes it bare (to
+rerun recorded schedules and inspect intermediate states);
+:func:`replay_differential` consumes it with a reference mirror, running a
+trace on a policy heap and on the sorted reference in lockstep and reporting
+the first divergence.  Equality is on keys:
 tie-breaking among equal keys is the policies' prerogative, so after checking
 the removed key the reference drops the very item the policy dropped, keeping
 both sides aligned.  Strict mode additionally compares item identities, which
@@ -29,7 +33,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import POLICY_TAGS, Heap, HeapError, Node, Policy, Universe
 from .instrumentation import (
@@ -559,14 +563,6 @@ class ReplayVerdict:
         }
 
 
-def _quiet_min_key(heap: Heap) -> Any:
-    if heap.policy is Policy.CLASSIC:
-        node = heap.min_node
-    else:
-        node = heap.root
-    return None if node is None else node.key
-
-
 _ASSERTED_CHECKS: tuple[Callable[[Heap], CheckReport], ...] = (
     structure_violations,
     rank_bound_violations,
@@ -594,6 +590,111 @@ def run_checks(heap: Heap, include_active: bool = False) -> list[str]:
     return out
 
 
+def run_trace(
+    ops: Iterable[Op],
+    universe: Universe,
+    heaps: dict[str, Heap],
+    policy: Policy | str | None = None,
+) -> Iterator[tuple[int, Op, Heap | None, Node | None]]:
+    """The trace interpreter: run ops on policy heaps created in ``universe``
+    and kept by name in ``heaps`` while live, and after each op yield
+    ``(index, op, heap, node)``: the heap it ran on (the absorber for meld)
+    and the item it touched (removed or found, for delete-min and find-min).
+    ``policy`` overrides every ``newheap`` line's recorded policy.
+
+    Item ownership is tracked by heap name (insert records the heap, meld
+    the absorber), never by walking the tree.  Malformed ops raise
+    :class:`TraceError` naming the op's index.
+    """
+    items: dict[str, Node] = {}
+    home: dict[str, str] = {}  # item -> the heap it went into, or its absorber
+    absorber: dict[str, str] = {}  # melded-away heap -> the heap that took it
+
+    def new_item(i: int, name: str, key: Any) -> Node:
+        if name in items:
+            raise TraceError(f"op {i}: item name {name!r} reused")
+        items[name] = universe.make_item(key, info=name)
+        return items[name]
+
+    def owner(i: int, name: str) -> tuple[Heap, Node]:
+        node = items[name]
+        if not node.in_heap:
+            raise TraceError(f"op {i}: item {name!r} is in no live heap")
+        h = home[name]
+        while h in absorber:
+            h = absorber[h]
+        home[name] = h
+        return heaps[h], node
+
+    try:
+        for i, op in enumerate(ops):
+            verb = op[0]
+            heap: Heap | None = None
+            node: Node | None = None
+            if verb == "newheap":
+                _, name, tag = op
+                if name in heaps or name in absorber:
+                    raise TraceError(f"op {i}: heap name {name!r} reused")
+                heap = universe.make_heap(tag if policy is None else policy, name)
+                heaps[name] = heap
+            elif verb == "item":
+                node = new_item(i, op[1], op[2])
+            elif verb == "insert":
+                name = op[2]
+                node = new_item(i, name, op[3]) if len(op) == 4 else items[name]
+                heap = heaps[op[1]]
+                heap.insert(node)
+                home[name] = op[1]
+            elif verb == "deletemin":
+                heap = heaps[op[1]]
+                node = heap.delete_min()
+            elif verb == "decreasekey":
+                heap, node = owner(i, op[1])
+                heap.decrease_key(node, op[2])
+            elif verb == "delete":
+                heap, node = owner(i, op[1])
+                heap.delete(node)
+            elif verb == "meld":
+                heap = heaps[op[1]]
+                heap.meld(heaps[op[2]])
+                del heaps[op[2]]
+                absorber[op[2]] = op[1]
+            elif verb == "findmin":
+                heap = heaps[op[1]]
+                node = heap.find_min()
+            else:
+                raise TraceError(f"op {i}: unknown verb {verb!r}")
+            yield i, op, heap, node
+    except HeapError as exc:
+        raise TraceError(f"op {i}: precondition failed: {exc}") from exc
+    except KeyError as exc:
+        raise TraceError(f"op {i}: unknown heap or item name {exc}") from exc
+
+
+def replay_ops(
+    ops: Iterable[Op],
+    policy: Policy | str | None = None,
+    seed: int = 0,
+    record_sink: Callable | None = None,
+    track_active: bool = False,
+    on_op: Callable | None = None,
+) -> tuple[Universe, dict[str, Heap]]:
+    """Execute a trace (no reference mirror) and hand back the end state.
+
+    Used to rerun recorded adversary schedules on other policies and to
+    verify that a dumped trace rebuilds the shape it came from.  ``on_op``
+    is called as ``on_op(index, universe, heaps)`` after every operation,
+    for callers that want to inspect intermediate states.
+    """
+    universe = Universe(seed=seed, track_active=track_active)
+    universe.telemetry.record_sink = record_sink
+    heaps: dict[str, Heap] = {}
+    for index, _, _, _ in run_trace(ops, universe, heaps, policy):
+        if on_op is not None:
+            on_op(index, universe, heaps)
+    return universe, heaps
+
+
 def replay_differential(
     ops: Iterable[Op],
     policy: Policy | str | None = None,
@@ -607,19 +708,18 @@ def replay_differential(
     ``policy`` overrides every ``newheap`` line's recorded policy, which is
     how one generated trace is replayed across all ten.  After each step the
     minimum keys of every live heap are compared (quietly — observation does
-    not disturb the counters).  ``check_interval`` > 0 additionally runs the
-    asserted invariant checkers every that-many steps and at the end.
+    not disturb the counters); that comparison also covers what a find-min
+    returns.  ``check_interval`` > 0 additionally runs the
+    asserted invariant checkers every that-many steps and at the end.  The
+    reference only observes what :func:`run_trace` yields.
     """
     if isinstance(policy, str):
         policy = Policy.from_tag(policy)
     tag = policy.value if policy is not None else "recorded"
-    track_active = check_interval > 0
-    universe = Universe(seed=seed, track_active=track_active)
-    if record_sink is not None:
-        universe.telemetry.record_sink = record_sink
+    universe = Universe(seed=seed, track_active=check_interval > 0)
+    universe.telemetry.record_sink = record_sink
     heaps: dict[str, Heap] = {}
     mirrors: dict[str, OracleHeap] = {}
-    items: dict[str, Node] = {}
     verdict = ReplayVerdict(policy=tag)
 
     def diverged(i: int, msg: str) -> ReplayVerdict:
@@ -627,9 +727,17 @@ def replay_differential(
         verdict.step_index = i
         return verdict
 
+    def checks_failed(i: int) -> bool:
+        for heap in heaps.values():
+            verdict.check_failures.extend(run_checks(heap, include_active=True))
+        if verdict.check_failures:
+            verdict.step_index = i
+        return bool(verdict.check_failures)
+
     def agree(i: int, op: Op) -> bool:
         for name, heap in heaps.items():
-            got = _quiet_min_key(heap)
+            top = heap.peek()
+            got = None if top is None else top.key
             want = mirrors[name].min_key()
             if got != want:
                 diverged(
@@ -641,119 +749,40 @@ def replay_differential(
                 return False
         return True
 
-    i = -1
-    try:
-        for i, op in enumerate(ops):
-            verb = op[0]
-            if verb == "newheap":
-                _, name, pol_tag = op
-                if name in heaps:
-                    raise TraceError(f"op {i}: heap name {name!r} reused")
-                pol = policy if policy is not None else Policy.from_tag(pol_tag)
-                heaps[name] = universe.make_heap(pol, name)
-                mirrors[name] = OracleHeap()
-            elif verb == "item":
-                _, name, key = op
-                if name in items:
-                    raise TraceError(f"op {i}: item name {name!r} reused")
-                items[name] = universe.make_item(key, info=name)
-            elif verb == "insert":
-                name = op[2]
-                if len(op) == 4:
-                    if name in items:
-                        raise TraceError(f"op {i}: item name {name!r} reused")
-                    items[name] = universe.make_item(op[3], info=name)
-                node = items[name]
-                heaps[op[1]].insert(node)
-                mirrors[op[1]].insert(node.uid, node.key)
-            elif verb == "deletemin":
-                name = op[1]
-                removed = heaps[name].delete_min()
-                pair = mirrors[name].find_min()
-                want = None if pair is None else pair[0]
-                if removed.key != want:
-                    return diverged(
-                        i,
-                        f"delete-min on {name} removed key {removed.key!r},"
-                        f" reference minimum is {want!r}",
-                    )
-                if strict_identity and pair is not None and pair[1] != removed.uid:
-                    return diverged(
-                        i,
-                        f"delete-min on {name} removed item {removed.uid},"
-                        f" reference minimum is item {pair[1]}",
-                    )
-                mirrors[name].remove(removed.uid)
-            elif verb == "decreasekey":
-                node = items[op[1]]
-                owner = _owner_of(heaps, node)
-                if owner is None:
-                    raise TraceError(
-                        f"op {i}: item {op[1]!r} is in no live heap"
-                    )
-                owner.decrease_key(node, op[2])
-                mirrors[owner.name].decrease_key(node.uid, op[2])
-            elif verb == "delete":
-                node = items[op[1]]
-                owner = _owner_of(heaps, node)
-                if owner is None:
-                    raise TraceError(
-                        f"op {i}: item {op[1]!r} is in no live heap"
-                    )
-                owner.delete(node)
-                mirrors[owner.name].remove(node.uid)
-            elif verb == "meld":
-                h1, h2 = op[1], op[2]
-                heaps[h1].meld(heaps[h2])
-                mirrors[h1].meld(mirrors[h2])
-                del heaps[h2], mirrors[h2]
-            elif verb == "findmin":
-                name = op[1]
-                node = heaps[name].find_min()
-                got = None if node is None else node.key
-                want = mirrors[name].min_key()
-                if got != want:
-                    return diverged(
-                        i,
-                        f"find-min on {name} sees {got!r}, reference sees"
-                        f" {want!r}",
-                    )
-            else:
-                raise TraceError(f"op {i}: unknown verb {verb!r}")
-            verdict.steps += 1
-            if not agree(i, op):
-                return verdict
-            if check_interval and (i + 1) % check_interval == 0:
-                for heap in heaps.values():
-                    verdict.check_failures.extend(
-                        run_checks(heap, include_active=True)
-                    )
-                if verdict.check_failures:
-                    verdict.step_index = i
-                    return verdict
-    except HeapError as exc:
-        raise TraceError(f"op {i}: precondition failed: {exc}") from exc
-    except KeyError as exc:
-        raise TraceError(f"op {i}: unknown heap or item name {exc}") from exc
+    for i, op, heap, node in run_trace(ops, universe, heaps, policy):
+        verb = op[0]
+        if verb == "newheap":
+            mirrors[op[1]] = OracleHeap()
+        elif verb == "insert":
+            mirrors[op[1]].insert(node.uid, node.key)
+        elif verb == "deletemin":
+            name = op[1]
+            pair = mirrors[name].find_min()
+            want = None if pair is None else pair[0]
+            if node.key != want:
+                return diverged(
+                    i,
+                    f"delete-min on {name} removed key {node.key!r},"
+                    f" reference minimum is {want!r}",
+                )
+            if strict_identity and pair is not None and pair[1] != node.uid:
+                return diverged(
+                    i,
+                    f"delete-min on {name} removed item {node.uid},"
+                    f" reference minimum is item {pair[1]}",
+                )
+            mirrors[name].remove(node.uid)
+        elif verb == "decreasekey":
+            mirrors[heap.name].decrease_key(node.uid, op[2])
+        elif verb == "delete":
+            mirrors[heap.name].remove(node.uid)
+        elif verb == "meld":
+            mirrors[op[1]].meld(mirrors.pop(op[2]))
+        verdict.steps += 1
+        if not agree(i, op):
+            return verdict
+        if check_interval and (i + 1) % check_interval == 0 and checks_failed(i):
+            return verdict
     if check_interval:
-        for heap in heaps.values():
-            verdict.check_failures.extend(run_checks(heap, include_active=True))
-        if verdict.check_failures:
-            verdict.step_index = verdict.steps - 1
+        checks_failed(verdict.steps - 1)
     return verdict
-
-
-def _owner_of(heaps: dict[str, Heap], node: Node) -> Heap | None:
-    """Which live heap contains this node (walk to its root)."""
-    if not node.in_heap:
-        return None
-    top = node
-    while top.parent is not top:
-        top = top.parent
-    for heap in heaps.values():
-        if heap.policy is Policy.CLASSIC:
-            if top in heap.roots:
-                return heap
-        elif heap.root is top:
-            return heap
-    return None

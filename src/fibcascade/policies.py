@@ -23,6 +23,7 @@ from .core import (
     MARKED,
     PASSIVE,
     UNMARKED,
+    ClassicHeap,
     Heap,
     Node,
     Policy,
@@ -228,7 +229,7 @@ def _dk_non_cascading(heap: Heap, x: Node) -> None:
     _cut_and_reroot(heap, x)
 
 
-def _dk_classic(heap: Heap, x: Node) -> None:
+def _dk_classic(heap: ClassicHeap, x: Node) -> None:
     """Multi-root variant with cascading cuts.
 
     A root only refreshes the minimum pointer.  A non-root is cut when heap
@@ -239,12 +240,8 @@ def _dk_classic(heap: Heap, x: Node) -> None:
     """
     tele = heap.universe.telemetry
     if x.parent is x:
-        assert heap.min_node is not None
-        if x is heap.min_node:
-            return
-        tele.comparisons += 1
-        if x.key < heap.min_node.key:
-            heap.min_node = x
+        if x is not heap.min_node:
+            heap._offer_min(x)
         return
     tele.comparisons += 1
     if not x.key < x.parent.key:
@@ -254,11 +251,7 @@ def _dk_classic(heap: Heap, x: Node) -> None:
     tele.iterations += 1
     dec_rank_floor(parent, tele)
     set_state(x, UNMARKED, tele)
-    heap.roots.append(x)
-    assert heap.min_node is not None
-    tele.comparisons += 1
-    if x.key < heap.min_node.key:
-        heap.min_node = x
+    heap._add_root(x)
     y = parent
     while y.parent is not y and y.state == MARKED:
         above = y.parent

@@ -25,7 +25,6 @@ def adopt(universe, heap, nodes):
     for n in nodes:
         n.in_heap = True
     heap._size = len(nodes)
-    universe.telemetry.live_nodes = len(nodes)
     universe.telemetry.phi = compute_potential(heap.iter_roots())
 
 

@@ -36,9 +36,15 @@ def run_cli(*argv):
         ("verify", "--policy", "bogus"),
         ("bench", "--format", "xml"),
         ("adversary", "--policy", "classic"),  # schedule needs exact shapes
+        ("replay", "--policy", "bogus", "t.trace"),
+        ("replay", "--policy", "simple,classic", "t.trace"),
+        ("dijkstra", "--vertices", "1"),
     ],
 )
-def test_usage_errors_exit_2(argv, capsys):
+def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
+    # a readable trace, so that only the flags are at fault
+    (tmp_path / "t.trace").write_text("newheap h0 simple\n")
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
         run_cli(*argv)
     code = err.value.code

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fibcascade.policies
 from fibcascade import POLICY_TAGS, Policy
+from fibcascade.instrumentation import COUNTER_FIELDS
 from fibcascade.oracle import (
     OracleHeap,
     TraceError,
@@ -15,6 +16,7 @@ from fibcascade.oracle import (
     gen_trace,
     parse_trace,
     replay_differential,
+    replay_ops,
     run_checks,
     validate_trace,
 )
@@ -242,28 +244,94 @@ def test_replay_wraps_precondition_failures():
         replay_differential(ops)
 
 
-def test_replay_wraps_unknown_names():
-    with pytest.raises(TraceError, match="unknown heap or item"):
-        replay_differential([("newheap", "h0", "simple"), ("insert", "h0", "xZ")])
-    with pytest.raises(TraceError, match="no live heap"):
-        replay_differential(
-            [
-                ("newheap", "h0", "simple"),
-                ("insert", "h0", "x0", 5),
-                ("deletemin", "h0"),
-                ("decreasekey", "x0", 1),
-            ]
-        )
+REPLAYS = pytest.mark.parametrize(
+    "replay", [replay_differential, replay_ops], ids=["differential", "ops"]
+)
 
 
-def test_replay_routes_ownership_through_melds():
+H0 = ("newheap", "h0", "simple")
+
+
+@REPLAYS
+@pytest.mark.parametrize(
+    "ops,fragment",
+    [
+        ([H0, ("insert", "h0", "xZ")], "op 1: unknown heap or item"),
+        ([H0, ("deletemin", "h9")], "op 1: unknown heap or item"),
+        ([H0, ("decreasekey", "xZ", 1)], "op 1: unknown heap or item"),
+        (
+            [H0, ("insert", "h0", "x0", 5), ("deletemin", "h0"),
+             ("decreasekey", "x0", 1)],
+            "op 3: item 'x0' is in no live heap",
+        ),
+        (
+            [H0, ("insert", "h0", "x0", 5), ("delete", "x0"), ("delete", "x0")],
+            "op 3: item 'x0' is in no live heap",
+        ),
+        ([H0, H0], "op 1: heap name 'h0' reused"),
+        (
+            [H0, ("newheap", "h1", "simple"), ("meld", "h0", "h1"),
+             ("newheap", "h1", "simple")],
+            "op 3: heap name 'h1' reused",
+        ),
+        ([H0, ("item", "x0", 1), ("insert", "h0", "x0", 2)], "op 2: item name"),
+        ([H0, ("frobnicate", "h0")], "op 1: unknown verb"),
+    ],
+    ids=[
+        "insert-unknown-item",
+        "unknown-heap",
+        "decreasekey-unknown-item",
+        "decreasekey-removed-item",
+        "double-delete",
+        "heap-name-reused",
+        "melded-heap-name-reused",
+        "item-name-reused",
+        "unknown-verb",
+    ],
+)
+def test_replay_wraps_unknown_names(replay, ops, fragment):
+    with pytest.raises(TraceError, match=fragment):
+        replay(ops)
+
+
+@REPLAYS
+@pytest.mark.parametrize("tag", ["simple", "classic"])
+def test_replay_routes_ownership_through_melds(replay, tag):
+    # h0 absorbs h1, then h2 absorbs h0: x2 (inserted into h1) is two melds
+    # away from its heap when it is decreased, x1 (inserted into h0) one
     ops = parse_trace(
-        "newheap h0 simple\nnewheap h1 simple\n"
-        "insert h1 x0 70\ninsert h0 x1 80\n"
-        "meld h0 h1\ndecreasekey x0 10\nfindmin h0\ndeletemin h0"
+        f"newheap h0 {tag}\nnewheap h1 {tag}\nnewheap h2 {tag}\n"
+        "insert h1 x0 70\ninsert h1 x2 90\ninsert h0 x1 80\n"
+        "insert h2 x3 60\ndeletemin h1\nmeld h0 h1\nmeld h2 h0\n"
+        "decreasekey x2 10\nfindmin h2\ndelete x1\ndeletemin h2\nfindmin h2"
     )
-    verdict = replay_differential(ops, strict_identity=True)
-    assert verdict.ok
+    if replay is replay_differential:
+        verdict = replay(ops, strict_identity=True)
+        assert verdict.ok, verdict.as_dict()
+        assert verdict.steps == len(ops)
+    else:
+        _, heaps = replay(ops)
+        assert list(heaps) == ["h2"]
+        assert len(heaps["h2"]) == 1
+        assert heaps["h2"].find_min().key == 60
+
+
+def test_mirror_observes_without_touching_the_policy_heaps():
+    # one multi-heap trace per policy: the reference mirror and the
+    # lockstep checks must not change a single counter or potential step
+    ops = gen_trace(TraceProfile(n_ops=600, seed=4))
+    assert sum(op[0] == "meld" for op in ops) > 0
+    for tag in POLICY_TAGS:
+        seen = {}
+        for replay in (replay_differential, replay_ops):
+            records = []
+            replay(ops, policy=tag, seed=9, record_sink=records.append)
+            seen[replay] = [
+                (r.kind, r.n_before, r.d_phi)
+                + tuple(getattr(r, f) for f in COUNTER_FIELDS)
+                for r in records
+            ]
+        assert seen[replay_differential] == seen[replay_ops], tag
 
 
 def test_periodic_checks_pass_for_the_sound_policy():
