@@ -729,8 +729,21 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # argument plumbing
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _count(text: str) -> int:
+    """The argparse type of every count flag: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        )
+    return value
+
+
+def _count_list(text: str) -> list[int]:
+    return [_count(part) for part in text.split(",") if part]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -756,16 +769,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="differential fuzzing with audits")
     common(p, None)
-    p.add_argument("--traces", type=int, default=100)
-    p.add_argument("--ops", type=int, default=1000)
+    p.add_argument("--traces", type=_count, default=100)
+    p.add_argument("--ops", type=_count, default=1000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="counter benchmarks")
     common(p, "-")
-    p.add_argument("--ops", type=int, default=2000)
+    p.add_argument("--ops", type=_count, default=2000)
     p.add_argument(
         "--sizes",
-        type=_int_list,
+        type=_count_list,
         default=None,
         metavar="N,N,...",
         help="insert-then-drain workloads of these sizes instead of a random trace",
@@ -781,11 +794,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K|LO..HI[:STEP]",
         help="steady-cycle stage sweep (default 10..100 step 10)",
     )
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--rounds", type=_count, default=50)
     p.add_argument(
         "--m",
         action="append",
-        type=int,
+        type=_count,
         metavar="OPS",
         help="run whole lower-bound schedules of this many operations"
         " (repeatable; with --check a single value expands to m/10, 3m/10, m)",
@@ -795,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dijkstra", help="shortest paths vs reference")
     common(p, "-")
     p.add_argument("--vertices", type=int, default=1000)
-    p.add_argument("--edges", type=int, default=10000)
+    p.add_argument("--edges", type=_count, default=10000)
     p.set_defaults(func=cmd_dijkstra)
 
     p = sub.add_parser("replay", help="re-run a recorded trace")

@@ -217,11 +217,21 @@ def dec_rank_floor(node: Node, tele: Telemetry) -> None:
         tele.rank_clamps += 1
 
 
+#: The state a link's loser takes, (after a fair link, after a naive link),
+#: for the policies that set one; None leaves the loser's state alone.
+_LOSER_STATES = {
+    Policy.EAGER_MARKING: (MARKED, UNMARKED),
+    Policy.PASSIVE_CHILD: (UNMARKED, PASSIVE),
+    Policy.CLASSIC: (UNMARKED, None),
+}
+
+
 class Heap:
     """A mergeable heap bound to one policy and one universe.
 
     All mutating entry points funnel through telemetry record boundaries, so
-    per-operation counter deltas and potential changes are always available.
+    per-operation counter deltas and potential changes reach any attached
+    record sink.
     """
 
     __slots__ = (
@@ -234,11 +244,22 @@ class Heap:
         "_coin",
         "randomized_start_at_parent",
         "live",
+        "_walk",
+        "_fair_loser_state",
+        "_naive_loser_state",
     )
 
     def __init__(self, universe: Universe, policy: Policy, name: str) -> None:
+        from .policies import POLICY_DECREASE
+
         self.universe = universe
         self.policy = policy
+        # bound once per heap: the policy's decrease-key walk, and the state
+        # a link loser takes (None: it keeps its state)
+        self._walk = POLICY_DECREASE[policy]
+        self._fair_loser_state, self._naive_loser_state = _LOSER_STATES.get(
+            policy, (None, None)
+        )
         self.name = name
         self.root: Node | None = None
         self._size = 0
@@ -297,23 +318,20 @@ class Heap:
         if z is not None:
             z.before = loser
         winner.child = loser
-        pol = self.policy
         if fair:
             tele.fair_links += 1
             winner.rank += 1
             tele.phi -= 1
-            if pol is Policy.EAGER_MARKING:
-                set_state(loser, MARKED, tele)
-            elif pol is Policy.PASSIVE_CHILD or pol is Policy.CLASSIC:
-                set_state(loser, UNMARKED, tele)
+            state = self._fair_loser_state
+            if state is not None:
+                set_state(loser, state, tele)
             if tele.track_active:
                 tele.active[loser] = True
         else:
             tele.naive_links += 1
-            if pol is Policy.PASSIVE_CHILD:
-                set_state(loser, PASSIVE, tele)
-            elif pol is Policy.EAGER_MARKING:
-                set_state(loser, UNMARKED, tele)
+            state = self._naive_loser_state
+            if state is not None:
+                set_state(loser, state, tele)
             if tele.track_active:
                 tele.active[loser] = False
         return winner
@@ -411,12 +429,10 @@ class Heap:
             raise PreconditionError(
                 f"decrease-key must not increase the key ({new_key!r} > {x.key!r})"
             )
-        from .policies import POLICY_DECREASE
-
         tele = self.universe.telemetry
         tele.op_begin("decrease-key", self._size)
         x.key = new_key
-        POLICY_DECREASE[self.policy](self, x)
+        self._walk(self, x)
         tele.op_end()
 
     def delete_min(self) -> Node:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, sub
 from typing import Any, Callable, Iterable, Iterator
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -32,6 +33,9 @@ COUNTER_FIELDS = (
     "unmarkings",
     "rank_clamps",
 )
+
+# every counter, then phi: the fields an OpRecord holds as deltas
+_snapshot = attrgetter(*COUNTER_FIELDS, "phi")
 
 
 def log_phi(n: float) -> float:
@@ -139,10 +143,12 @@ class Telemetry:
     """Cumulative counters plus the incrementally maintained potential.
 
     ``record_sink``, when set, receives every finished :class:`OpRecord`
-    (used by the streaming amortized auditor). ``active`` is the shadow
-    activity ledger: it marks children that arrived via a fair link and have
-    not since been unmarked or cut loose; it exists purely for checking and
-    never influences heap behavior.
+    (used by the streaming amortized auditor).  Records exist only for
+    operations that begin while a sink is attached; without one the
+    operation boundaries return at once, so the counters cost only their
+    increments.  ``active`` is the shadow activity ledger: it marks children
+    that arrived via a fair link and have not since been unmarked or cut
+    loose; it exists purely for checking and never influences heap behavior.
     """
 
     __slots__ = COUNTER_FIELDS + (
@@ -150,9 +156,7 @@ class Telemetry:
         "record_sink",
         "active",
         "track_active",
-        "_op_kind",
-        "_op_n",
-        "_op_base",
+        "_op_open",
     )
 
     def __init__(self, track_active: bool = False) -> None:
@@ -162,9 +166,9 @@ class Telemetry:
         self.record_sink: Callable[[OpRecord], None] | None = None
         self.track_active = track_active
         self.active: dict[Any, bool] = {}
-        self._op_kind = ""
-        self._op_n = 0
-        self._op_base: tuple[int, ...] = ()
+        # kind, size before, then the counters and phi: taken by an op_begin
+        # under a sink, consumed by the op_end that hands out its record
+        self._op_open: tuple | None = None
 
     def counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
@@ -174,19 +178,19 @@ class Telemetry:
         return self.fair_links + self.naive_links
 
     def op_begin(self, kind: str, n_before: int) -> None:
-        self._op_kind = kind
-        self._op_n = n_before
-        self._op_base = tuple(getattr(self, f) for f in COUNTER_FIELDS) + (self.phi,)
+        if self.record_sink is None:
+            return
+        self._op_open = (kind, n_before) + _snapshot(self)
 
-    def op_end(self) -> OpRecord:
-        base = self._op_base
-        rec = OpRecord(self._op_kind, self._op_n)
-        for i, name in enumerate(COUNTER_FIELDS):
-            setattr(rec, name, getattr(self, name) - base[i])
-        rec.d_phi = self.phi - base[len(COUNTER_FIELDS)]
-        if self.record_sink is not None:
-            self.record_sink(rec)
-        return rec
+    def op_end(self) -> None:
+        sink = self.record_sink
+        if sink is None:
+            return
+        opened = self._op_open
+        if opened is None:  # this operation began without a sink
+            return
+        self._op_open = None
+        sink(OpRecord(opened[0], opened[1], *map(sub, _snapshot(self), opened[2:])))
 
 
 # ---------------------------------------------------------------------------

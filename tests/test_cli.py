@@ -28,6 +28,19 @@ def run_cli(*argv):
 # ---------------------------------------------------------------------------
 # usage errors
 
+# every count flag, given a negative value (the flag is second to last)
+NEGATIVE_COUNTS = [
+    ("dijkstra", "--vertices", "10", "--edges", "-5"),
+    ("verify", "--traces", "-1"),
+    ("verify", "--ops", "-3"),
+    ("bench", "--ops", "-3"),
+    ("bench", "--sizes", "-5"),
+    ("bench", "--sizes", "4,-5"),
+    ("adversary", "--rounds", "-1"),
+    ("adversary", "--m", "-10"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -39,6 +52,7 @@ def run_cli(*argv):
         ("replay", "--policy", "bogus", "t.trace"),
         ("replay", "--policy", "simple,classic", "t.trace"),
         ("dijkstra", "--vertices", "1"),
+        *NEGATIVE_COUNTS,
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -50,6 +64,15 @@ def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     code = err.value.code
     assert (code if isinstance(code, int) else 2) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS)
+def test_negative_counts_name_their_flag(argv, capsys):
+    with pytest.raises(SystemExit):
+        run_cli(*argv)
+    assert f"argument {argv[-2]}: expected a nonnegative integer" in (
+        capsys.readouterr().err
+    )
 
 
 def test_parse_policies_expands_lists_and_all():

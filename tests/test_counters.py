@@ -1,0 +1,105 @@
+"""The cost model stays fixed, and per-operation records cost only a sink.
+
+The deterministic counters (links, comparisons, walk iterations, cuts,
+state changes, rank clamps) and the potential are the laboratory's cost
+model.  The pins below were taken before the telemetry boundaries were made
+sink-gated; any change that moves one of them changes what the experiments
+measure and has to say why.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import fibcascade.instrumentation
+from fibcascade import POLICY_TAGS, Policy, Universe
+from fibcascade.cli import dijkstra_policy, gen_graph
+from fibcascade.instrumentation import COUNTER_FIELDS
+from fibcascade.oracle import TraceProfile, gen_trace, replay_ops, run_trace
+
+# counters in COUNTER_FIELDS order, then phi
+TRACE_PINS = {
+    "simple": (257, 363, 620, 170, 127, 127, 81, 58, 81),
+    "heap-order": (182, 240, 565, 22, 18, 18, 4, 5, 32),
+    "increasing-rank": (254, 362, 616, 148, 127, 110, 70, 37, 75),
+    "passive-child": (244, 367, 611, 86, 127, 46, 29, 0, 47),
+    "eager": (255, 359, 614, 116, 127, 211, 152, 0, 143),
+    "naive-increasing": (262, 353, 615, 195, 127, 0, 0, 51, 43),
+    "zero-rank": (260, 355, 615, 150, 127, 0, 0, 0, 47),
+    "randomized": (255, 362, 617, 214, 127, 0, 0, 109, 27),
+    "non-cascading": (242, 375, 617, 0, 127, 0, 0, 40, 18),
+    "classic": (222, 0, 661, 14, 14, 11, 5, 0, 16),
+}
+
+DIJKSTRA_PINS = {
+    "simple": (1697, 1265, 2962, 439, 303, 303, 221, 38, 35),
+    "heap-order": (1661, 1180, 3144, 309, 216, 216, 143, 41, 36),
+    "increasing-rank": (1714, 1282, 2996, 399, 303, 270, 198, 20, 32),
+    "passive-child": (1698, 1266, 2964, 292, 303, 197, 193, 0, 9),
+    "eager": (1731, 1225, 2956, 484, 303, 1021, 945, 0, 42),
+    "naive-increasing": (1764, 1253, 3017, 694, 303, 0, 0, 49, 7),
+    "zero-rank": (1803, 1228, 3031, 745, 303, 0, 0, 0, 9),
+    "randomized": (1817, 1280, 3097, 553, 303, 0, 0, 209, -8),
+    "non-cascading": (1712, 1297, 3009, 0, 303, 0, 0, 13, 7),
+    "classic": (1809, 0, 3497, 257, 257, 206, 204, 0, 8),
+}
+
+_TRACE = gen_trace(TraceProfile(n_ops=400, seed=11))
+
+
+def _snapshot(tele) -> tuple[int, ...]:
+    return tuple(tele.counters().values()) + (tele.phi,)
+
+
+def test_pins_cover_every_policy():
+    assert set(TRACE_PINS) == set(DIJKSTRA_PINS) == set(POLICY_TAGS)
+    assert tuple(Universe().telemetry.counters()) == COUNTER_FIELDS
+
+
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_trace_counters_are_pinned(tag):
+    universe, _ = replay_ops(_TRACE, policy=tag, seed=2)
+    assert _snapshot(universe.telemetry) == TRACE_PINS[tag]
+
+
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_dijkstra_counters_are_pinned(tag):
+    graph = gen_graph(300, 750, seed=4)
+    _, stats, phi = dijkstra_policy(graph, graph.adjacency(), Policy(tag), 2)
+    assert tuple(stats[f] for f in COUNTER_FIELDS) + (phi,) == DIJKSTRA_PINS[tag]
+
+
+def test_no_record_is_built_without_a_sink(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an OpRecord was built with no sink attached")
+
+    monkeypatch.setattr(fibcascade.instrumentation, "OpRecord", forbidden)
+    for tag in POLICY_TAGS:
+        universe, _ = replay_ops(_TRACE, policy=tag, seed=2)
+        assert _snapshot(universe.telemetry) == TRACE_PINS[tag]
+
+
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_a_sink_attached_between_operations_sees_every_later_delta(tag):
+    universe = Universe(seed=2)
+    tele = universe.telemetry
+    records = []
+    attach_at, detach_at = 100, 300
+    base = after_detach = None
+    for index, _, _, _ in run_trace(_TRACE, universe, {}, tag):
+        if index == attach_at:
+            base = _snapshot(tele)
+            tele.record_sink = records.append
+        elif index == detach_at:
+            tele.record_sink = None
+            moved = tuple(a - b for a, b in zip(_snapshot(tele), base))
+            sums = tuple(
+                sum(getattr(rec, f) for rec in records)
+                for f in COUNTER_FIELDS + ("d_phi",)
+            )
+            assert sums == moved
+            after_detach = len(records)
+    assert base is not None and after_detach is not None
+    assert records, "the attached sink saw no operation"
+    assert len(records) == after_detach  # detaching stops the records
+    assert _snapshot(tele) == TRACE_PINS[tag]
