@@ -342,14 +342,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ops = gen_trace(profile)
                 records = []
                 t0 = time.perf_counter_ns()
-                universe, heaps = replay_ops(
+                universe, _ = replay_ops(
                     ops, seed=args.seed, record_sink=records.append
                 )
                 wall = time.perf_counter_ns() - t0
                 if args.check:
-                    problems = []
-                    for heap in heaps.values():
-                        problems.extend(run_checks(heap))
+                    problems = run_checks(universe)
                     if policy is Policy.SIMPLE:
                         auditor = AmortizedAuditor()
                         for rec in records:
@@ -742,6 +740,16 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """The argparse type of a count that must be at least one."""
+    value = _count(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _count_list(text: str) -> list[int]:
     return [_count(part) for part in text.split(",") if part]
 
@@ -794,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K|LO..HI[:STEP]",
         help="steady-cycle stage sweep (default 10..100 step 10)",
     )
-    p.add_argument("--rounds", type=_count, default=50)
+    p.add_argument("--rounds", type=_positive, default=50)
     p.add_argument(
         "--m",
         action="append",

@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Iterable, Iterator
 
-from .core import POLICY_TAGS, Heap, HeapError, Node, Policy, Universe
+from .core import MARKED, POLICY_TAGS, Heap, HeapError, Node, Policy, Universe
 from .instrumentation import (
-    CheckReport,
     active_children_violations,
-    potential_violations,
+    compute_potential,
+    fib,
     rank_bound_violations,
     structure_violations,
 )
@@ -187,6 +187,54 @@ def format_trace(ops: Iterable[Op]) -> str:
     return "".join(" ".join(str(part) for part in op) + "\n" for op in ops)
 
 
+class _Contents:
+    """The items of a heap whose membership is certain, indexed by key, with
+    a lazy-deletion min-heap of their keys (an entry is stale while no item
+    holds its key)."""
+
+    __slots__ = ("by_key", "keys")
+
+    def __init__(self) -> None:
+        self.by_key: dict[Any, set[str]] = {}
+        self.keys: list = []
+
+    def add(self, x: str, key: Any) -> None:
+        items = self.by_key.get(key)
+        if items is None:
+            self.by_key[key] = {x}
+            heapq.heappush(self.keys, key)
+        else:
+            items.add(x)
+
+    def remove(self, x: str, key: Any) -> None:
+        items = self.by_key[key]
+        items.remove(x)
+        if not items:
+            del self.by_key[key]
+
+    def least(self) -> Any:
+        keys = self.keys
+        while keys[0] not in self.by_key:
+            heapq.heappop(keys)
+        return keys[0]
+
+    def absorb(self, other: "_Contents") -> None:
+        """Take every item of ``other``, moving the smaller side's."""
+        if len(other.by_key) > len(self.by_key):
+            self.by_key, other.by_key = other.by_key, self.by_key
+            self.keys, other.keys = other.keys, self.keys
+        for key, items in other.by_key.items():
+            mine = self.by_key.get(key)
+            if mine is None:
+                self.by_key[key] = items
+                heapq.heappush(self.keys, key)
+            elif len(mine) < len(items):
+                items |= mine
+                self.by_key[key] = items
+            else:
+                mine |= items
+
+
 def validate_trace(ops: Iterable[Op]) -> list[str]:
     """Precondition check, conservative across every tie-breaking choice.
 
@@ -195,19 +243,24 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
     membership, so the checker refuses later operations that must name one of
     them.  Traces with unique keys (everything the generator emits) are never
     affected.
+
+    Runs in O(n log n): items are indexed per heap and by key, a melded-away
+    heap name resolves to its absorber through a path-compressed chain, and
+    each item becomes uncertain at most once.
     """
     problems: list[str] = []
     heap_pol: dict[str, str] = {}
-    dead_heaps: set[str] = set()
-    hazy: set[str] = set()
+    absorber: dict[str, str] = {}  # melded-away heap -> the heap that took it
     sizes: dict[str, int] = {}
-    keys: dict[str, list] = {}  # heap -> min-heap of certain keys
+    # live heaps of certain membership; the others are hazy, and all of
+    # their items are gone
+    certain: dict[str, _Contents] = {}
     item_key: dict[str, Any] = {}
-    item_where: dict[str, str | None] = {}  # live items only
+    item_where: dict[str, str | None] = {}  # a heap or one it melded into
     gone: set[str] = set()  # removed or uncertain
 
     def need_heap(i: int, h: str) -> bool:
-        if h in heap_pol and h not in dead_heaps:
+        if h in heap_pol and h not in absorber:
             return True
         problems.append(f"op {i}: no live heap named {h!r}")
         return False
@@ -223,6 +276,15 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
             problems.append(f"op {i}: item {x!r} is not in a heap")
         return False
 
+    def home(x: str) -> str:
+        """The live heap holding the certain item ``x``."""
+        h = top = item_where[x]
+        while top in absorber:
+            top = absorber[top]
+        while h != top:
+            absorber[h], h = top, absorber[h]
+        return top
+
     def declare(i: int, x: str, key: Any) -> bool:
         if x in item_key:
             problems.append(f"op {i}: item name {x!r} reused")
@@ -231,13 +293,20 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
         item_where[x] = None
         return True
 
-    def put(i: int, h: str, x: str) -> None:
+    def put(h: str, x: str) -> None:
         item_where[x] = h
         sizes[h] += 1
-        if h in hazy:
-            gone.add(x)  # uncertain company: never target it again
+        if h in certain:
+            certain[h].add(x, item_key[x])
         else:
-            heapq.heappush(keys[h], item_key[x])
+            gone.add(x)  # uncertain company: never target it again
+
+    def blur(h: str) -> None:
+        """Membership of ``h`` is uncertain from now on."""
+        contents = certain.pop(h, None)
+        if contents is not None:
+            for items in contents.by_key.values():
+                gone.update(items)
 
     for i, op in enumerate(ops):
         verb = op[0]
@@ -248,7 +317,7 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
             else:
                 heap_pol[h] = pol
                 sizes[h] = 0
-                keys[h] = []
+                certain[h] = _Contents()
         elif verb == "item":
             declare(i, op[1], op[2])
         elif verb == "insert":
@@ -263,7 +332,7 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
             elif x in gone or item_where[x] is not None:
                 problems.append(f"op {i}: item {x!r} is not free to insert")
             else:
-                put(i, h, x)
+                put(h, x)
         elif verb == "deletemin":
             h = op[1]
             if not need_heap(i, h):
@@ -272,22 +341,17 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
                 problems.append(f"op {i}: delete-min on empty heap {h!r}")
                 continue
             sizes[h] -= 1
-            if h in hazy:
+            contents = certain.get(h)
+            if contents is None:
                 continue
-            q = keys[h]
-            least = heapq.heappop(q)
-            if q and q[0] == least:
-                # tied minimum: membership of this heap is now uncertain
-                hazy.add(h)
-                for x, where in item_where.items():
-                    if where == h:
-                        gone.add(x)
+            least = contents.least()
+            if len(contents.by_key[least]) > 1:
+                blur(h)  # tied minimum: which one left is the policy's choice
             else:
-                for x, where in item_where.items():
-                    if where == h and item_key[x] == least:
-                        item_where[x] = None
-                        gone.add(x)
-                        break
+                (x,) = contents.by_key[least]
+                contents.remove(x, least)
+                item_where[x] = None
+                gone.add(x)
         elif verb == "decreasekey":
             x, key = op[1], op[2]
             if not need_item(i, x):
@@ -298,25 +362,17 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
                     f" to {key}"
                 )
                 continue
-            h = item_where[x]
-            assert h is not None
-            if h not in hazy:
-                q = keys[h]
-                q.remove(item_key[x])
-                heapq.heapify(q)
-                heapq.heappush(q, key)
+            contents = certain[home(x)]  # a certain item's heap is not hazy
+            contents.remove(x, item_key[x])
+            contents.add(x, key)
             item_key[x] = key
         elif verb == "delete":
             x = op[1]
             if not need_item(i, x):
                 continue
-            h = item_where[x]
-            assert h is not None
+            h = home(x)
             sizes[h] -= 1
-            if h not in hazy:
-                q = keys[h]
-                q.remove(item_key[x])
-                heapq.heapify(q)
+            certain[h].remove(x, item_key[x])
             item_where[x] = None
             gone.add(x)
         elif verb == "meld":
@@ -326,22 +382,13 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
             if h1 == h2:
                 problems.append(f"op {i}: meld of {h1!r} with itself")
                 continue
-            dead_heaps.add(h2)
+            absorber[h2] = h1
             sizes[h1] += sizes.pop(h2)
-            if h2 in hazy or h1 in hazy:
-                hazy.add(h1)
-                hazy.discard(h2)
-                for x, where in item_where.items():
-                    if where in (h1, h2):
-                        gone.add(x)
-                keys[h1] = []
+            if h1 in certain and h2 in certain:
+                certain[h1].absorb(certain.pop(h2))
             else:
-                q = keys[h1]
-                q.extend(keys.pop(h2))
-                heapq.heapify(q)
-            for x, where in item_where.items():
-                if where == h2:
-                    item_where[x] = h1
+                blur(h1)
+                blur(h2)
         elif verb == "findmin":
             need_heap(i, op[1])
     return problems
@@ -563,30 +610,150 @@ class ReplayVerdict:
         }
 
 
-_ASSERTED_CHECKS: tuple[Callable[[Heap], CheckReport], ...] = (
-    structure_violations,
-    rank_bound_violations,
-    potential_violations,
-)
+#: The asserted rank bound of each policy: its report name and the floor of
+#: a subtree's size by the rank of its root.  Randomized and non-cascading
+#: are absent: their bound is report-only, and never a check failure.
+_RANK_BOUNDS: dict[Policy, tuple[str, Callable[[int], int]]] = {
+    **dict.fromkeys(
+        (
+            Policy.SIMPLE,
+            Policy.HEAP_ORDER,
+            Policy.INCREASING_RANK,
+            Policy.PASSIVE_CHILD,
+            Policy.CLASSIC,
+        ),
+        ("rank-bound-fibonacci", lambda r: fib(r + 2)),
+    ),
+    **dict.fromkeys(
+        (Policy.EAGER_MARKING, Policy.NAIVE_INCREASING_RANK, Policy.ZERO_RANK),
+        ("rank-bound-pow2", lambda r: 1 << r),
+    ),
+}
 
 
-def run_checks(heap: Heap, include_active: bool = False) -> list[str]:
-    """Asserted invariant checkers for one heap; failures as messages."""
-    out: list[str] = []
-    for checker in _ASSERTED_CHECKS:
-        report = checker(heap)
-        if report.asserted and not report.ok:
-            tag = f"{heap.name}/{report.name}"
-            out.extend(f"{tag}: {v}" for v in report.violations[:5])
-    if include_active and heap.policy is Policy.SIMPLE:
-        report = active_children_violations(
-            heap, heap.universe.telemetry.active
-        )
-        if not report.ok:
-            out.extend(
-                f"{heap.name}/{report.name}: {v}"
-                for v in report.violations[:5]
+def _walk_checks(
+    heap: Heap, floor: Callable[[int], int] | None, active: dict | None
+) -> tuple[list[str], list[str], list[str], int]:
+    """One walk of a heap's trees for every asserted check.
+
+    Returns the violations :func:`structure_violations` finds, those of
+    :func:`rank_bound_violations` under ``floor`` (none without one), those
+    of :func:`active_children_violations` against ``active`` (none without
+    a ledger) and the heap's share of :func:`compute_potential`, in the
+    checkers' own words and order.  A heap in which some node is reached
+    twice is handed to the checkers themselves.
+    """
+    check_degree = heap.policy is not Policy.RANDOMIZED
+    bad: list[str] = []
+    short: list[str] = []
+    idle: list[str] = []
+    phi = 0
+    seen: set[Node] = set()
+    walked = 0
+    for root in heap.iter_roots():
+        phi += 1  # each root contributes one
+        order = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            rank = node.rank
+            if rank < 0:
+                bad.append(f"node {node.uid}: negative rank {rank}")
+            key = node.key
+            d = 0
+            live = 0
+            prev = None
+            child = node.child
+            while child is not None:
+                stack.append(child)
+                if child.parent is not node:
+                    bad.append(f"node {child.uid}: parent pointer does not match")
+                if child.before is not prev:
+                    bad.append(f"node {child.uid}: broken sibling back-link")
+                if child.key < key:
+                    bad.append(
+                        f"node {child.uid}: key {child.key!r} below parent's {key!r}"
+                    )
+                if active is not None and active.get(child, False):
+                    live += 1
+                d += 1
+                prev = child
+                child = child.after
+            if check_degree and d < rank:
+                bad.append(f"node {node.uid}: degree {d} < rank {rank}")
+            phi += d - rank
+            if node.state == MARKED:
+                phi += 2
+            if active is not None and live < rank:
+                idle.append(f"node {node.uid}: {live} active children < rank {rank}")
+        walked += len(order)
+        seen.update(order)
+        if len(seen) < walked:  # a node reached twice
+            return (
+                structure_violations(heap).violations,
+                [] if floor is None else rank_bound_violations(heap).violations,
+                []
+                if active is None
+                else active_children_violations(heap, active).violations,
+                compute_potential(heap.iter_roots()),
             )
+        if floor is not None:
+            # each subtree is a run of the walk, which visits a node's first
+            # child last: a subtree ends where the one of that child ends
+            ends: dict[Node, int] = {}
+            i = len(order)
+            for node in reversed(order):
+                i -= 1
+                first = node.child
+                end = i + 1 if first is None else ends[first]
+                ends[node] = end
+                rank = node.rank
+                if rank > 0 and end - i < floor(rank):  # rank 0 asks for 1
+                    short.append(
+                        f"node {node.uid}: size {end - i} < bound {floor(rank)}"
+                        f" for rank {rank}"
+                    )
+    return bad, short, idle, phi
+
+
+def run_checks(universe: Universe, include_active: bool = False) -> list[str]:
+    """Asserted invariant checks of every live heap of ``universe``, one
+    walk per heap; failures as messages.
+
+    Per heap, in order: structure, the asserted rank bound, the potential
+    (the universe-wide total against the tracked phi, so its messages repeat
+    under every heap's name) and, with ``include_active``, the
+    active-children ledger on ``simple`` heaps; at most five messages of
+    each.  The standalone checkers of :mod:`instrumentation` are the
+    reference for this output.
+    """
+    tele = universe.telemetry
+    walked = []
+    phi = 0
+    for heap in universe.live_heaps():
+        bound, floor = _RANK_BOUNDS.get(heap.policy, (None, None))
+        active = (
+            tele.active if include_active and heap.policy is Policy.SIMPLE else None
+        )
+        bad, short, idle, share = _walk_checks(heap, floor, active)
+        phi += share
+        walked.append((heap.name, bad, bound, short, idle))
+    potential = []
+    if phi != tele.phi:
+        potential.append(f"incremental phi {tele.phi} != recomputed {phi}")
+    if tele.phi < 0:
+        potential.append(f"negative phi {tele.phi}")
+    out: list[str] = []
+    for name, bad, bound, short, idle in walked:
+        for check, found in (
+            ("structure", bad),
+            (bound, short),
+            ("potential", potential),
+            ("active-children", idle),
+        ):
+            if found:
+                out.extend(f"{name}/{check}: {v}" for v in found[:5])
     return out
 
 
@@ -728,8 +895,7 @@ def replay_differential(
         return verdict
 
     def checks_failed(i: int) -> bool:
-        for heap in heaps.values():
-            verdict.check_failures.extend(run_checks(heap, include_active=True))
+        verdict.check_failures.extend(run_checks(universe, include_active=True))
         if verdict.check_failures:
             verdict.step_index = i
         return bool(verdict.check_failures)

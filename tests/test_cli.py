@@ -40,6 +40,12 @@ NEGATIVE_COUNTS = [
     ("adversary", "--m", "-10"),
 ]
 
+# counts that must be positive, given zero (the flag is second to last)
+ZERO_COUNTS = [
+    ("adversary", "--k", "10", "--rounds", "0"),
+    ("adversary", "--policy", "simple", "--k", "10", "--rounds", "0"),
+]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -53,6 +59,7 @@ NEGATIVE_COUNTS = [
         ("replay", "--policy", "simple,classic", "t.trace"),
         ("dijkstra", "--vertices", "1"),
         *NEGATIVE_COUNTS,
+        *ZERO_COUNTS,
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -66,11 +73,12 @@ def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", NEGATIVE_COUNTS)
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS + ZERO_COUNTS)
 def test_negative_counts_name_their_flag(argv, capsys):
+    want = "a positive" if argv in ZERO_COUNTS else "a nonnegative"
     with pytest.raises(SystemExit):
         run_cli(*argv)
-    assert f"argument {argv[-2]}: expected a nonnegative integer" in (
+    assert f"argument {argv[-2]}: expected {want} integer" in (
         capsys.readouterr().err
     )
 

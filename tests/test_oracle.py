@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibcascade.policies
 from fibcascade import POLICY_TAGS, Policy
-from fibcascade.instrumentation import COUNTER_FIELDS
+from fibcascade.instrumentation import COUNTER_FIELDS, iter_subtree
 from fibcascade.oracle import (
     OracleHeap,
     TraceError,
@@ -21,6 +23,7 @@ from fibcascade.oracle import (
     validate_trace,
 )
 
+from _reference import run_checks_per_heap, validate_trace_by_scan
 from _shaping import guarded_increasing_rank
 
 
@@ -122,6 +125,60 @@ def test_validate_is_conservative_about_key_ties():
         "deletemin h0\ndecreasekey x1 2"
     )
     assert validate_trace(parse_trace(text)) == []
+
+
+def _scrambled_ops(rng: random.Random, n: int) -> list:
+    """Ops over a few heap names, item names and keys: ties are common, and
+    so are names that are unknown, dead or not in a heap."""
+    ops = []
+    for _ in range(n):
+        verb = rng.choice(
+            ["newheap", "item", "insert", "insert", "deletemin", "deletemin",
+             "decreasekey", "decreasekey", "delete", "meld", "findmin"]
+        )
+        h, x, key = f"h{rng.randrange(5)}", f"x{rng.randrange(25)}", rng.randrange(8)
+        if verb == "newheap":
+            ops.append((verb, h, "simple"))
+        elif verb == "item":
+            ops.append((verb, x, key))
+        elif verb == "insert":
+            ops.append((verb, h, x, key) if rng.random() < 0.6 else (verb, h, x))
+        elif verb == "decreasekey":
+            ops.append((verb, x, key - 3))
+        elif verb == "delete":
+            ops.append((verb, x))
+        elif verb == "meld":
+            ops.append((verb, h, f"h{rng.randrange(5)}"))
+        else:
+            ops.append((verb, h))
+    return ops
+
+
+def test_validate_trace_matches_the_scanning_reference_on_tied_and_malformed_ops():
+    problems = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        ops = _scrambled_ops(rng, rng.randrange(1, 120))
+        want = validate_trace_by_scan(ops)
+        assert validate_trace(ops) == want, seed
+        problems += len(want)
+    assert problems > 1000  # the scrambled traces do exercise the refusals
+
+
+def test_validate_trace_matches_the_scanning_reference_on_generated_traces():
+    for seed in range(8):
+        ops = gen_trace(TraceProfile(n_ops=600, seed=seed, max_heaps=6))
+        assert any(op[0] == "meld" for op in ops)
+        assert validate_trace(ops) == validate_trace_by_scan(ops) == []
+        # a few lines dropped or repeated make the trace malformed
+        rng = random.Random(seed)
+        for _ in range(6):
+            j = rng.randrange(len(ops))
+            if rng.random() < 0.5:
+                del ops[j]
+            else:
+                ops.insert(rng.randrange(len(ops)), ops[j])
+        assert validate_trace(ops) == validate_trace_by_scan(ops), seed
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +423,145 @@ def test_run_checks_clean_heap_with_and_without_active_tracking():
         h.insert(u.make_item(k))
     for _ in range(6):
         h.delete_min()
-    assert run_checks(h) == []
-    assert run_checks(h, include_active=True) == []
+    assert run_checks(u) == []
+    assert run_checks(u, include_active=True) == []
+
+
+def _compare_checks(ops, policy, every):
+    """Replay ``ops`` and, after every ``every``-th op, require run_checks to
+    give the standalone checkers' messages; return how many states failed."""
+    failing = 0
+
+    def compare(i, universe, heaps):
+        nonlocal failing
+        if i % every == 0:
+            for include_active in (False, True):
+                want = run_checks_per_heap(universe, include_active)
+                assert run_checks(universe, include_active) == want, (policy, i)
+            failing += bool(want)
+
+    replay_ops(ops, policy=policy, track_active=True, on_op=compare)
+    return failing
+
+
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_run_checks_matches_the_checkers_on_generated_states(tag):
+    for seed in range(3):
+        ops = gen_trace(TraceProfile(n_ops=300, seed=seed, max_heaps=6))
+        assert any(op[0] == "meld" for op in ops)
+        assert _compare_checks(ops, tag, every=3) == 0
+
+
+def test_run_checks_matches_the_checkers_on_undersized_trees(monkeypatch):
+    monkeypatch.setitem(
+        fibcascade.policies.POLICY_DECREASE,
+        Policy.INCREASING_RANK,
+        guarded_increasing_rank,
+    )
+    failing = 0
+    for seed in range(2):
+        ops = gen_trace(TraceProfile(n_ops=1000, seed=seed, max_heaps=6))
+        failing += _compare_checks(ops, "increasing-rank", every=5)
+    assert failing > 20
+
+
+@pytest.mark.parametrize("tag", ["simple", "heap-order"])
+def test_run_checks_matches_the_checkers_without_unmarking(monkeypatch, tag):
+    monkeypatch.setattr(fibcascade.policies, "_TEST_SKIP_UNMARK", True)
+    for seed in range(2):
+        ops = gen_trace(TraceProfile(n_ops=600, seed=seed, max_heaps=6))
+        _compare_checks(ops, tag, every=3)
+
+
+def _inner_node(heap):
+    """The first node, in walk order, with at least two children."""
+    for root in heap.iter_roots():
+        for node in iter_subtree(root):
+            if node.child is not None and node.child.after is not None:
+                return node
+    raise AssertionError(f"{heap.name} has no node with two children")
+
+
+def _raise_every_rank(universe, heap):
+    for root in heap.iter_roots():
+        for node in iter_subtree(root):
+            node.rank += 2
+
+
+CORRUPTIONS = {
+    "rank": lambda u, h: setattr(_inner_node(h), "rank", _inner_node(h).rank + 3),
+    "every-rank": _raise_every_rank,
+    "negative-rank": lambda u, h: setattr(_inner_node(h).child, "rank", -1),
+    "key": lambda u, h: setattr(_inner_node(h).child, "key", _inner_node(h).key - 1),
+    "parent": lambda u, h: setattr(
+        _inner_node(h).child, "parent", _inner_node(h).child.after
+    ),
+    "back-link": lambda u, h: setattr(_inner_node(h).child.after, "before", None),
+    "phi": lambda u, h: setattr(u.telemetry, "phi", u.telemetry.phi + 3),
+    "negative-phi": lambda u, h: setattr(u.telemetry, "phi", -1),
+    "active": lambda u, h: u.telemetry.active.clear(),
+}
+
+
+@pytest.mark.parametrize("tag", ["simple", "classic", "eager", "randomized"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_run_checks_matches_the_checkers_on_corrupted_heaps(tag, corruption):
+    from fibcascade import Universe
+
+    u = Universe(track_active=True)
+    heaps = {}
+    for name in ("simple", "classic", "eager", "randomized"):
+        h = heaps[name] = u.make_heap(name, name)
+        for k in range(60):
+            h.insert(u.make_item(k * 17 % 61))
+        for _ in range(6):
+            h.delete_min()
+    assert run_checks(u, include_active=True) == []
+    CORRUPTIONS[corruption](u, heaps[tag])
+    for include_active in (False, True):
+        want = run_checks_per_heap(u, include_active)
+        assert run_checks(u, include_active) == want
+    assert want
+
+
+def test_run_checks_hands_a_node_reached_twice_to_the_checkers():
+    from fibcascade import Universe
+
+    u = Universe(track_active=True)
+    h = u.make_heap("classic", "h0")
+    for k in range(20):
+        h.insert(u.make_item(k))
+    h.delete_min()
+    h.roots.append(h.roots[-1])
+    want = run_checks_per_heap(u, include_active=True)
+    assert any("reachable twice" in v for v in want)
+    assert run_checks(u, include_active=True) == want
+
+
+def test_failing_replay_verdicts_are_pinned(monkeypatch):
+    # both verdicts as the per-heap checks gave them before the checks of a
+    # universe became one walk per heap
+    ops = gen_trace(TraceProfile(n_ops=1000, seed=0))
+    with monkeypatch.context() as patch:
+        patch.setitem(
+            fibcascade.policies.POLICY_DECREASE,
+            Policy.INCREASING_RANK,
+            guarded_increasing_rank,
+        )
+        verdict = replay_differential(
+            ops, policy="increasing-rank", check_interval=25
+        )
+    assert verdict.step_index == 424
+    assert verdict.check_failures == [
+        "h0/structure: node 77: degree 0 < rank 1",
+        "h0/rank-bound-fibonacci: node 77: size 1 < bound 2 for rank 1",
+    ]
+    # marks the walk forgot to clear break the amortized audit, not the
+    # invariants these checks assert
+    monkeypatch.setattr(fibcascade.policies, "_TEST_SKIP_UNMARK", True)
+    verdict = replay_differential(ops, policy="simple", check_interval=25)
+    assert verdict.step_index is None
+    assert verdict.check_failures == []
 
 
 @settings(max_examples=25, deadline=None)
