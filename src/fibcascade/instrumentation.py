@@ -324,37 +324,34 @@ def structure_violations(heap) -> CheckReport:
     return report
 
 
+#: The asserted rank bound of each policy, by tag: the name of its report
+#: and the floor of a subtree's size by the rank of its root.  Fibonacci
+#: (size >= F_{rank+2}) for the policies that preserve the full analysis,
+#: power of two (size >= 2**rank) for the eager trio.  Randomized and
+#: non-cascading are absent: their bound is report-only, never asserted.
+RANK_BOUNDS: dict[str, tuple[str, Callable[[int], int]]] = {
+    **dict.fromkeys(
+        ("simple", "heap-order", "increasing-rank", "passive-child", "classic"),
+        ("rank-bound-fibonacci", lambda r: fib(r + 2)),
+    ),
+    **dict.fromkeys(
+        ("eager", "naive-increasing", "zero-rank"),
+        ("rank-bound-pow2", lambda r: 1 << r),
+    ),
+}
+
+
 def rank_bound_violations(heap) -> CheckReport:
-    """Subtree-size lower bounds implied by ranks.
-
-    Fibonacci bound (size >= F_{rank+2}) for the policies that preserve the
-    full analysis; power-of-two bound (size >= 2**rank) for the eager trio;
-    report-only (never asserted) for randomized and non-cascading.
+    """Subtree-size lower bounds implied by ranks, as :data:`RANK_BOUNDS`
+    asserts them; the Fibonacci bound, report-only, for the other policies.
     """
-    from .core import Policy
-
-    fib_pols = {
-        Policy.SIMPLE,
-        Policy.HEAP_ORDER,
-        Policy.INCREASING_RANK,
-        Policy.PASSIVE_CHILD,
-        Policy.CLASSIC,
-    }
-    pow2_pols = {
-        Policy.EAGER_MARKING,
-        Policy.NAIVE_INCREASING_RANK,
-        Policy.ZERO_RANK,
-    }
-    pol = heap.policy
-    if pol in fib_pols:
-        report = CheckReport("rank-bound-fibonacci")
-        bound = lambda r: fib(r + 2)
-    elif pol in pow2_pols:
-        report = CheckReport("rank-bound-pow2")
-        bound = lambda r: 1 << r
-    else:
+    asserted = RANK_BOUNDS.get(heap.policy.value)
+    if asserted is None:
         report = CheckReport("rank-bound-report-only", asserted=False)
         bound = lambda r: fib(r + 2)
+    else:
+        name, bound = asserted
+        report = CheckReport(name)
     for root in heap.iter_roots():
         sizes = subtree_sizes(root)
         for node, size in sizes.items():

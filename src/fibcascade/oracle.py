@@ -38,8 +38,8 @@ from typing import Any, Callable, Iterable, Iterator
 from .core import MARKED, POLICY_TAGS, Heap, HeapError, Node, Policy, Universe
 from .instrumentation import (
     active_children_violations,
+    RANK_BOUNDS,
     compute_potential,
-    fib,
     rank_bound_violations,
     structure_violations,
 )
@@ -187,54 +187,6 @@ def format_trace(ops: Iterable[Op]) -> str:
     return "".join(" ".join(str(part) for part in op) + "\n" for op in ops)
 
 
-class _Contents:
-    """The items of a heap whose membership is certain, indexed by key, with
-    a lazy-deletion min-heap of their keys (an entry is stale while no item
-    holds its key)."""
-
-    __slots__ = ("by_key", "keys")
-
-    def __init__(self) -> None:
-        self.by_key: dict[Any, set[str]] = {}
-        self.keys: list = []
-
-    def add(self, x: str, key: Any) -> None:
-        items = self.by_key.get(key)
-        if items is None:
-            self.by_key[key] = {x}
-            heapq.heappush(self.keys, key)
-        else:
-            items.add(x)
-
-    def remove(self, x: str, key: Any) -> None:
-        items = self.by_key[key]
-        items.remove(x)
-        if not items:
-            del self.by_key[key]
-
-    def least(self) -> Any:
-        keys = self.keys
-        while keys[0] not in self.by_key:
-            heapq.heappop(keys)
-        return keys[0]
-
-    def absorb(self, other: "_Contents") -> None:
-        """Take every item of ``other``, moving the smaller side's."""
-        if len(other.by_key) > len(self.by_key):
-            self.by_key, other.by_key = other.by_key, self.by_key
-            self.keys, other.keys = other.keys, self.keys
-        for key, items in other.by_key.items():
-            mine = self.by_key.get(key)
-            if mine is None:
-                self.by_key[key] = items
-                heapq.heappush(self.keys, key)
-            elif len(mine) < len(items):
-                items |= mine
-                self.by_key[key] = items
-            else:
-                mine |= items
-
-
 def validate_trace(ops: Iterable[Op]) -> list[str]:
     """Precondition check, conservative across every tie-breaking choice.
 
@@ -243,24 +195,19 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
     membership, so the checker refuses later operations that must name one of
     them.  Traces with unique keys (everything the generator emits) are never
     affected.
-
-    Runs in O(n log n): items are indexed per heap and by key, a melded-away
-    heap name resolves to its absorber through a path-compressed chain, and
-    each item becomes uncertain at most once.
     """
     problems: list[str] = []
     heap_pol: dict[str, str] = {}
-    absorber: dict[str, str] = {}  # melded-away heap -> the heap that took it
+    dead_heaps: set[str] = set()
+    hazy: set[str] = set()
     sizes: dict[str, int] = {}
-    # live heaps of certain membership; the others are hazy, and all of
-    # their items are gone
-    certain: dict[str, _Contents] = {}
+    keys: dict[str, list] = {}  # heap -> min-heap of certain keys
     item_key: dict[str, Any] = {}
-    item_where: dict[str, str | None] = {}  # a heap or one it melded into
+    item_where: dict[str, str | None] = {}  # live items only
     gone: set[str] = set()  # removed or uncertain
 
     def need_heap(i: int, h: str) -> bool:
-        if h in heap_pol and h not in absorber:
+        if h in heap_pol and h not in dead_heaps:
             return True
         problems.append(f"op {i}: no live heap named {h!r}")
         return False
@@ -276,15 +223,6 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
             problems.append(f"op {i}: item {x!r} is not in a heap")
         return False
 
-    def home(x: str) -> str:
-        """The live heap holding the certain item ``x``."""
-        h = top = item_where[x]
-        while top in absorber:
-            top = absorber[top]
-        while h != top:
-            absorber[h], h = top, absorber[h]
-        return top
-
     def declare(i: int, x: str, key: Any) -> bool:
         if x in item_key:
             problems.append(f"op {i}: item name {x!r} reused")
@@ -293,20 +231,13 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
         item_where[x] = None
         return True
 
-    def put(h: str, x: str) -> None:
+    def put(i: int, h: str, x: str) -> None:
         item_where[x] = h
         sizes[h] += 1
-        if h in certain:
-            certain[h].add(x, item_key[x])
-        else:
+        if h in hazy:
             gone.add(x)  # uncertain company: never target it again
-
-    def blur(h: str) -> None:
-        """Membership of ``h`` is uncertain from now on."""
-        contents = certain.pop(h, None)
-        if contents is not None:
-            for items in contents.by_key.values():
-                gone.update(items)
+        else:
+            heapq.heappush(keys[h], item_key[x])
 
     for i, op in enumerate(ops):
         verb = op[0]
@@ -317,7 +248,7 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
             else:
                 heap_pol[h] = pol
                 sizes[h] = 0
-                certain[h] = _Contents()
+                keys[h] = []
         elif verb == "item":
             declare(i, op[1], op[2])
         elif verb == "insert":
@@ -332,7 +263,7 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
             elif x in gone or item_where[x] is not None:
                 problems.append(f"op {i}: item {x!r} is not free to insert")
             else:
-                put(h, x)
+                put(i, h, x)
         elif verb == "deletemin":
             h = op[1]
             if not need_heap(i, h):
@@ -341,17 +272,22 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
                 problems.append(f"op {i}: delete-min on empty heap {h!r}")
                 continue
             sizes[h] -= 1
-            contents = certain.get(h)
-            if contents is None:
+            if h in hazy:
                 continue
-            least = contents.least()
-            if len(contents.by_key[least]) > 1:
-                blur(h)  # tied minimum: which one left is the policy's choice
+            q = keys[h]
+            least = heapq.heappop(q)
+            if q and q[0] == least:
+                # tied minimum: membership of this heap is now uncertain
+                hazy.add(h)
+                for x, where in item_where.items():
+                    if where == h:
+                        gone.add(x)
             else:
-                (x,) = contents.by_key[least]
-                contents.remove(x, least)
-                item_where[x] = None
-                gone.add(x)
+                for x, where in item_where.items():
+                    if where == h and item_key[x] == least:
+                        item_where[x] = None
+                        gone.add(x)
+                        break
         elif verb == "decreasekey":
             x, key = op[1], op[2]
             if not need_item(i, x):
@@ -362,17 +298,25 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
                     f" to {key}"
                 )
                 continue
-            contents = certain[home(x)]  # a certain item's heap is not hazy
-            contents.remove(x, item_key[x])
-            contents.add(x, key)
+            h = item_where[x]
+            assert h is not None
+            if h not in hazy:
+                q = keys[h]
+                q.remove(item_key[x])
+                heapq.heapify(q)
+                heapq.heappush(q, key)
             item_key[x] = key
         elif verb == "delete":
             x = op[1]
             if not need_item(i, x):
                 continue
-            h = home(x)
+            h = item_where[x]
+            assert h is not None
             sizes[h] -= 1
-            certain[h].remove(x, item_key[x])
+            if h not in hazy:
+                q = keys[h]
+                q.remove(item_key[x])
+                heapq.heapify(q)
             item_where[x] = None
             gone.add(x)
         elif verb == "meld":
@@ -382,13 +326,22 @@ def validate_trace(ops: Iterable[Op]) -> list[str]:
             if h1 == h2:
                 problems.append(f"op {i}: meld of {h1!r} with itself")
                 continue
-            absorber[h2] = h1
+            dead_heaps.add(h2)
             sizes[h1] += sizes.pop(h2)
-            if h1 in certain and h2 in certain:
-                certain[h1].absorb(certain.pop(h2))
+            if h2 in hazy or h1 in hazy:
+                hazy.add(h1)
+                hazy.discard(h2)
+                for x, where in item_where.items():
+                    if where in (h1, h2):
+                        gone.add(x)
+                keys[h1] = []
             else:
-                blur(h1)
-                blur(h2)
+                q = keys[h1]
+                q.extend(keys.pop(h2))
+                heapq.heapify(q)
+            for x, where in item_where.items():
+                if where == h2:
+                    item_where[x] = h1
         elif verb == "findmin":
             need_heap(i, op[1])
     return problems
@@ -610,27 +563,6 @@ class ReplayVerdict:
         }
 
 
-#: The asserted rank bound of each policy: its report name and the floor of
-#: a subtree's size by the rank of its root.  Randomized and non-cascading
-#: are absent: their bound is report-only, and never a check failure.
-_RANK_BOUNDS: dict[Policy, tuple[str, Callable[[int], int]]] = {
-    **dict.fromkeys(
-        (
-            Policy.SIMPLE,
-            Policy.HEAP_ORDER,
-            Policy.INCREASING_RANK,
-            Policy.PASSIVE_CHILD,
-            Policy.CLASSIC,
-        ),
-        ("rank-bound-fibonacci", lambda r: fib(r + 2)),
-    ),
-    **dict.fromkeys(
-        (Policy.EAGER_MARKING, Policy.NAIVE_INCREASING_RANK, Policy.ZERO_RANK),
-        ("rank-bound-pow2", lambda r: 1 << r),
-    ),
-}
-
-
 def _walk_checks(
     heap: Heap, floor: Callable[[int], int] | None, active: dict | None
 ) -> tuple[list[str], list[str], list[str], int]:
@@ -732,7 +664,7 @@ def run_checks(universe: Universe, include_active: bool = False) -> list[str]:
     walked = []
     phi = 0
     for heap in universe.live_heaps():
-        bound, floor = _RANK_BOUNDS.get(heap.policy, (None, None))
+        bound, floor = RANK_BOUNDS.get(heap.policy.value, (None, None))
         active = (
             tele.active if include_active and heap.policy is Policy.SIMPLE else None
         )

@@ -1,11 +1,7 @@
-"""Reference implementations that the fast paths of the package are tested
-against: the checks of one heap at a time, and the trace validator that
-scans every item."""
+"""The reference that ``oracle.run_checks`` is tested against: the
+standalone checkers, one heap at a time."""
 
 from __future__ import annotations
-
-import heapq
-from typing import Any, Iterable
 
 from fibcascade import Policy
 from fibcascade.instrumentation import (
@@ -38,165 +34,3 @@ def run_checks_per_heap(universe, include_active=False):
             )
     return out
 
-
-def validate_trace_by_scan(ops: Iterable[tuple]) -> list[str]:
-    """Precondition check, conservative across every tie-breaking choice.
-
-    When a delete-min hits a tied minimum key, which item actually left
-    depends on the policy; from then on the items of that heap have uncertain
-    membership, so the checker refuses later operations that must name one of
-    them.  Traces with unique keys (everything the generator emits) are never
-    affected.
-
-    ``oracle.validate_trace`` in its first, quadratic form: delete-min,
-    delete and meld scan every item, and decrease-key rebuilds a key heap.
-    """
-    problems: list[str] = []
-    heap_pol: dict[str, str] = {}
-    dead_heaps: set[str] = set()
-    hazy: set[str] = set()
-    sizes: dict[str, int] = {}
-    keys: dict[str, list] = {}  # heap -> min-heap of certain keys
-    item_key: dict[str, Any] = {}
-    item_where: dict[str, str | None] = {}  # live items only
-    gone: set[str] = set()  # removed or uncertain
-
-    def need_heap(i: int, h: str) -> bool:
-        if h in heap_pol and h not in dead_heaps:
-            return True
-        problems.append(f"op {i}: no live heap named {h!r}")
-        return False
-
-    def need_item(i: int, x: str) -> bool:
-        if x in item_where and item_where[x] is not None and x not in gone:
-            return True
-        if x in gone:
-            problems.append(f"op {i}: item {x!r} may no longer be in a heap")
-        elif x not in item_key:
-            problems.append(f"op {i}: unknown item {x!r}")
-        else:
-            problems.append(f"op {i}: item {x!r} is not in a heap")
-        return False
-
-    def declare(i: int, x: str, key: Any) -> bool:
-        if x in item_key:
-            problems.append(f"op {i}: item name {x!r} reused")
-            return False
-        item_key[x] = key
-        item_where[x] = None
-        return True
-
-    def put(i: int, h: str, x: str) -> None:
-        item_where[x] = h
-        sizes[h] += 1
-        if h in hazy:
-            gone.add(x)  # uncertain company: never target it again
-        else:
-            heapq.heappush(keys[h], item_key[x])
-
-    for i, op in enumerate(ops):
-        verb = op[0]
-        if verb == "newheap":
-            _, h, pol = op
-            if h in heap_pol:
-                problems.append(f"op {i}: heap name {h!r} reused")
-            else:
-                heap_pol[h] = pol
-                sizes[h] = 0
-                keys[h] = []
-        elif verb == "item":
-            declare(i, op[1], op[2])
-        elif verb == "insert":
-            h, x = op[1], op[2]
-            if len(op) == 4:
-                if not declare(i, x, op[3]):
-                    continue
-            if not need_heap(i, h):
-                continue
-            if x not in item_key:
-                problems.append(f"op {i}: unknown item {x!r}")
-            elif x in gone or item_where[x] is not None:
-                problems.append(f"op {i}: item {x!r} is not free to insert")
-            else:
-                put(i, h, x)
-        elif verb == "deletemin":
-            h = op[1]
-            if not need_heap(i, h):
-                continue
-            if sizes[h] == 0:
-                problems.append(f"op {i}: delete-min on empty heap {h!r}")
-                continue
-            sizes[h] -= 1
-            if h in hazy:
-                continue
-            q = keys[h]
-            least = heapq.heappop(q)
-            if q and q[0] == least:
-                # tied minimum: membership of this heap is now uncertain
-                hazy.add(h)
-                for x, where in item_where.items():
-                    if where == h:
-                        gone.add(x)
-            else:
-                for x, where in item_where.items():
-                    if where == h and item_key[x] == least:
-                        item_where[x] = None
-                        gone.add(x)
-                        break
-        elif verb == "decreasekey":
-            x, key = op[1], op[2]
-            if not need_item(i, x):
-                continue
-            if key > item_key[x]:
-                problems.append(
-                    f"op {i}: decrease-key raises {x!r} from {item_key[x]}"
-                    f" to {key}"
-                )
-                continue
-            h = item_where[x]
-            assert h is not None
-            if h not in hazy:
-                q = keys[h]
-                q.remove(item_key[x])
-                heapq.heapify(q)
-                heapq.heappush(q, key)
-            item_key[x] = key
-        elif verb == "delete":
-            x = op[1]
-            if not need_item(i, x):
-                continue
-            h = item_where[x]
-            assert h is not None
-            sizes[h] -= 1
-            if h not in hazy:
-                q = keys[h]
-                q.remove(item_key[x])
-                heapq.heapify(q)
-            item_where[x] = None
-            gone.add(x)
-        elif verb == "meld":
-            h1, h2 = op[1], op[2]
-            if not (need_heap(i, h1) and need_heap(i, h2)):
-                continue
-            if h1 == h2:
-                problems.append(f"op {i}: meld of {h1!r} with itself")
-                continue
-            dead_heaps.add(h2)
-            sizes[h1] += sizes.pop(h2)
-            if h2 in hazy or h1 in hazy:
-                hazy.add(h1)
-                hazy.discard(h2)
-                for x, where in item_where.items():
-                    if where in (h1, h2):
-                        gone.add(x)
-                keys[h1] = []
-            else:
-                q = keys[h1]
-                q.extend(keys.pop(h2))
-                heapq.heapify(q)
-            for x, where in item_where.items():
-                if where == h2:
-                    item_where[x] = h1
-        elif verb == "findmin":
-            need_heap(i, op[1])
-    return problems

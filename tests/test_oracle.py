@@ -23,7 +23,7 @@ from fibcascade.oracle import (
     validate_trace,
 )
 
-from _reference import run_checks_per_heap, validate_trace_by_scan
+from _reference import run_checks_per_heap
 from _shaping import guarded_increasing_rank
 
 
@@ -125,60 +125,6 @@ def test_validate_is_conservative_about_key_ties():
         "deletemin h0\ndecreasekey x1 2"
     )
     assert validate_trace(parse_trace(text)) == []
-
-
-def _scrambled_ops(rng: random.Random, n: int) -> list:
-    """Ops over a few heap names, item names and keys: ties are common, and
-    so are names that are unknown, dead or not in a heap."""
-    ops = []
-    for _ in range(n):
-        verb = rng.choice(
-            ["newheap", "item", "insert", "insert", "deletemin", "deletemin",
-             "decreasekey", "decreasekey", "delete", "meld", "findmin"]
-        )
-        h, x, key = f"h{rng.randrange(5)}", f"x{rng.randrange(25)}", rng.randrange(8)
-        if verb == "newheap":
-            ops.append((verb, h, "simple"))
-        elif verb == "item":
-            ops.append((verb, x, key))
-        elif verb == "insert":
-            ops.append((verb, h, x, key) if rng.random() < 0.6 else (verb, h, x))
-        elif verb == "decreasekey":
-            ops.append((verb, x, key - 3))
-        elif verb == "delete":
-            ops.append((verb, x))
-        elif verb == "meld":
-            ops.append((verb, h, f"h{rng.randrange(5)}"))
-        else:
-            ops.append((verb, h))
-    return ops
-
-
-def test_validate_trace_matches_the_scanning_reference_on_tied_and_malformed_ops():
-    problems = 0
-    for seed in range(400):
-        rng = random.Random(seed)
-        ops = _scrambled_ops(rng, rng.randrange(1, 120))
-        want = validate_trace_by_scan(ops)
-        assert validate_trace(ops) == want, seed
-        problems += len(want)
-    assert problems > 1000  # the scrambled traces do exercise the refusals
-
-
-def test_validate_trace_matches_the_scanning_reference_on_generated_traces():
-    for seed in range(8):
-        ops = gen_trace(TraceProfile(n_ops=600, seed=seed, max_heaps=6))
-        assert any(op[0] == "meld" for op in ops)
-        assert validate_trace(ops) == validate_trace_by_scan(ops) == []
-        # a few lines dropped or repeated make the trace malformed
-        rng = random.Random(seed)
-        for _ in range(6):
-            j = rng.randrange(len(ops))
-            if rng.random() < 0.5:
-                del ops[j]
-            else:
-                ops.insert(rng.randrange(len(ops)), ops[j])
-        assert validate_trace(ops) == validate_trace_by_scan(ops), seed
 
 
 # ---------------------------------------------------------------------------
