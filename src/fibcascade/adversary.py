@@ -38,7 +38,6 @@ from .instrumentation import (
     OpRecord,
     degree,
     iter_children,
-    subtree_size,
 )
 from .oracle import replay_ops  # noqa: F401  (re-exported: schedules are replayed with it)
 

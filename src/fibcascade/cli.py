@@ -33,8 +33,10 @@ import sys
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from pathlib import Path
-from typing import NoReturn
+from types import SimpleNamespace
+from typing import Any, NoReturn
 
 from .adversary import (
     AdversaryBuilder,
@@ -68,32 +70,25 @@ RESULT_FIELDS = (
 )
 
 
-@dataclass
-class ResultRow:
-    policy: str
-    workload: str
-    n: int
-    op_kind: str
-    fair_links: int
-    naive_links: int
-    iterations: int
-    comparisons: int
-    wall_time_ns: int
-    phi: float
+# the four counters of a row, read off whatever object the row describes
+_COUNTED = RESULT_FIELDS[4:8]
+_counts = attrgetter(*_COUNTED)
 
-    def as_record(self) -> dict:
-        return {
-            "policy": self.policy,
-            "workload": self.workload,
-            "n": self.n,
-            "op-kind": self.op_kind,
-            "fair_links": self.fair_links,
-            "naive_links": self.naive_links,
-            "iterations": self.iterations,
-            "comparisons": self.comparisons,
-            "wall_time_ns": self.wall_time_ns,
-            "phi": self.phi,
-        }
+
+def _row(
+    policy: str,
+    workload: str,
+    n: int,
+    op_kind: str,
+    counted: Any,
+    wall_ns: int,
+    phi: float,
+) -> dict:
+    """One result row, keyed by :data:`RESULT_FIELDS`; the four counters are
+    read off ``counted``: an :class:`OpRecord`, a ``RoundStats``, the
+    ``Telemetry``, or the Dijkstra stats as a namespace."""
+    values = (policy, workload, n, op_kind, *_counts(counted), wall_ns, phi)
+    return dict(zip(RESULT_FIELDS, values))
 
 
 class RowSink:
@@ -112,17 +107,16 @@ class RowSink:
             self._file = open(out, "w", newline="")
             self._owns = True
 
-    def write(self, row: ResultRow) -> None:
+    def write(self, row: dict) -> None:
         if self._file is None:
             return
-        record = row.as_record()
         if self._fmt == "csv":
             if self._writer is None:
                 self._writer = csv.DictWriter(self._file, fieldnames=RESULT_FIELDS)
                 self._writer.writeheader()
-            self._writer.writerow(record)
+            self._writer.writerow(row)
         else:
-            self._file.write(json.dumps(record) + "\n")
+            self._file.write(json.dumps(row) + "\n")
 
     def close(self) -> None:
         if self._owns and self._file is not None:
@@ -172,57 +166,32 @@ def _parse_k_spec(spec: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
+def _totals(records: list[OpRecord]) -> OpRecord:
+    """The records' counters summed, at the largest size any began at."""
+    sums = dict(zip(_COUNTED, map(sum, zip(*map(_counts, records)))))
+    return OpRecord("", max((r.n_before for r in records), default=0), **sums)
+
+
 def _aggregate_rows(
     policy: Policy | str,
     workload: str,
     records: list[OpRecord],
     phi: float,
     wall_ns: int,
-) -> list[ResultRow]:
+) -> list[dict]:
     """One row per op kind plus an ``all`` total; only the total carries
     wall time (per-operation timing is not collected)."""
     if isinstance(policy, Policy):
         policy = policy.value
-    kinds: dict[str, dict[str, int]] = {}
+    kinds: dict[str, list[OpRecord]] = {}
     for rec in records:
-        agg = kinds.setdefault(
-            rec.kind,
-            {"n": 0, "fair_links": 0, "naive_links": 0, "iterations": 0, "comparisons": 0},
-        )
-        agg["n"] = max(agg["n"], rec.n_before)
-        agg["fair_links"] += rec.fair_links
-        agg["naive_links"] += rec.naive_links
-        agg["iterations"] += rec.iterations
-        agg["comparisons"] += rec.comparisons
-    rows = [
-        ResultRow(
-            policy=policy,
-            workload=workload,
-            n=agg["n"],
-            op_kind=kind,
-            fair_links=agg["fair_links"],
-            naive_links=agg["naive_links"],
-            iterations=agg["iterations"],
-            comparisons=agg["comparisons"],
-            wall_time_ns=0,
-            phi=phi,
-        )
-        for kind, agg in sorted(kinds.items())
-    ]
-    rows.append(
-        ResultRow(
-            policy=policy,
-            workload=workload,
-            n=max((a["n"] for a in kinds.values()), default=0),
-            op_kind="all",
-            fair_links=sum(a["fair_links"] for a in kinds.values()),
-            naive_links=sum(a["naive_links"] for a in kinds.values()),
-            iterations=sum(a["iterations"] for a in kinds.values()),
-            comparisons=sum(a["comparisons"] for a in kinds.values()),
-            wall_time_ns=wall_ns,
-            phi=phi,
-        )
-    )
+        kinds.setdefault(rec.kind, []).append(rec)
+    rows = []
+    for kind, recs in sorted(kinds.items()):
+        total = _totals(recs)
+        rows.append(_row(policy, workload, total.n_before, kind, total, 0, phi))
+    total = _totals(records)
+    rows.append(_row(policy, workload, total.n_before, "all", total, wall_ns, phi))
     return rows
 
 
@@ -272,11 +241,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if auditor is not None and not auditor.ok:
                     audit_violations += auditor.violation_count
                     first_problem = first_problem or auditor.violations[0]
-                for row in _aggregate_rows(
+                rows = _aggregate_rows(
                     policy, f"fuzz-seed{trace_seed}", records, 0.0, wall
-                ):
-                    if row.op_kind == "all":
-                        sink.write(row)
+                )
+                sink.write(rows[-1])  # the total
             ok = not (divergences or check_failures or audit_violations)
             failed = failed or not ok
             verdict_word = "ok" if ok else "FAIL"
@@ -353,14 +321,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         for rec in records:
                             auditor(rec)
                         problems.extend(auditor.violations)
-                        total_links = (
-                            universe.telemetry.fair_links
-                            + universe.telemetry.naive_links
-                        )
-                        if universe.telemetry.comparisons != total_links:
+                        tele = universe.telemetry
+                        if tele.comparisons != tele.total_links:
                             problems.append(
-                                f"comparisons {universe.telemetry.comparisons}"
-                                f" != links {total_links}"
+                                f"comparisons {tele.comparisons}"
+                                f" != links {tele.total_links}"
                             )
                     if problems:
                         failed = True
@@ -398,17 +363,14 @@ def _steady_rows_direct(
             wall = time.perf_counter_ns() - t0
             link_total += stats.fair_links + stats.naive_links
             sink.write(
-                ResultRow(
-                    policy=Policy.NON_CASCADING.value,
-                    workload=f"steady-k{k}",
-                    n=stats.n_before,
-                    op_kind="delete-min",
-                    fair_links=stats.fair_links,
-                    naive_links=stats.naive_links,
-                    iterations=stats.iterations,
-                    comparisons=stats.comparisons,
-                    wall_time_ns=wall,
-                    phi=tele.phi,
+                _row(
+                    Policy.NON_CASCADING.value,
+                    f"steady-k{k}",
+                    stats.n_before,
+                    "delete-min",
+                    stats,
+                    wall,
+                    tele.phi,
                 )
             )
         points.append((steady_tree_size(k), link_total / rounds))
@@ -432,20 +394,17 @@ def _steady_rows_replayed(
         deletes = [r for r in records if r.kind == "delete-min"][-rounds:]
         for rec in deletes:
             sink.write(
-                ResultRow(
-                    policy=policy.value,
-                    workload=f"steady-k{k}",
-                    n=rec.n_before,
-                    op_kind="delete-min",
-                    fair_links=rec.fair_links,
-                    naive_links=rec.naive_links,
-                    iterations=rec.iterations,
-                    comparisons=rec.comparisons,
-                    wall_time_ns=0,
-                    phi=universe.telemetry.phi,
+                _row(
+                    policy.value,
+                    f"steady-k{k}",
+                    rec.n_before,
+                    "delete-min",
+                    rec,
+                    0,
+                    universe.telemetry.phi,
                 )
             )
-        links = [r.fair_links + r.naive_links for r in deletes]
+        links = [r.links for r in deletes]
         points.append((steady_tree_size(k), sum(links) / len(links)))
         _log(sink, f"adversary k={k}: replay wall {wall} ns")
     return points
@@ -471,17 +430,14 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 result, builder = run_lower_bound(m, seed=args.seed)
                 tele = builder.universe.telemetry
                 sink.write(
-                    ResultRow(
-                        policy=policy.value,
-                        workload=f"lower-bound-m{m}",
-                        n=result.final_size,
-                        op_kind="all",
-                        fair_links=result.total_fair_links,
-                        naive_links=result.total_naive_links,
-                        iterations=tele.iterations,
-                        comparisons=tele.comparisons,
-                        wall_time_ns=0,
-                        phi=tele.phi,
+                    _row(
+                        policy.value,
+                        f"lower-bound-m{m}",
+                        result.final_size,
+                        "all",
+                        tele,
+                        0,
+                        tele.phi,
                     )
                 )
                 points.append((result.total_ops, result.total_est_time))
@@ -666,17 +622,14 @@ def cmd_dijkstra(args: argparse.Namespace) -> int:
                     f" ({stats['decrease_calls']} decrease-keys)",
                 )
             sink.write(
-                ResultRow(
-                    policy=policy.value,
-                    workload=f"dijkstra-v{graph.vertices}-e{len(graph.edges)}",
-                    n=graph.vertices,
-                    op_kind="all",
-                    fair_links=stats["fair_links"],
-                    naive_links=stats["naive_links"],
-                    iterations=stats["iterations"],
-                    comparisons=stats["comparisons"],
-                    wall_time_ns=wall,
-                    phi=phi,
+                _row(
+                    policy.value,
+                    f"dijkstra-v{graph.vertices}-e{len(graph.edges)}",
+                    graph.vertices,
+                    "all",
+                    SimpleNamespace(**stats),
+                    wall,
+                    phi,
                 )
             )
     finally:

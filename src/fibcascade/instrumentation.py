@@ -269,7 +269,6 @@ class CheckReport:
 
     name: str
     violations: list[str] = field(default_factory=list)
-    checked: int = 0
     asserted: bool = True
 
     @property
@@ -291,7 +290,6 @@ def structure_violations(heap) -> CheckReport:
     seen = set()
     for root in heap.iter_roots():
         for node in iter_subtree(root):
-            report.checked += 1
             if id(node) in seen:
                 report.violations.append(f"node {node.uid} reachable twice")
                 continue
@@ -355,7 +353,6 @@ def rank_bound_violations(heap) -> CheckReport:
     for root in heap.iter_roots():
         sizes = subtree_sizes(root)
         for node, size in sizes.items():
-            report.checked += 1
             if node.rank >= 0 and size < bound(node.rank):
                 report.violations.append(
                     f"node {node.uid}: size {size} < bound {bound(node.rank)}"
@@ -374,7 +371,6 @@ def active_children_violations(heap, active: dict) -> CheckReport:
     report = CheckReport("active-children")
     for root in heap.iter_roots():
         for node in iter_subtree(root):
-            report.checked += 1
             live = 0
             child = node.child
             while child is not None:
@@ -395,7 +391,6 @@ def potential_violations(heap) -> CheckReport:
     """
     report = CheckReport("potential")
     tele = heap.universe.telemetry
-    report.checked = 1
     total = 0
     for h in heap.universe.live_heaps():
         total += compute_potential(h.iter_roots())

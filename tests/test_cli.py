@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -284,3 +285,49 @@ def test_replay_reads_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(TRACE))
     assert run_cli("replay", "-") == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# row values
+
+# one small run of each row-writing path
+PINNED_RUNS = [
+    ("bench", "--policy", "simple,classic", "--ops", "300", "--seed", "1", "--check"),
+    ("bench", "--policy", "simple,classic", "--sizes", "50,100"),
+    ("adversary", "--k", "10..30:10", "--rounds", "3"),
+    ("adversary", "--k", "10..30:10", "--rounds", "3", "--policy", "simple"),
+    ("adversary", "--m", "2000"),
+    ("dijkstra", "--vertices", "60", "--edges", "300", "--policy", "all"),
+    ("verify", "--policy", "simple,classic", "--traces", "2", "--ops", "200"),
+    ("replay", "t.trace", "--check", "--strict"),
+]
+
+
+def test_cli_rows_are_pinned(tmp_path, monkeypatch, capsys):
+    # every row these runs write, in both formats, with the wall time zeroed:
+    # the digest was taken before the rows were built by one helper
+    (tmp_path / "t.trace").write_text(TRACE)
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv in PINNED_RUNS:
+        for fmt in ("csv", "jsonl"):
+            assert run_cli(*argv, "--out", "rows", "--format", fmt) == 0, argv
+            text = (tmp_path / "rows").read_text()
+            if fmt == "csv":
+                rows = list(csv.reader(io.StringIO(text)))
+                at = rows[0].index("wall_time_ns")
+                for row in rows[1:]:
+                    row[at] = "0"
+                lines = [",".join(row) for row in rows]
+            else:
+                lines = []
+                for line in text.splitlines():
+                    rec = json.loads(line)
+                    rec["wall_time_ns"] = 0
+                    lines.append(json.dumps(rec))
+            digest.update(f"{' '.join(argv)} {fmt}\n".encode())
+            digest.update("\n".join(lines).encode() + b"\n")
+    capsys.readouterr()
+    assert digest.hexdigest() == (
+        "a9deef4fed7ce7c383dba48e58a056f09edb3233ae27641141e7de1172390e60"
+    )

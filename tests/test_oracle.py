@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fibcascade.oracle
 import fibcascade.policies
 from fibcascade import POLICY_TAGS, Policy
 from fibcascade.instrumentation import COUNTER_FIELDS, iter_subtree
@@ -20,7 +21,6 @@ from fibcascade.oracle import (
     replay_differential,
     replay_ops,
     run_checks,
-    validate_trace,
 )
 
 from _reference import run_checks_per_heap
@@ -84,50 +84,6 @@ def test_every_policy_tag_parses():
 
 
 # ---------------------------------------------------------------------------
-# static validation
-
-def test_validate_accepts_the_sample():
-    assert validate_trace(parse_trace(SAMPLE)) == []
-
-
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("newheap h0 simple\nnewheap h0 simple", "reused"),
-        ("newheap h0 simple\ninsert h0 x9", "unknown item"),
-        ("newheap h0 simple\ndeletemin h0", "empty"),
-        ("newheap h0 simple\ninsert h0 x0 5\ndecreasekey x0 9", "raises"),
-        ("newheap h0 simple\nmeld h0 h0", "itself"),
-        (
-            "newheap h0 simple\ninsert h0 x0 5\ndeletemin h0\ndelete x0",
-            "",
-        ),
-    ],
-)
-def test_validate_rejections(text, fragment):
-    problems = validate_trace(parse_trace(text))
-    assert problems
-    if fragment:
-        assert any(fragment in p for p in problems)
-
-
-def test_validate_is_conservative_about_key_ties():
-    # two items with equal keys: after the delete-min either may be gone,
-    # so a later name-directed operation is refused
-    text = (
-        "newheap h0 simple\ninsert h0 x0 5\ninsert h0 x1 5\n"
-        "deletemin h0\ndecreasekey x1 2"
-    )
-    assert validate_trace(parse_trace(text))
-    # with unique keys the same shape is fine
-    text = (
-        "newheap h0 simple\ninsert h0 x0 5\ninsert h0 x1 6\n"
-        "deletemin h0\ndecreasekey x1 2"
-    )
-    assert validate_trace(parse_trace(text)) == []
-
-
-# ---------------------------------------------------------------------------
 # generator
 
 def test_gen_trace_shape_and_determinism():
@@ -136,7 +92,8 @@ def test_gen_trace_shape_and_determinism():
     assert ops == gen_trace(profile)
     assert ops[0] == ("newheap", "h0", "heap-order")
     assert len(ops) == 400
-    assert validate_trace(ops) == []
+    for tag in POLICY_TAGS:  # well formed: no policy raises TraceError
+        replay_ops(ops, policy=tag)
 
 
 def test_gen_trace_keys_are_globally_unique():
@@ -279,6 +236,12 @@ H0 = ("newheap", "h0", "simple")
         ),
         ([H0, ("item", "x0", 1), ("insert", "h0", "x0", 2)], "op 2: item name"),
         ([H0, ("frobnicate", "h0")], "op 1: unknown verb"),
+        ([H0, ("deletemin", "h0")], "op 1: precondition failed: delete-min on an"),
+        (
+            [H0, ("insert", "h0", "x0", 5), ("decreasekey", "x0", 9)],
+            "op 2: precondition failed: decrease-key must not increase",
+        ),
+        ([H0, ("meld", "h0", "h0")], "op 1: precondition failed: cannot meld a heap"),
     ],
     ids=[
         "insert-unknown-item",
@@ -290,6 +253,9 @@ H0 = ("newheap", "h0", "simple")
         "melded-heap-name-reused",
         "item-name-reused",
         "unknown-verb",
+        "deletemin-empty-heap",
+        "decreasekey-raises-key",
+        "meld-with-itself",
     ],
 )
 def test_replay_wraps_unknown_names(replay, ops, fragment):
@@ -358,6 +324,23 @@ def test_periodic_checks_expose_the_rank_walk_defect(monkeypatch):
     )
     assert not verdict.ok
     assert any("size" in f for f in verdict.check_failures)
+
+
+def test_final_check_runs_only_after_an_unchecked_step(monkeypatch):
+    # 50 ops at interval 25 end on a check point; 51 ops end one step past it
+    calls = []
+
+    def counting(universe, include_active=False):
+        calls.append(universe)
+        return run_checks(universe, include_active)
+
+    monkeypatch.setattr(fibcascade.oracle, "run_checks", counting)
+    ops = gen_trace(TraceProfile(n_ops=51, seed=2))
+    for n_ops, want in ((50, 2), (51, 3)):
+        calls.clear()
+        verdict = replay_differential(ops[:n_ops], policy="simple", check_interval=25)
+        assert verdict.ok and verdict.steps == n_ops
+        assert len(calls) == want, n_ops
 
 
 def test_run_checks_clean_heap_with_and_without_active_tracking():
