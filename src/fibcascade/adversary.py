@@ -192,23 +192,7 @@ def verify_t_shape(heap: Heap, k: int, missing: int | None = None) -> list[str]:
 
 
 @dataclass
-class RoundStats:
-    """One steady round: insert + delete-min.
-
-    All counters are the delete-min's own (the insert contributes one naive
-    link and one comparison, booked to its own record, not here)."""
-
-    n_before: int  # heap size going into the delete-min
-    fair_links: int
-    naive_links: int
-    iterations: int
-    comparisons: int
-    est_time: float  # of the delete-min
-
-
-@dataclass
 class BuildStats:
-    k: int
     ops: int
     est_time: float
 
@@ -223,10 +207,8 @@ class LowerBoundResult:
     rounds: int
     total_ops: int
     total_est_time: float
-    total_fair_links: int
-    total_naive_links: int
     final_size: int
-    rounds_sample: list[RoundStats] = field(default_factory=list)
+    rounds_sample: list[OpRecord] = field(default_factory=list)
 
 
 class AdversaryBuilder:
@@ -249,7 +231,7 @@ class AdversaryBuilder:
         self.trace: list[tuple] = []
         self._recording = recording
         self._names: dict[int, str] = {}
-        self._pending: list[OpRecord] = []
+        self._last: OpRecord | None = None  # the latest operation's record
         self.universe.telemetry.record_sink = self._sink
         if recording:
             self.trace.append(("newheap", "h0", Policy.NON_CASCADING.value))
@@ -258,11 +240,7 @@ class AdversaryBuilder:
 
     def _sink(self, rec: OpRecord) -> None:
         self.est_total += rec.estimated_time
-        self._pending.append(rec)
-
-    def _take_records(self) -> list[OpRecord]:
-        out, self._pending = self._pending, []
-        return out
+        self._last = rec
 
     def _insert(self, key: int) -> Node:
         node = self.universe.make_item(key)
@@ -322,7 +300,7 @@ class AdversaryBuilder:
             self.op_count == expected_ops,
             f"build used {self.op_count} ops, expected {expected_ops}",
         )
-        return BuildStats(k=k, ops=self.op_count, est_time=self.est_total)
+        return BuildStats(ops=self.op_count, est_time=self.est_total)
 
     def _convert(self, k: int, i: int) -> None:
         """Rebuild the missing broom one index down: the shape goes from
@@ -359,18 +337,14 @@ class AdversaryBuilder:
                     "the first fresh node must undercut the low broom roots",
                 )
 
-        before = self.universe.telemetry.counters()
         removed = self._delete_min()
-        delta = {
-            f: self.universe.telemetry.counters()[f] - before[f]
-            for f in ("fair_links", "naive_links")
-        }
+        rec = self._last
         self._require(removed is old_root, "delete-min removed a non-root")
         self._require(heap.root is sigma, "the old S_0 did not become the root")
         self._require(
-            delta["fair_links"] == i and delta["naive_links"] == k - i + 1,
-            f"conversion consolidation did {delta['fair_links']} fair /"
-            f" {delta['naive_links']} naive links, expected {i} / {k - i + 1}",
+            rec.fair_links == i and rec.naive_links == k - i + 1,
+            f"conversion consolidation did {rec.fair_links} fair /"
+            f" {rec.naive_links} naive links, expected {i} / {k - i + 1}",
         )
 
         if i == 1:
@@ -409,8 +383,10 @@ class AdversaryBuilder:
         assert self.s0 is not None and self.heap.root is not None
         self.alloc.start_rounds(self.heap.root.key, self.s0.key)
 
-    def steady_round(self, verify: bool = True) -> RoundStats:
-        """Insert just above the root, delete-min, land on the same shape."""
+    def steady_round(self, verify: bool = True) -> OpRecord:
+        """Insert just above the root, delete-min, land on the same shape;
+        return the delete-min's record (the insert's one naive link and one
+        comparison are booked to its own record, not this one)."""
         heap = self.heap
         k = self.k
         old_root = heap.root
@@ -422,10 +398,8 @@ class AdversaryBuilder:
             "round key must fall between the root and everything else",
         )
         fresh = self._insert(key)
-        self._take_records()
-        n_before = len(heap)
         removed = self._delete_min()
-        (rec,) = self._take_records()
+        rec = self._last
         self._require(removed is old_root, "round delete-min missed the root")
         self._require(heap.root is fresh, "round insert did not take the root")
         self._require(
@@ -435,16 +409,9 @@ class AdversaryBuilder:
         )
         if verify:
             self._verify(k)
-        return RoundStats(
-            n_before=n_before,
-            fair_links=rec.fair_links,
-            naive_links=rec.naive_links,
-            iterations=rec.iterations,
-            comparisons=rec.comparisons,
-            est_time=rec.estimated_time,
-        )
+        return rec
 
-    def run_rounds(self, rounds: int, verify: bool = True) -> list[RoundStats]:
+    def run_rounds(self, rounds: int, verify: bool = True) -> list[OpRecord]:
         self.start_rounds()
         return [self.steady_round(verify=verify) for _ in range(rounds)]
 
@@ -457,18 +424,18 @@ def max_k_within(budget_ops: float) -> int:
     return k
 
 
+VERIFY_ROUNDS = 3  # steady rounds shape-verified at each end of a schedule
+
+
 def run_lower_bound(
-    m: int,
-    seed: int = 0,
-    recording: bool = False,
-    verify_rounds: int = 3,
+    m: int, seed: int = 0, recording: bool = False
 ) -> tuple[LowerBoundResult, AdversaryBuilder]:
     """The m-operation worst-case schedule: build the largest shape within
     m/3 operations, then alternate insert / delete-min for the rest.
 
-    Shape verification is spot-checked (first/last ``verify_rounds`` rounds);
-    every round still asserts the exact k fair links, which is the property
-    the cost bound rides on.
+    Shape verification is spot-checked (first/last :data:`VERIFY_ROUNDS`
+    rounds); every round still asserts the exact k fair links, which is the
+    property the cost bound rides on.
     """
     if m < 12:
         raise ValueError("schedule too small to build anything")
@@ -477,13 +444,12 @@ def run_lower_bound(
     builder.build(k)
     rounds = (m - builder.op_count) // 2
     builder.start_rounds()
-    sample: list[RoundStats] = []
+    sample: list[OpRecord] = []
     for r in range(rounds):
-        verify = r < verify_rounds or r >= rounds - verify_rounds
+        verify = r < VERIFY_ROUNDS or r >= rounds - VERIFY_ROUNDS
         stats = builder.steady_round(verify=verify)
         if verify:
             sample.append(stats)
-    tele = builder.universe.telemetry
     result = LowerBoundResult(
         m=m,
         k=k,
@@ -491,8 +457,6 @@ def run_lower_bound(
         rounds=rounds,
         total_ops=builder.op_count,
         total_est_time=builder.est_total,
-        total_fair_links=tele.fair_links,
-        total_naive_links=tele.naive_links,
         final_size=len(builder.heap),
         rounds_sample=sample,
     )

@@ -85,8 +85,8 @@ def _row(
     phi: float,
 ) -> dict:
     """One result row, keyed by :data:`RESULT_FIELDS`; the four counters are
-    read off ``counted``: an :class:`OpRecord`, a ``RoundStats``, the
-    ``Telemetry``, or the Dijkstra stats as a namespace."""
+    read off ``counted``: an :class:`OpRecord`, the ``Telemetry``, or the
+    Dijkstra stats as a namespace."""
     values = (policy, workload, n, op_kind, *_counts(counted), wall_ns, phi)
     return dict(zip(RESULT_FIELDS, values))
 
@@ -217,11 +217,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ops = gen_trace(profile)
                 auditor = AmortizedAuditor() if policy is Policy.SIMPLE else None
                 records: list[OpRecord] = []
+                # records are built only for a row to write; without --out
+                # the auditor, if any, is the only sink
+                tap = auditor
+                if args.out is not None:
 
-                def tap(rec: OpRecord, auditor=auditor, records=records) -> None:
-                    records.append(rec)
-                    if auditor is not None:
-                        auditor(rec)
+                    def tap(rec: OpRecord, auditor=auditor, records=records) -> None:
+                        records.append(rec)
+                        if auditor is not None:
+                            auditor(rec)
 
                 t0 = time.perf_counter_ns()
                 verdict = replay_differential(
@@ -241,10 +245,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if auditor is not None and not auditor.ok:
                     audit_violations += auditor.violation_count
                     first_problem = first_problem or auditor.violations[0]
-                rows = _aggregate_rows(
-                    policy, f"fuzz-seed{trace_seed}", records, 0.0, wall
-                )
-                sink.write(rows[-1])  # the total
+                if args.out is not None:
+                    rows = _aggregate_rows(
+                        policy, f"fuzz-seed{trace_seed}", records, 0.0, wall
+                    )
+                    sink.write(rows[-1])  # the total
             ok = not (divergences or check_failures or audit_violations)
             failed = failed or not ok
             verdict_word = "ok" if ok else "FAIL"
@@ -492,7 +497,6 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 class Graph:
     vertices: int
     edges: list[tuple[int, int, int]]
-    seed: int
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
@@ -518,12 +522,13 @@ def gen_graph(vertices: int, edges: int, seed: int) -> Graph:
             continue
         seen.add(code)
         out.append((u, v, rng.getrandbits(32)))
-    return Graph(vertices=vertices, edges=out, seed=seed)
+    return Graph(vertices=vertices, edges=out)
 
 
-def dijkstra_reference(adj: list[list[tuple[int, int]]], source: int = 0) -> list[int | None]:
+def dijkstra_reference(adj: list[list[tuple[int, int]]]) -> list[int | None]:
+    """Distances from vertex 0 by a plain binary heap (None: unreached)."""
     dist: list[int | None] = [None] * len(adj)
-    pq: list[tuple[int, int]] = [(0, source)]
+    pq: list[tuple[int, int]] = [(0, 0)]
     while pq:
         d, u = heappop(pq)
         if dist[u] is not None:
@@ -543,14 +548,14 @@ def dijkstra_policy(
     adj: list[list[tuple[int, int]]],
     policy: Policy,
     seed: int,
-    source: int = 0,
 ) -> tuple[list[int | None], dict, int]:
-    """All vertices go in up front at an unreached sentinel key; relaxing an
-    edge is a decrease-key, settling a vertex is a delete-min."""
+    """Distances from vertex 0.  All vertices go in up front at an unreached
+    sentinel key; relaxing an edge is a decrease-key, settling a vertex is a
+    delete-min."""
     universe = Universe(seed=seed)
     heap = universe.make_heap(policy, "sssp")
     nodes = [
-        universe.make_item(0 if v == source else UNREACHED, info=v)
+        universe.make_item(0 if v == 0 else UNREACHED, info=v)
         for v in range(graph.vertices)
     ]
     for node in nodes:
@@ -724,10 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=default_out, metavar="PATH")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.add_argument(
-            "--check", action="store_true", help="enable the invariant suite"
-        )
 
+    # verify always runs the full battery, so it alone takes no --check
     p = sub.add_parser("verify", help="differential fuzzing with audits")
     common(p, None)
     p.add_argument("--traces", type=_count, default=100)
@@ -736,6 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="counter benchmarks")
     common(p, "-")
+    p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument("--ops", type=_count, default=2000)
     p.add_argument(
         "--sizes",
@@ -748,6 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adversary", help="worst-case schedules")
     common(p, "-")
+    p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument(
         "--k",
         type=_parse_k_spec,
@@ -768,12 +773,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dijkstra", help="shortest paths vs reference")
     common(p, "-")
+    p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument("--vertices", type=int, default=1000)
     p.add_argument("--edges", type=_count, default=10000)
     p.set_defaults(func=cmd_dijkstra)
 
     p = sub.add_parser("replay", help="re-run a recorded trace")
     common(p, None)
+    p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument("trace", help="trace file path, or - for stdin")
     p.add_argument(
         "--strict",

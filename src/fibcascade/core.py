@@ -242,7 +242,6 @@ class Heap:
         "_size",
         "coin_seed",
         "_coin",
-        "randomized_start_at_parent",
         "live",
         "_walk",
         "_fair_loser_state",
@@ -265,7 +264,6 @@ class Heap:
         self._size = 0
         self.coin_seed = _seed_for_name(universe.seed, name)
         self._coin: random.Random | None = None
-        self.randomized_start_at_parent = False
         self.live = True
 
     # -- introspection ------------------------------------------------------
@@ -350,10 +348,6 @@ class Heap:
         x.before = None
         x.after = None
         x.parent = x
-
-    def _reroot_link(self, x: Node) -> None:
-        """Naive-link a detached x against the current root (x wins ties)."""
-        self.root = self._link(x, self.root, fair=False)
 
     def _destroy(self, node: Node) -> None:
         """Remove a childless root from the universe and settle its phi."""
@@ -464,7 +458,7 @@ class Heap:
         if self.root is None:
             self.root = x
         else:
-            # inserted node is the first link argument, so it wins ties
+            # the inserted or cut node is the first link argument, so it wins ties
             self.root = self._link(x, self.root, fair=False)
 
     def _absorb(self, other: "Heap") -> None:

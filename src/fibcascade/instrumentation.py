@@ -443,20 +443,22 @@ def audit_violations(rec: OpRecord) -> list[str]:
 
 
 class AmortizedAuditor:
-    """Streaming record sink that collects audit violations."""
+    """Streaming record sink that counts audit violations and keeps the
+    first :attr:`KEEP` messages."""
 
-    def __init__(self, keep: int = 20) -> None:
+    KEEP = 20
+
+    def __init__(self) -> None:
         self.ops = 0
         self.violation_count = 0
         self.violations: list[str] = []
-        self._keep = keep
 
     def __call__(self, rec: OpRecord) -> None:
         self.ops += 1
         problems = audit_violations(rec)
         if problems:
             self.violation_count += len(problems)
-            room = self._keep - len(self.violations)
+            room = self.KEEP - len(self.violations)
             if room > 0:
                 self.violations.extend(problems[:room])
 

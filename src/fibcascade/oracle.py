@@ -191,42 +191,38 @@ def format_trace(ops: Iterable[Op]) -> str:
 # random trace generation
 
 
+#: How often :func:`gen_trace` draws each verb; infeasible draws (delete-min
+#: on empty, meld with one heap, ...) fall back to an insert.
+TRACE_WEIGHTS = {
+    "insert": 30,
+    "deletemin": 15,
+    "decreasekey": 30,
+    "delete": 5,
+    "findmin": 10,
+    "meld": 4,
+    "newheap": 6,
+}
+KEY_SPAN = 1 << 40  # inserted keys are drawn from [-KEY_SPAN, KEY_SPAN)
+DECREMENT_SPAN = 1 << 20  # a decrease-key lowers a key by 1..DECREMENT_SPAN
+
+
 @dataclass
 class TraceProfile:
     """Knobs for :func:`gen_trace`; same profile + seed => same trace.
 
-    ``weights`` steer the draw per step; infeasible draws (delete-min on
-    empty, meld with one heap, ...) fall back to an insert.  ``n_ops`` counts
-    heap operations — standalone ``item`` declarations are free.  Generated
-    keys are globally unique so that the trace is valid under every
-    tie-breaking choice a policy might make.
+    ``n_ops`` counts heap operations — standalone ``item`` declarations are
+    free.  Generated keys are globally unique so that the trace is valid
+    under every tie-breaking choice a policy might make.
     """
 
     n_ops: int = 1000
     seed: int = 0
     policy: str = "simple"
-    weights: dict[str, int] = field(
-        default_factory=lambda: {
-            "insert": 30,
-            "deletemin": 15,
-            "decreasekey": 30,
-            "delete": 5,
-            "findmin": 10,
-            "meld": 4,
-            "newheap": 6,
-        }
-    )
     max_heaps: int = 4
-    key_span: int = 1 << 40
-    decrement_span: int = 1 << 20
 
     def validate(self) -> None:
         if self.n_ops < 0:
             raise TraceError("n_ops must be nonnegative")
-        if any(w < 0 for w in self.weights.values()):
-            raise TraceError("negative operation weight")
-        if self.weights.get("insert", 0) <= 0:
-            raise TraceError("profile needs a positive insert weight")
 
 
 class _ModelHeap:
@@ -287,8 +283,8 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
     """Generate a random, precondition-respecting trace."""
     profile.validate()
     rng = Random(profile.seed)
-    verbs = sorted(k for k, w in profile.weights.items() if w > 0)
-    weights = [profile.weights[v] for v in verbs]
+    verbs = sorted(TRACE_WEIGHTS)
+    weights = [TRACE_WEIGHTS[v] for v in verbs]
     ops: list[Op] = [("newheap", "h0", profile.policy)]
     live_heaps = ["h0"]
     n_heaps = 1
@@ -299,7 +295,7 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
 
     def fresh_key() -> int:
         while True:
-            key = rng.randrange(-profile.key_span, profile.key_span)
+            key = rng.randrange(-KEY_SPAN, KEY_SPAN)
             if key not in seen_keys:
                 seen_keys.add(key)
                 return key
@@ -346,7 +342,7 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
                 continue
             model = members[h]
             x = model.pick(rng)
-            key = model.key[x] - 1 - rng.randrange(profile.decrement_span)
+            key = model.key[x] - 1 - rng.randrange(DECREMENT_SPAN)
             while key in seen_keys:
                 key -= 1
             seen_keys.add(key)
@@ -489,25 +485,24 @@ def _walk_checks(
     return bad, short, idle, phi
 
 
-def run_checks(universe: Universe, include_active: bool = False) -> list[str]:
+def run_checks(universe: Universe) -> list[str]:
     """Asserted invariant checks of every live heap of ``universe``, one
     walk per heap; failures as messages.
 
     Per heap, in order: structure, the asserted rank bound, the potential
     (the universe-wide total against the tracked phi, so its messages repeat
-    under every heap's name) and, with ``include_active``, the
-    active-children ledger on ``simple`` heaps; at most five messages of
-    each.  The standalone checkers of :mod:`instrumentation` are the
-    reference for this output.
+    under every heap's name) and, when the universe keeps the ledger
+    (``track_active``), the active-children ledger on ``simple`` heaps; at
+    most five messages of each.  The standalone checkers of
+    :mod:`instrumentation` are the reference for this output.
     """
     tele = universe.telemetry
+    ledger = tele.active if tele.track_active else None
     walked = []
     phi = 0
     for heap in universe.live_heaps():
         bound, floor = RANK_BOUNDS.get(heap.policy.value, (None, None))
-        active = (
-            tele.active if include_active and heap.policy is Policy.SIMPLE else None
-        )
+        active = ledger if heap.policy is Policy.SIMPLE else None
         bad, short, idle, share = _walk_checks(heap, floor, active)
         phi += share
         walked.append((heap.name, bad, bound, short, idle))
@@ -668,7 +663,7 @@ def replay_differential(
         return verdict
 
     def checks_failed(i: int) -> bool:
-        verdict.check_failures.extend(run_checks(universe, include_active=True))
+        verdict.check_failures.extend(run_checks(universe))
         if verdict.check_failures:
             verdict.step_index = i
         return bool(verdict.check_failures)

@@ -39,7 +39,7 @@ _TEST_SKIP_UNMARK = False
 
 def _cut_and_reroot(heap: Heap, x: Node) -> None:
     heap._cut(x)
-    heap._reroot_link(x)
+    heap._add_root(x)
 
 
 def _toggle_walk(heap: Heap, x: Node) -> None:
@@ -201,24 +201,22 @@ def _dk_zero_rank(heap: Heap, x: Node) -> None:
 def _dk_randomized(heap: Heap, x: Node) -> None:
     """Decrement up the path, stopping at the root or on a coin flip.
 
-    The walk starts at the decreased node itself (set
-    ``heap.randomized_start_at_parent`` to start one level up instead).  No
-    coin is spent once the root is reached.
+    The walk starts at the decreased node itself.  No coin is spent once the
+    root is reached.
     """
     if x is heap.root:
         return
     tele = heap.universe.telemetry
-    y = x.parent if heap.randomized_start_at_parent else x
-    if y is not heap.root:
-        coin = heap.coin()
-        while True:
-            tele.iterations += 1
-            dec_rank_floor(y, tele)
-            y = y.parent
-            if y is heap.root:
-                break
-            if coin.getrandbits(1):
-                break
+    coin = heap.coin()
+    y = x
+    while True:
+        tele.iterations += 1
+        dec_rank_floor(y, tele)
+        y = y.parent
+        if y is heap.root:
+            break
+        if coin.getrandbits(1):
+            break
     _cut_and_reroot(heap, x)
 
 

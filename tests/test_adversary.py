@@ -46,7 +46,6 @@ def test_max_k_within_matches_the_budget_table():
 def test_build_verified_at_every_step(k):
     builder = AdversaryBuilder(seed=0)
     stats = builder.build(k, verify_each_step=True)
-    assert stats.k == k
     assert stats.ops == build_ops_needed(k)
     assert builder.op_count == stats.ops
     assert len(builder.heap) == steady_tree_size(k)
@@ -63,7 +62,7 @@ def test_steady_round_counters_are_exact():
         assert stats.naive_links == 0
         assert stats.iterations == 0
         assert stats.comparisons == 4
-        assert math.isclose(stats.est_time, 1 + log_phi(12) + 4)
+        assert math.isclose(stats.estimated_time, 1 + log_phi(12) + 4)
 
 
 def test_rounds_reproduce_the_shape_and_advance_the_root():

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import fibcascade.instrumentation
 import fibcascade.policies
 from fibcascade import Policy
 from fibcascade.cli import (
@@ -61,6 +62,7 @@ ZERO_COUNTS = [
         ("dijkstra", "--vertices", "1"),
         *NEGATIVE_COUNTS,
         *ZERO_COUNTS,
+        ("verify", "--check"),  # verify always runs the full battery
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -108,6 +110,17 @@ def test_verify_clean_policy_exits_0(capsys):
     assert run_cli("verify", "--policy", "simple", "--traces", "4", "--ops", "200") == 0
     out = capsys.readouterr().out
     assert "0 divergences" in out and "[ok]" in out
+
+
+def test_verify_builds_no_records_without_out(monkeypatch, capsys):
+    # with no row to write, a policy without the auditor needs no sink
+    def no_records(*args):
+        raise AssertionError("an op record was built")
+
+    monkeypatch.setattr(fibcascade.instrumentation, "OpRecord", no_records)
+    code = run_cli("verify", "--policy", "classic", "--traces", "2", "--ops", "200")
+    assert code == 0
+    assert "[ok]" in capsys.readouterr().out
 
 
 def test_verify_detects_the_undersized_trees(monkeypatch, capsys):

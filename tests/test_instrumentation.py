@@ -139,14 +139,15 @@ def test_audit_flags_everything_beyond_slack():
 
 
 def test_auditor_streams_and_keeps_a_sample():
-    auditor = AmortizedAuditor(keep=2)
-    for _ in range(5):
+    auditor = AmortizedAuditor()
+    bad = AmortizedAuditor.KEEP + 3
+    for _ in range(bad):
         auditor(_record("insert", d_phi=2.0))
     auditor(_record("insert", d_phi=0.0))
-    assert auditor.ops == 6
+    assert auditor.ops == bad + 1
     assert not auditor.ok
-    assert auditor.violation_count == 5
-    assert len(auditor.violations) == 2
+    assert auditor.violation_count == bad
+    assert len(auditor.violations) == AmortizedAuditor.KEEP
 
 
 def test_telemetry_op_records_flow_to_the_sink():

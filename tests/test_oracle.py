@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -112,10 +113,19 @@ def test_gen_trace_seeds_differ():
 def test_profile_validation():
     with pytest.raises(TraceError):
         TraceProfile(n_ops=-1).validate()
-    with pytest.raises(TraceError):
-        TraceProfile(weights={"insert": -2}).validate()
-    with pytest.raises(TraceError):
-        TraceProfile(weights={"deletemin": 5}).validate()
+
+
+def test_gen_trace_output_is_pinned():
+    # the acceptance corpora are generated traces: they must not move by a byte
+    digest = hashlib.sha256()
+    for seed in range(8):
+        for n_ops in (0, 1, 51, 1000):
+            for max_heaps in (4, 6):
+                profile = TraceProfile(n_ops=n_ops, seed=seed, max_heaps=max_heaps)
+                digest.update(format_trace(gen_trace(profile)).encode())
+    assert digest.hexdigest() == (
+        "f83b812a5106f15c3b0c523481f8f100c45b21121889cee5a4007607a1fa1321"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +340,9 @@ def test_final_check_runs_only_after_an_unchecked_step(monkeypatch):
     # 50 ops at interval 25 end on a check point; 51 ops end one step past it
     calls = []
 
-    def counting(universe, include_active=False):
+    def counting(universe):
         calls.append(universe)
-        return run_checks(universe, include_active)
+        return run_checks(universe)
 
     monkeypatch.setattr(fibcascade.oracle, "run_checks", counting)
     ops = gen_trace(TraceProfile(n_ops=51, seed=2))
@@ -346,30 +356,30 @@ def test_final_check_runs_only_after_an_unchecked_step(monkeypatch):
 def test_run_checks_clean_heap_with_and_without_active_tracking():
     from fibcascade import Universe
 
-    u = Universe(track_active=True)
-    h = u.make_heap(Policy.SIMPLE)
-    for k in range(30):
-        h.insert(u.make_item(k))
-    for _ in range(6):
-        h.delete_min()
-    assert run_checks(u) == []
-    assert run_checks(u, include_active=True) == []
+    for track_active in (False, True):
+        u = Universe(track_active=track_active)
+        h = u.make_heap(Policy.SIMPLE)
+        for k in range(30):
+            h.insert(u.make_item(k))
+        for _ in range(6):
+            h.delete_min()
+        assert run_checks(u) == []
 
 
-def _compare_checks(ops, policy, every):
+def _compare_checks(ops, policy, every, track_active=True):
     """Replay ``ops`` and, after every ``every``-th op, require run_checks to
-    give the standalone checkers' messages; return how many states failed."""
+    give the standalone checkers' messages, the ledger's exactly when the
+    universe keeps one; return how many states failed."""
     failing = 0
 
     def compare(i, universe, heaps):
         nonlocal failing
         if i % every == 0:
-            for include_active in (False, True):
-                want = run_checks_per_heap(universe, include_active)
-                assert run_checks(universe, include_active) == want, (policy, i)
+            want = run_checks_per_heap(universe, include_active=track_active)
+            assert run_checks(universe) == want, (policy, i)
             failing += bool(want)
 
-    replay_ops(ops, policy=policy, track_active=True, on_op=compare)
+    replay_ops(ops, policy=policy, track_active=track_active, on_op=compare)
     return failing
 
 
@@ -379,6 +389,13 @@ def test_run_checks_matches_the_checkers_on_generated_states(tag):
         ops = gen_trace(TraceProfile(n_ops=300, seed=seed, max_heaps=6))
         assert any(op[0] == "meld" for op in ops)
         assert _compare_checks(ops, tag, every=3) == 0
+
+
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_run_checks_without_a_ledger_matches_the_checkers(tag):
+    for seed in range(2):
+        ops = gen_trace(TraceProfile(n_ops=300, seed=seed, max_heaps=6))
+        assert _compare_checks(ops, tag, every=3, track_active=False) == 0
 
 
 def test_run_checks_matches_the_checkers_on_undersized_trees(monkeypatch):
@@ -437,19 +454,19 @@ CORRUPTIONS = {
 def test_run_checks_matches_the_checkers_on_corrupted_heaps(tag, corruption):
     from fibcascade import Universe
 
-    u = Universe(track_active=True)
-    heaps = {}
-    for name in ("simple", "classic", "eager", "randomized"):
-        h = heaps[name] = u.make_heap(name, name)
-        for k in range(60):
-            h.insert(u.make_item(k * 17 % 61))
-        for _ in range(6):
-            h.delete_min()
-    assert run_checks(u, include_active=True) == []
-    CORRUPTIONS[corruption](u, heaps[tag])
-    for include_active in (False, True):
-        want = run_checks_per_heap(u, include_active)
-        assert run_checks(u, include_active) == want
+    for track_active in (False, True):
+        u = Universe(track_active=track_active)
+        heaps = {}
+        for name in ("simple", "classic", "eager", "randomized"):
+            h = heaps[name] = u.make_heap(name, name)
+            for k in range(60):
+                h.insert(u.make_item(k * 17 % 61))
+            for _ in range(6):
+                h.delete_min()
+        assert run_checks(u) == []
+        CORRUPTIONS[corruption](u, heaps[tag])
+        want = run_checks_per_heap(u, include_active=track_active)
+        assert run_checks(u) == want
     assert want
 
 
@@ -464,7 +481,7 @@ def test_run_checks_hands_a_node_reached_twice_to_the_checkers():
     h.roots.append(h.roots[-1])
     want = run_checks_per_heap(u, include_active=True)
     assert any("reachable twice" in v for v in want)
-    assert run_checks(u, include_active=True) == want
+    assert run_checks(u) == want
 
 
 def test_failing_replay_verdicts_are_pinned(monkeypatch):

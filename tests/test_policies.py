@@ -399,29 +399,6 @@ def test_randomized_walk_first_heads_stops_after_one_step():
     assert_phi_consistent(u)
 
 
-def test_randomized_start_at_parent_toggle():
-    stop_seed = next(
-        s for s in range(100) if random.Random(s).getrandbits(1) == 1
-    )
-    u = Universe()
-    h = u.make_heap(Policy.RANDOMIZED)
-    h.coin_seed = stop_seed
-    h.randomized_start_at_parent = True
-    rt, g, p, x = (u.make_item(k) for k in (0, 1, 2, 3))
-    wire(rt, g)
-    wire(g, p)
-    wire(p, x)
-    x.rank = 2
-    p.rank = 3
-    h.root = rt
-    adopt(u, h, [rt, g, p, x])
-
-    h.decrease_key(x, 3)
-
-    assert x.rank == 2  # untouched: the walk began one level up
-    assert p.rank == 2
-
-
 def test_randomized_same_seed_same_walks():
     def campaign(universe_seed):
         u = Universe(seed=universe_seed)
