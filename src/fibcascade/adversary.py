@@ -211,6 +211,22 @@ class LowerBoundResult:
     rounds_sample: list[OpRecord] = field(default_factory=list)
 
 
+class _LastRecord:
+    """A builder's record sink: the latest operation's record and the sum of
+    all estimated times.  It does not refer back to the builder, so a
+    finished schedule is freed by reference count."""
+
+    __slots__ = ("last", "est_total")
+
+    def __init__(self) -> None:
+        self.last: OpRecord | None = None
+        self.est_total = 0.0
+
+    def __call__(self, rec: OpRecord) -> None:
+        self.est_total += rec.estimated_time
+        self.last = rec
+
+
 class AdversaryBuilder:
     """Drives a non-cascading heap through the worst-case construction.
 
@@ -227,20 +243,20 @@ class AdversaryBuilder:
         self.s0: Node | None = None  # current S_0 (rank-0 child of the root)
         self.k = 0
         self.op_count = 0
-        self.est_total = 0.0
         self.trace: list[tuple] = []
         self._recording = recording
         self._names: dict[int, str] = {}
-        self._last: OpRecord | None = None  # the latest operation's record
-        self.universe.telemetry.record_sink = self._sink
+        self._records = _LastRecord()
+        self.universe.telemetry.record_sink = self._records
         if recording:
             self.trace.append(("newheap", "h0", Policy.NON_CASCADING.value))
 
     # -- plumbing -----------------------------------------------------------
 
-    def _sink(self, rec: OpRecord) -> None:
-        self.est_total += rec.estimated_time
-        self._last = rec
+    @property
+    def est_total(self) -> float:
+        """Estimated time of every operation so far."""
+        return self._records.est_total
 
     def _insert(self, key: int) -> Node:
         node = self.universe.make_item(key)
@@ -338,7 +354,7 @@ class AdversaryBuilder:
                 )
 
         removed = self._delete_min()
-        rec = self._last
+        rec = self._records.last
         self._require(removed is old_root, "delete-min removed a non-root")
         self._require(heap.root is sigma, "the old S_0 did not become the root")
         self._require(
@@ -399,7 +415,7 @@ class AdversaryBuilder:
         )
         fresh = self._insert(key)
         removed = self._delete_min()
-        rec = self._last
+        rec = self._records.last
         self._require(removed is old_root, "round delete-min missed the root")
         self._require(heap.root is fresh, "round insert did not take the root")
         self._require(

@@ -316,7 +316,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 records = []
                 t0 = time.perf_counter_ns()
                 universe, _ = replay_ops(
-                    ops, seed=args.seed, record_sink=records.append
+                    ops, seed=args.seed, record_sink=records.append,
+                    track_active=args.check,
                 )
                 wall = time.perf_counter_ns() - t0
                 if args.check:

@@ -2,9 +2,10 @@
 
 The data structure keeps one tree per heap; the textbook multi-root baseline,
 :class:`ClassicHeap`, overrides only the private root hooks.  Roots are
-combined by *naive* links that ignore ranks; delete-min combines roots of
-equal rank with *fair* links that bump the winner's rank, which is the only
-place ranks grow.  What happens to ranks when a node loses a child is the
+combined by *naive* links that ignore ranks; delete-min's registry pass
+(:meth:`Heap._fill_registry`) combines roots of equal rank with *fair* links
+that bump the winner's rank.  That pass is the only place fair links happen
+and ranks grow.  What happens to ranks when a node loses a child is the
 pluggable part: each :class:`Policy` names one rank-maintenance rule,
 implemented in :mod:`fibcascade.policies`.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 import zlib
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .instrumentation import Telemetry
 
@@ -95,9 +96,10 @@ BOTTOM = _Bottom()
 class Node:
     """One heap item: key, payload, rank, state, and tree pointers.
 
-    ``parent`` of a root is the root itself (the heap-order policy reads it;
-    everyone else just never looks).  ``live`` turns False when the item is
-    removed, making dangling use a detectable error.
+    ``parent`` of a root is the root itself (the heap-order and classic
+    walks read it), and ``None`` for an item in no heap, so a removed item
+    holds no reference to itself and is freed by reference count.  ``live`` turns
+    False when the item is removed, making dangling use a detectable error.
     """
 
     __slots__ = (
@@ -119,7 +121,7 @@ class Node:
         self.info = info
         self.rank = 0
         self.state = UNMARKED
-        self.parent = self
+        self.parent: Node | None = None
         self.child: Node | None = None
         self.before: Node | None = None
         self.after: Node | None = None
@@ -294,13 +296,12 @@ class Heap:
 
     # -- primitive mutations ------------------------------------------------
 
-    def _link(self, x: Node, y: Node, fair: bool) -> Node:
-        """Combine two roots; the smaller key wins, first argument on ties.
+    def _link(self, x: Node, y: Node) -> Node:
+        """Naive-link two roots; the smaller key wins, first argument on ties.
 
-        A fair link bumps the winner's rank (phi -1 via the rank change; the
-        loser's root bonus moves to the winner's new child slot, net zero).
-        A naive link leaves all ranks alone and costs no potential at all.
-        The loser's state is adjusted where the policy calls for it.
+        A naive link leaves all ranks alone and costs no potential at all;
+        the loser's state is adjusted where the policy calls for it.  Fair
+        links happen only in :meth:`_fill_registry`.
         """
         tele = self.universe.telemetry
         tele.comparisons += 1
@@ -316,22 +317,12 @@ class Heap:
         if z is not None:
             z.before = loser
         winner.child = loser
-        if fair:
-            tele.fair_links += 1
-            winner.rank += 1
-            tele.phi -= 1
-            state = self._fair_loser_state
-            if state is not None:
-                set_state(loser, state, tele)
-            if tele.track_active:
-                tele.active[loser] = True
-        else:
-            tele.naive_links += 1
-            state = self._naive_loser_state
-            if state is not None:
-                set_state(loser, state, tele)
-            if tele.track_active:
-                tele.active[loser] = False
+        tele.naive_links += 1
+        state = self._naive_loser_state
+        if state is not None:
+            set_state(loser, state, tele)
+        if tele.track_active:
+            tele.active[loser] = False
         return winner
 
     def _cut(self, x: Node) -> None:
@@ -360,7 +351,7 @@ class Heap:
         node.child = None
         node.before = None
         node.after = None
-        node.parent = node
+        node.parent = None
 
     # -- operations ---------------------------------------------------------
 
@@ -381,6 +372,7 @@ class Heap:
         tele = self.universe.telemetry
         tele.op_begin("insert", self._size)
         x.in_heap = True
+        x.parent = x
         tele.phi += 1  # a fresh singleton root
         self._add_root(x)
         self._size += 1
@@ -459,13 +451,13 @@ class Heap:
             self.root = x
         else:
             # the inserted or cut node is the first link argument, so it wins ties
-            self.root = self._link(x, self.root, fair=False)
+            self.root = self._link(x, self.root)
 
     def _absorb(self, other: "Heap") -> None:
         if self.root is None:
             self.root = other.root
         elif other.root is not None:
-            self.root = self._link(self.root, other.root, fair=False)
+            self.root = self._link(self.root, other.root)
         other.root = None
 
     def _remove_min(self) -> Node:
@@ -479,34 +471,64 @@ class Heap:
             if root is None:
                 root = occupant
             else:
-                root = self._link(root, occupant, fair=False)
+                root = self._link(root, occupant)
         self.root = root
         self._destroy(h)
         return h
 
-    def _fill_registry(self, roots: Iterable[Node]) -> list[Node]:
+    def _fill_registry(self, roots: list[Node]) -> list[Node]:
         """Fair-link equal-rank roots through the registry, scanning
         ``roots`` first to last; return the survivors in ascending rank
         order and leave the registry clear.
 
-        The registry slot is cleared at the winner's pre-bump rank, and the
-        scanned (or accumulated) node is always the first link argument.
+        A fair link splices as :meth:`_link` does and bumps the winner's
+        rank (phi -1 via the rank change; the loser's root bonus moves to
+        the winner's new child slot, net zero).  The registry slot is
+        cleared at the winner's pre-bump rank, and the scanned (or
+        accumulated) node is always the first link argument.  The counters
+        and phi are settled once, after the scan.
         """
         A = self.universe.registry
+        tele = self.universe.telemetry
+        state = self._fair_loser_state
+        active = tele.active if tele.track_active else None
+        links = 0
         max_rank = 0
         for y in roots:
+            r = y.rank
             while True:
-                r = y.rank
-                if r >= len(A):
+                try:
+                    occupant = A[r]
+                except IndexError:
                     A.extend([None] * (r + 1 - len(A)))
-                occupant = A[r]
+                    break
                 if occupant is None:
                     break
                 A[r] = None
-                y = self._link(y, occupant, fair=True)
-            A[y.rank] = y
-            if y.rank > max_rank:
-                max_rank = y.rank
+                links += 1
+                if y.key > occupant.key:
+                    y.rank = r  # the scanned node loses with its rank so far
+                    y, occupant = occupant, y
+                # splice the loser in as the winner's first child
+                occupant.parent = y
+                z = y.child
+                occupant.before = None
+                occupant.after = z
+                if z is not None:
+                    z.before = occupant
+                y.child = occupant
+                r += 1
+                if state is not None:
+                    set_state(occupant, state, tele)
+                if active is not None:
+                    active[occupant] = True
+            y.rank = r
+            A[r] = y
+            if r > max_rank:
+                max_rank = r
+        tele.comparisons += links
+        tele.fair_links += links
+        tele.phi -= links
         survivors: list[Node] = []
         for i in range(max_rank + 1):
             occupant = A[i]
@@ -516,18 +538,19 @@ class Heap:
         return survivors
 
 
-def _detach_children(node: Node) -> Iterator[Node]:
-    """Yield node's children first to last, each made a root just before it
-    is handed out (the caller may relink it at once)."""
+def _detach_children(node: Node) -> list[Node]:
+    """Node's children first to last, each made a root."""
+    children = []
     x = node.child
     node.child = None
     while x is not None:
-        y = x
-        x = x.after
-        y.parent = y
-        y.before = None
-        y.after = None
-        yield y
+        children.append(x)
+        x.parent = x
+        x.before = None
+        y = x.after
+        x.after = None
+        x = y
+    return children
 
 
 class ClassicHeap(Heap):

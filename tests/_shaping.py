@@ -21,9 +21,12 @@ def wire(parent, *children):
 
 
 def adopt(universe, heap, nodes):
-    """Register hand-wired nodes as the heap's contents and sync telemetry."""
+    """Register hand-wired nodes as the heap's contents and sync telemetry;
+    a node that ``wire`` gave no parent is a root, its own parent."""
     for n in nodes:
         n.in_heap = True
+        if n.parent is None:
+            n.parent = n
     heap._size = len(nodes)
     universe.telemetry.phi = compute_potential(heap.iter_roots())
 

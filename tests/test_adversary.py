@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -50,6 +52,25 @@ def test_build_verified_at_every_step(k):
     assert builder.op_count == stats.ops
     assert len(builder.heap) == steady_tree_size(k)
     assert verify_t_shape(builder.heap, k) == []
+
+
+def test_the_record_sink_does_not_refer_to_the_builder():
+    builder = AdversaryBuilder()
+    assert builder not in gc.get_referents(builder.universe.telemetry.record_sink)
+
+
+def test_a_finished_schedule_is_freed_by_reference_count():
+    gc.disable()
+    try:
+        builder = AdversaryBuilder(recording=True)
+        builder.build(6)
+        builder.run_rounds(3)
+        assert builder.est_total > 0
+        freed = weakref.ref(builder)
+        del builder
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_steady_round_counters_are_exact():

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import fibcascade.cli
 import fibcascade.instrumentation
 import fibcascade.policies
 from fibcascade import Policy
@@ -19,6 +20,7 @@ from fibcascade.cli import (
     gen_graph,
     main,
 )
+from fibcascade.oracle import replay_ops
 
 from _shaping import guarded_increasing_rank
 
@@ -167,6 +169,20 @@ def test_bench_csv_schema(tmp_path):
         int(row["fair_links"]); int(row["naive_links"])
         int(row["comparisons"]); int(row["wall_time_ns"])
         float(row["phi"])
+
+
+def test_bench_check_audits_the_active_children_ledger(monkeypatch, capsys):
+    # a ledger emptied after the replay must fail the check
+    def replay_and_forget(*args, **kwargs):
+        universe, heaps = replay_ops(*args, **kwargs)
+        universe.telemetry.active.clear()
+        return universe, heaps
+
+    monkeypatch.setattr(fibcascade.cli, "replay_ops", replay_and_forget)
+    code = run_cli("bench", "--policy", "simple", "--ops", "2000", "--check")
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "active-children" in out + err
 
 
 def test_bench_jsonl_schema(tmp_path):

@@ -3,6 +3,7 @@ meld, delete, and the potential bookkeeping."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -45,6 +46,30 @@ def test_node_uses_slots():
     node = u.make_item(1)
     with pytest.raises(AttributeError):
         node.unexpected = True
+
+
+def test_an_item_in_no_heap_has_no_parent():
+    u = Universe()
+    h = u.make_heap(Policy.SIMPLE)
+    x = u.make_item(1)
+    assert x.parent is None
+    h.insert(x)
+    assert x.parent is x  # a root is its own parent
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_removed_items_do_not_refer_to_themselves(policy):
+    # a removed item is freed by reference count, not left for the collector
+    u = Universe()
+    h = u.make_heap(policy)
+    nodes = [u.make_item(k) for k in (5, 3, 8, 1, 9, 4)]
+    for node in nodes:
+        h.insert(node)
+    removed = [h.delete_min(), h.delete(nodes[2]), h.delete_min()]
+    assert removed == [nodes[3], nodes[2], nodes[1]]
+    for x in removed:
+        assert x.parent is None
+        assert x not in gc.get_referents(x)
 
 
 def test_insert_and_find_min():
