@@ -31,8 +31,6 @@ mirror-free consumer of the one trace interpreter, re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import Heap, Node, Policy, Universe
 from .instrumentation import (
     OpRecord,
@@ -191,26 +189,6 @@ def verify_t_shape(heap: Heap, k: int, missing: int | None = None) -> list[str]:
 # the builder
 
 
-@dataclass
-class BuildStats:
-    ops: int
-    est_time: float
-
-
-@dataclass
-class LowerBoundResult:
-    """One whole worst-case schedule: build + alternating insert/delete-min."""
-
-    m: int
-    k: int
-    build_ops: int
-    rounds: int
-    total_ops: int
-    total_est_time: float
-    final_size: int
-    rounds_sample: list[OpRecord] = field(default_factory=list)
-
-
 class _LastRecord:
     """A builder's record sink: the latest operation's record and the sum of
     all estimated times.  It does not refer back to the builder, so a
@@ -245,7 +223,6 @@ class AdversaryBuilder:
         self.op_count = 0
         self.trace: list[tuple] = []
         self._recording = recording
-        self._names: dict[int, str] = {}
         self._records = _LastRecord()
         self.universe.telemetry.record_sink = self._records
         if recording:
@@ -261,9 +238,7 @@ class AdversaryBuilder:
     def _insert(self, key: int) -> Node:
         node = self.universe.make_item(key)
         if self._recording:
-            name = f"x{node.uid}"
-            self._names[node.uid] = name
-            self.trace.append(("insert", "h0", name, key))
+            self.trace.append(("insert", "h0", f"x{node.uid}", key))
         self.heap.insert(node)
         self.op_count += 1
         return node
@@ -277,7 +252,7 @@ class AdversaryBuilder:
 
     def _decrease_key(self, node: Node, key: int) -> None:
         if self._recording:
-            self.trace.append(("decreasekey", self._names[node.uid], key))
+            self.trace.append(("decreasekey", f"x{node.uid}", key))
         self.heap.decrease_key(node, key)
         self.op_count += 1
 
@@ -292,7 +267,7 @@ class AdversaryBuilder:
 
     # -- construction -------------------------------------------------------
 
-    def build(self, k: int, verify_each_step: bool = False) -> BuildStats:
+    def build(self, k: int, verify_each_step: bool = False) -> None:
         """Grow the complete k-stage shape from nothing."""
         self._require(self.k == 0 and len(self.heap) == 0, "build on a used heap")
         self._require(k >= 1, "k must be at least 1")
@@ -316,7 +291,6 @@ class AdversaryBuilder:
             self.op_count == expected_ops,
             f"build used {self.op_count} ops, expected {expected_ops}",
         )
-        return BuildStats(ops=self.op_count, est_time=self.est_total)
 
     def _convert(self, k: int, i: int) -> None:
         """Rebuild the missing broom one index down: the shape goes from
@@ -445,9 +419,11 @@ VERIFY_ROUNDS = 3  # steady rounds shape-verified at each end of a schedule
 
 def run_lower_bound(
     m: int, seed: int = 0, recording: bool = False
-) -> tuple[LowerBoundResult, AdversaryBuilder]:
+) -> AdversaryBuilder:
     """The m-operation worst-case schedule: build the largest shape within
-    m/3 operations, then alternate insert / delete-min for the rest.
+    m/3 operations, then alternate insert / delete-min for the rest; returns
+    the builder, whose ``k``, ``op_count``, ``est_total`` and ``heap``
+    describe the finished schedule.
 
     Shape verification is spot-checked (first/last :data:`VERIFY_ROUNDS`
     rounds); every round still asserts the exact k fair links, which is the
@@ -455,25 +431,11 @@ def run_lower_bound(
     """
     if m < 12:
         raise ValueError("schedule too small to build anything")
-    k = max_k_within(m / 3)
     builder = AdversaryBuilder(seed=seed, recording=recording)
-    builder.build(k)
+    builder.build(max_k_within(m / 3))
     rounds = (m - builder.op_count) // 2
     builder.start_rounds()
-    sample: list[OpRecord] = []
     for r in range(rounds):
         verify = r < VERIFY_ROUNDS or r >= rounds - VERIFY_ROUNDS
-        stats = builder.steady_round(verify=verify)
-        if verify:
-            sample.append(stats)
-    result = LowerBoundResult(
-        m=m,
-        k=k,
-        build_ops=build_ops_needed(k),
-        rounds=rounds,
-        total_ops=builder.op_count,
-        total_est_time=builder.est_total,
-        final_size=len(builder.heap),
-        rounds_sample=sample,
-    )
-    return result, builder
+        builder.steady_round(verify=verify)
+    return builder

@@ -41,6 +41,7 @@ from typing import Any, NoReturn
 from .adversary import (
     AdversaryBuilder,
     ShapeError,
+    build_ops_needed,
     replay_ops,
     run_lower_bound,
     steady_tree_size,
@@ -353,66 +354,34 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # adversary
 
 
-def _steady_rows_direct(
-    ks: list[int], rounds: int, seed: int, sink: RowSink
-) -> list[tuple[float, float]]:
-    points = []
-    for k in ks:
-        builder = AdversaryBuilder(seed=seed)
-        builder.build(k)
-        tele = builder.universe.telemetry
-        builder.start_rounds()
-        link_total = 0
-        for _ in range(rounds):
-            t0 = time.perf_counter_ns()
-            stats = builder.steady_round(verify=True)
-            wall = time.perf_counter_ns() - t0
-            link_total += stats.fair_links + stats.naive_links
-            sink.write(
-                _row(
-                    Policy.NON_CASCADING.value,
-                    f"steady-k{k}",
-                    stats.n_before,
-                    "delete-min",
-                    stats,
-                    wall,
-                    tele.phi,
-                )
-            )
-        points.append((steady_tree_size(k), link_total / rounds))
-    return points
-
-
-def _steady_rows_replayed(
+def _steady_rows(
     ks: list[int], rounds: int, seed: int, policy: Policy, sink: RowSink
 ) -> list[tuple[float, float]]:
+    """Build each k-stage schedule and run its rounds shape-verified; write
+    one ``delete-min`` row per round, taken on ``simple`` from a replay of
+    the recorded schedule.  Returns (shape size, mean links) per k."""
+    replayed = policy is not Policy.NON_CASCADING
     points = []
     for k in ks:
-        builder = AdversaryBuilder(seed=seed, recording=True)
+        builder = AdversaryBuilder(seed=seed, recording=replayed)
         builder.build(k)
-        builder.run_rounds(rounds, verify=False)
-        records: list[OpRecord] = []
         t0 = time.perf_counter_ns()
-        universe, _ = replay_ops(
-            builder.trace, policy=policy, seed=seed, record_sink=records.append
-        )
-        wall = time.perf_counter_ns() - t0
-        deletes = [r for r in records if r.kind == "delete-min"][-rounds:]
-        for rec in deletes:
-            sink.write(
-                _row(
-                    policy.value,
-                    f"steady-k{k}",
-                    rec.n_before,
-                    "delete-min",
-                    rec,
-                    0,
-                    universe.telemetry.phi,
-                )
+        records = builder.run_rounds(rounds)
+        universe = builder.universe
+        if replayed:
+            records = []
+            universe, _ = replay_ops(
+                builder.trace, policy=policy, seed=seed, record_sink=records.append
             )
-        links = [r.links for r in deletes]
-        points.append((steady_tree_size(k), sum(links) / len(links)))
-        _log(sink, f"adversary k={k}: replay wall {wall} ns")
+            records = [r for r in records if r.kind == "delete-min"][-rounds:]
+        wall = time.perf_counter_ns() - t0
+        phi = universe.telemetry.phi
+        workload = f"steady-k{k}"
+        for rec in records:
+            row = _row(policy.value, workload, rec.n_before, "delete-min", rec, 0, phi)
+            sink.write(row)
+        points.append((steady_tree_size(k), sum(r.links for r in records) / rounds))
+        _log(sink, f"adversary k={k}: {rounds} rounds, wall {wall} ns")
     return points
 
 
@@ -424,6 +393,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     ):
         _usage_error("adversary takes exactly one policy: non-cascading or simple")
     policy = policies[0]
+    if args.m and policy is not Policy.NON_CASCADING:
+        _usage_error("adversary --m runs the non-cascading schedule only")
     sink = RowSink(args.out, args.format)
     failed = False
     try:
@@ -433,24 +404,17 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 ms = sorted({ms[0] // 10, 3 * ms[0] // 10, ms[0]})
             points = []
             for m in ms:
-                result, builder = run_lower_bound(m, seed=args.seed)
+                builder = run_lower_bound(m, seed=args.seed)
                 tele = builder.universe.telemetry
-                sink.write(
-                    _row(
-                        policy.value,
-                        f"lower-bound-m{m}",
-                        result.final_size,
-                        "all",
-                        tele,
-                        0,
-                        tele.phi,
-                    )
-                )
-                points.append((result.total_ops, result.total_est_time))
+                workload = f"lower-bound-m{m}"
+                size = len(builder.heap)
+                sink.write(_row(policy.value, workload, size, "all", tele, 0, tele.phi))
+                points.append((builder.op_count, builder.est_total))
+                rounds = (builder.op_count - build_ops_needed(builder.k)) // 2
                 _log(
                     sink,
-                    f"adversary m={m}: k={result.k} rounds={result.rounds}"
-                    f" est-total={result.total_est_time:.1f}",
+                    f"adversary m={m}: k={builder.k} rounds={rounds}"
+                    f" est-total={builder.est_total:.1f}",
                 )
             if len(points) >= 3:
                 slope = fit_exponent(points)
@@ -459,15 +423,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                     failed = True
                     _log(sink, f"FAIL: exponent {slope:.4f} < 1.25")
         else:
-            ks = args.k
-            if policy is Policy.NON_CASCADING:
-                points = _steady_rows_direct(ks, args.rounds, args.seed, sink)
-                lo, hi = 0.45, 0.55
-            else:
-                points = _steady_rows_replayed(
-                    ks, args.rounds, args.seed, policy, sink
-                )
-                lo, hi = None, 0.1
+            points = _steady_rows(args.k, args.rounds, args.seed, policy, sink)
+            lo, hi = (0.45, 0.55) if policy is Policy.NON_CASCADING else (None, 0.1)
             if len(points) >= 3:
                 slope = fit_exponent(points)
                 _log(

@@ -225,29 +225,22 @@ class TraceProfile:
             raise TraceError("n_ops must be nonnegative")
 
 
-class _ModelHeap:
-    """Generator-side bookkeeping for one heap: O(1) random member pick via
-    a swap-remove list, O(log n) minimum via a lazy-deletion key heap."""
-
-    __slots__ = ("key", "names", "pos", "pq")
+class _ModelHeap(OracleHeap):
+    """Generator-side bookkeeping for one heap: the reference heap plus an
+    O(1) random member pick via a swap-remove list of names."""
 
     def __init__(self) -> None:
-        self.key: dict[str, int] = {}
+        super().__init__()
         self.names: list[str] = []
         self.pos: dict[str, int] = {}
-        self.pq: list[tuple[int, str]] = []
 
-    def __len__(self) -> int:
-        return len(self.key)
-
-    def add(self, x: str, key: int) -> None:
-        self.key[x] = key
+    def insert(self, x: str, key: int) -> None:
+        super().insert(x, key)
         self.pos[x] = len(self.names)
         self.names.append(x)
-        heapq.heappush(self.pq, (key, x))
 
-    def drop(self, x: str) -> None:
-        del self.key[x]
+    def remove(self, x: str) -> None:
+        super().remove(x)
         i = self.pos.pop(x)
         last = self.names.pop()
         if last != x:
@@ -257,26 +250,11 @@ class _ModelHeap:
     def pick(self, rng: Random) -> str:
         return self.names[rng.randrange(len(self.names))]
 
-    def min_name(self) -> str:
-        while True:
-            key, x = self.pq[0]
-            if self.key.get(x) == key:
-                return x
-            heapq.heappop(self.pq)
-
-    def reduce(self, x: str, key: int) -> None:
-        self.key[x] = key
-        heapq.heappush(self.pq, (key, x))
-
-    def absorb(self, other: "_ModelHeap") -> None:
-        for x, key in other.key.items():
-            self.key[x] = key
+    def meld(self, other: "_ModelHeap") -> None:
+        for x in other._key:
             self.pos[x] = len(self.names)
             self.names.append(x)
-        if len(other.pq) > len(self.pq):
-            self.pq, other.pq = other.pq, self.pq
-        self.pq.extend(other.pq)
-        heapq.heapify(self.pq)
+        super().meld(other)
 
 
 def gen_trace(profile: TraceProfile) -> list[Op]:
@@ -305,8 +283,9 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
         h = live_heaps[rng.randrange(len(live_heaps))]
         x = f"x{n_items}"
         n_items += 1
-        members[h].add(x, fresh_key())
-        ops.append(("insert", h, x, members[h].key[x]))
+        key = fresh_key()
+        members[h].insert(x, key)
+        ops.append(("insert", h, x, key))
 
     def some_loaded() -> str | None:
         loaded = [h for h in live_heaps if members[h]]
@@ -333,7 +312,7 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
             if h is None:
                 emit_insert()
                 continue
-            members[h].drop(members[h].min_name())
+            members[h].remove(members[h].find_min()[1])
             ops.append(("deletemin", h))
         elif verb == "decreasekey":
             h = some_loaded()
@@ -342,11 +321,11 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
                 continue
             model = members[h]
             x = model.pick(rng)
-            key = model.key[x] - 1 - rng.randrange(DECREMENT_SPAN)
+            key = model._key[x] - 1 - rng.randrange(DECREMENT_SPAN)
             while key in seen_keys:
                 key -= 1
             seen_keys.add(key)
-            model.reduce(x, key)
+            model.decrease_key(x, key)
             ops.append(("decreasekey", x, key))
         elif verb == "delete":
             h = some_loaded()
@@ -354,7 +333,7 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
                 emit_insert()
                 continue
             x = members[h].pick(rng)
-            members[h].drop(x)
+            members[h].remove(x)
             ops.append(("delete", x))
         elif verb == "meld":
             if len(live_heaps) < 2:
@@ -362,7 +341,7 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
                 continue
             h1, h2 = rng.sample(live_heaps, 2)
             live_heaps.remove(h2)
-            members[h1].absorb(members.pop(h2))
+            members[h1].meld(members.pop(h2))
             ops.append(("meld", h1, h2))
         elif verb == "findmin":
             ops.append(("findmin", live_heaps[rng.randrange(len(live_heaps))]))

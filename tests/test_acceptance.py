@@ -52,9 +52,10 @@ def ksweep():
     data = {}
     for k in K_VALUES:
         builder = AdversaryBuilder(seed=0, recording=True)
-        build = builder.build(k)
+        builder.build(k)
+        build_est = builder.est_total
         rounds = builder.run_rounds(STEADY_ROUNDS, verify=True)
-        data[k] = (builder, build, rounds)
+        data[k] = (builder, build_est, rounds)
     return data
 
 
@@ -215,13 +216,13 @@ def test_criterion_05_steady_cycle(ksweep, report):
     build_constants = []
     bad_rounds = 0
     for k in K_VALUES:
-        _, build, rounds = ksweep[k]
+        _, build_est, rounds = ksweep[k]
         for stats in rounds:
             if stats.fair_links != k or stats.naive_links != 0:
                 bad_rounds += 1
         mean_links = sum(r.fair_links + r.naive_links for r in rounds) / len(rounds)
         density_points.append((rounds[0].n_before, mean_links))
-        build_constants.append(build.est_time / k**3)
+        build_constants.append(build_est / k**3)
     slope = fit_exponent(density_points)
     ratio = max(build_constants) / min(build_constants)
     ok = bad_rounds == 0 and 0.45 <= slope <= 0.55 and ratio <= 2.0
@@ -243,8 +244,8 @@ def test_criterion_06_sequence_cost_growth(ksweep, report):
     main_points = []
     m_builders = []
     for m in M_VALUES:
-        result, builder = run_lower_bound(m, seed=0, recording=True)
-        main_points.append((m, result.total_est_time))
+        builder = run_lower_bound(m, seed=0, recording=True)
+        main_points.append((m, builder.est_total))
         m_builders.append(builder)
     slope = fit_exponent(main_points)
 

@@ -10,6 +10,7 @@ import pytest
 
 from fibcascade import Policy, Universe
 from fibcascade.adversary import (
+    VERIFY_ROUNDS,
     AdversaryBuilder,
     ShapeError,
     build_ops_needed,
@@ -47,9 +48,9 @@ def test_max_k_within_matches_the_budget_table():
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
 def test_build_verified_at_every_step(k):
     builder = AdversaryBuilder(seed=0)
-    stats = builder.build(k, verify_each_step=True)
-    assert stats.ops == build_ops_needed(k)
-    assert builder.op_count == stats.ops
+    builder.build(k, verify_each_step=True)
+    assert builder.k == k
+    assert builder.op_count == build_ops_needed(k)
     assert len(builder.heap) == steady_tree_size(k)
     assert verify_t_shape(builder.heap, k) == []
 
@@ -171,18 +172,16 @@ def test_replay_on_op_callback_sees_every_step():
 
 
 def test_lower_bound_schedule_invariants():
-    result, builder = run_lower_bound(2000, seed=0)
-    assert result.k == max_k_within(2000 / 3)
-    assert result.build_ops == build_ops_needed(result.k)
-    assert result.total_ops <= result.m
-    assert result.total_ops == result.build_ops + 2 * result.rounds
-    assert result.final_size == steady_tree_size(result.k)
-    assert result.rounds_sample
-    for stats in result.rounds_sample:
-        assert stats.fair_links == result.k
-        assert stats.naive_links == 0
-    assert verify_t_shape(builder.heap, result.k) == []
-    assert result.total_est_time > result.rounds * result.k
+    # every round's exact k fair links is asserted by steady_round itself
+    builder = run_lower_bound(2000, seed=0)
+    k = builder.k
+    assert k == max_k_within(2000 / 3)
+    rounds = (2000 - build_ops_needed(k)) // 2
+    assert rounds > 2 * VERIFY_ROUNDS
+    assert builder.op_count == build_ops_needed(k) + 2 * rounds <= 2000
+    assert len(builder.heap) == steady_tree_size(k)
+    assert verify_t_shape(builder.heap, k) == []
+    assert builder.est_total > rounds * k
 
 
 def test_lower_bound_rejects_tiny_budgets():

@@ -59,6 +59,7 @@ ZERO_COUNTS = [
         ("verify", "--policy", "bogus"),
         ("bench", "--format", "xml"),
         ("adversary", "--policy", "classic"),  # schedule needs exact shapes
+        ("adversary", "--m", "3000", "--policy", "simple"),  # non-cascading only
         ("replay", "--policy", "bogus", "t.trace"),
         ("replay", "--policy", "simple,classic", "t.trace"),
         ("dijkstra", "--vertices", "1"),
@@ -230,6 +231,25 @@ def test_adversary_control_replay_on_simple(tmp_path, capsys):
     )
     assert code == 0
     assert "exponent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("policy", ["non-cascading", "simple"])
+def test_adversary_steady_rows_carry_no_wall_time(policy, tmp_path, capsys):
+    out = tmp_path / "steady.csv"
+    code = run_cli(
+        "adversary", "--k", "10..20:10", "--rounds", "3",
+        "--policy", policy, "--out", str(out),
+    )
+    assert code == 0
+    logged = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in logged] == [
+        "adversary k=10", "adversary k=20",
+    ]
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6  # 2 stages x 3 rounds
+    assert {row["policy"] for row in rows} == {policy}
+    assert {row["wall_time_ns"] for row in rows} == {"0"}
 
 
 def test_adversary_m_schedule_reports_totals(tmp_path, capsys):
