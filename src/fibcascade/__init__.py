@@ -15,8 +15,9 @@ Quick start::
 
 Everything a heap does is counted (links, comparisons, cascade steps, ...)
 and the structure's potential is tracked incrementally; see
-:mod:`fibcascade.instrumentation` for the checkers and the amortized audit,
-:mod:`fibcascade.oracle` for differential testing against a reference heap,
+:mod:`fibcascade.instrumentation` for the counters and the amortized audit,
+:mod:`fibcascade.oracle` for the invariant checks (``run_checks``) and
+differential testing against a reference heap,
 :mod:`fibcascade.adversary` for the worst-case operation sequences, and
 :mod:`fibcascade.cli` for the command-line front end.
 """
@@ -38,7 +39,6 @@ from .instrumentation import (
     PHI,
     SLACK,
     AmortizedAuditor,
-    CheckReport,
     OpRecord,
     Telemetry,
     audit_violations,
@@ -58,7 +58,6 @@ __all__ = [
     "SLACK",
     "UNMARKED",
     "AmortizedAuditor",
-    "CheckReport",
     "Heap",
     "HeapError",
     "Node",

@@ -1,4 +1,4 @@
-"""Counters, potential tracking, and structural checkers.
+"""Counters, potential tracking, and the amortized audit.
 
 One :class:`Telemetry` object is shared by every heap in an experiment
 universe, so operations that span heaps (meld) stay accountable to a single
@@ -7,13 +7,15 @@ potential function:
     phi = sum over nodes of (degree - rank)  +  1 per root  +  2 per marked node
 
 The heap code maintains ``phi`` incrementally as it mutates nodes; the pure
-:func:`compute_potential` traversal is the independent cross-check.
+:func:`compute_potential` traversal is the independent cross-check.  The
+invariant checks themselves are :func:`fibcascade.oracle.run_checks`; this
+module holds the rank bounds they assert (:data:`RANK_BOUNDS`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, sub
 from typing import Any, Callable, Iterable, Iterator
 
@@ -227,24 +229,6 @@ def degree(node) -> int:
     return d
 
 
-def subtree_size(root) -> int:
-    return sum(1 for _ in iter_subtree(root))
-
-
-def subtree_sizes(root) -> dict:
-    """Size of every subtree under ``root`` in one bottom-up pass."""
-    order = list(iter_subtree(root))
-    sizes: dict = {}
-    for node in reversed(order):
-        total = 1
-        child = node.child
-        while child is not None:
-            total += sizes[child]
-            child = child.after
-        sizes[node] = total
-    return sizes
-
-
 def compute_potential(roots: Iterable) -> int:
     """Potential by full traversal; the oracle for the incremental ``phi``."""
     from .core import MARKED
@@ -260,66 +244,7 @@ def compute_potential(roots: Iterable) -> int:
 
 
 # ---------------------------------------------------------------------------
-# checkers
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one checker pass over a heap."""
-
-    name: str
-    violations: list[str] = field(default_factory=list)
-    asserted: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def structure_violations(heap) -> CheckReport:
-    """Pointer discipline, heap order, rank sanity, and degree >= rank.
-
-    The degree >= rank clause is skipped for the randomized policy: its coin
-    may stop a walk before the cut child's parent was decremented, so ranks
-    exceeding degrees are within that rule's contract.
-    """
-    from .core import Policy
-
-    check_degree = heap.policy is not Policy.RANDOMIZED
-    report = CheckReport("structure")
-    seen = set()
-    for root in heap.iter_roots():
-        for node in iter_subtree(root):
-            if id(node) in seen:
-                report.violations.append(f"node {node.uid} reachable twice")
-                continue
-            seen.add(id(node))
-            if node.rank < 0:
-                report.violations.append(f"node {node.uid}: negative rank {node.rank}")
-            d = 0
-            prev = None
-            child = node.child
-            while child is not None:
-                d += 1
-                if child.parent is not node:
-                    report.violations.append(
-                        f"node {child.uid}: parent pointer does not match"
-                    )
-                if child.before is not prev:
-                    report.violations.append(
-                        f"node {child.uid}: broken sibling back-link"
-                    )
-                if child.key < node.key:
-                    report.violations.append(
-                        f"node {child.uid}: key {child.key!r} below parent's {node.key!r}"
-                    )
-                prev = child
-                child = child.after
-            if check_degree and d < node.rank:
-                report.violations.append(
-                    f"node {node.uid}: degree {d} < rank {node.rank}"
-                )
-    return report
+# asserted rank bounds
 
 
 #: The asserted rank bound of each policy, by tag: the name of its report
@@ -337,70 +262,6 @@ RANK_BOUNDS: dict[str, tuple[str, Callable[[int], int]]] = {
         ("rank-bound-pow2", lambda r: 1 << r),
     ),
 }
-
-
-def rank_bound_violations(heap) -> CheckReport:
-    """Subtree-size lower bounds implied by ranks, as :data:`RANK_BOUNDS`
-    asserts them; the Fibonacci bound, report-only, for the other policies.
-    """
-    asserted = RANK_BOUNDS.get(heap.policy.value)
-    if asserted is None:
-        report = CheckReport("rank-bound-report-only", asserted=False)
-        bound = lambda r: fib(r + 2)
-    else:
-        name, bound = asserted
-        report = CheckReport(name)
-    for root in heap.iter_roots():
-        sizes = subtree_sizes(root)
-        for node, size in sizes.items():
-            if node.rank >= 0 and size < bound(node.rank):
-                report.violations.append(
-                    f"node {node.uid}: size {size} < bound {bound(node.rank)}"
-                    f" for rank {node.rank}"
-                )
-    return report
-
-
-def active_children_violations(heap, active: dict) -> CheckReport:
-    """Every node must have at least ``rank`` active children.
-
-    ``active`` is the telemetry shadow ledger (fair-linked and not since
-    unmarked). Only meaningful for the policies that keep the classic
-    correspondence; the caller decides whether the verdict is asserted.
-    """
-    report = CheckReport("active-children")
-    for root in heap.iter_roots():
-        for node in iter_subtree(root):
-            live = 0
-            child = node.child
-            while child is not None:
-                if active.get(child, False):
-                    live += 1
-                child = child.after
-            if live < node.rank:
-                report.violations.append(
-                    f"node {node.uid}: {live} active children < rank {node.rank}"
-                )
-    return report
-
-
-def potential_violations(heap) -> CheckReport:
-    """Incremental phi must match the traversal and must never be negative.
-
-    Checks the whole universe the heap belongs to, since phi is shared.
-    """
-    report = CheckReport("potential")
-    tele = heap.universe.telemetry
-    total = 0
-    for h in heap.universe.live_heaps():
-        total += compute_potential(h.iter_roots())
-    if total != tele.phi:
-        report.violations.append(
-            f"incremental phi {tele.phi} != recomputed {total}"
-        )
-    if tele.phi < 0:
-        report.violations.append(f"negative phi {tele.phi}")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,7 @@ from random import Random
 from typing import Any, Callable, Iterable, Iterator
 
 from .core import MARKED, POLICY_TAGS, Heap, HeapError, Node, Policy, Universe
-from .instrumentation import (
-    active_children_violations,
-    RANK_BOUNDS,
-    compute_potential,
-    rank_bound_violations,
-    structure_violations,
-)
+from .instrumentation import RANK_BOUNDS
 
 Op = tuple  # one parsed trace line: (verb, arg, ...)
 
@@ -381,14 +375,19 @@ class ReplayVerdict:
 def _walk_checks(
     heap: Heap, floor: Callable[[int], int] | None, active: dict | None
 ) -> tuple[list[str], list[str], list[str], int]:
-    """One walk of a heap's trees for every asserted check.
+    """One walk of a heap's trees for every asserted clause: the program's
+    only copy of them.
 
-    Returns the violations :func:`structure_violations` finds, those of
-    :func:`rank_bound_violations` under ``floor`` (none without one), those
-    of :func:`active_children_violations` against ``active`` (none without
-    a ledger) and the heap's share of :func:`compute_potential`, in the
-    checkers' own words and order.  A heap in which some node is reached
-    twice is handed to the checkers themselves.
+    Returns, in walk order, the structure violations (pointer discipline,
+    heap order, rank sanity and degree >= rank), the nodes whose subtree is
+    smaller than ``floor`` of their rank (none without a floor), the nodes
+    with fewer children active in the ledger ``active`` than their rank
+    (none without a ledger), and the heap's share of the potential.  The
+    degree >= rank clause is skipped for ``randomized``: its coin may stop a
+    walk before the cut child's parent was decremented, so ranks above
+    degrees are within that rule's contract.  A node reached a second time
+    is reported once, as reachable twice, and not walked again, so the walk
+    ends on any pointer graph, a cycle included.
     """
     check_degree = heap.policy is not Policy.RANDOMIZED
     bad: list[str] = []
@@ -396,13 +395,16 @@ def _walk_checks(
     idle: list[str] = []
     phi = 0
     seen: set[Node] = set()
-    walked = 0
     for root in heap.iter_roots():
         phi += 1  # each root contributes one
         order = []
         stack = [root]
         while stack:
             node = stack.pop()
+            if node in seen:
+                bad.append(f"node {node.uid} reachable twice")
+                continue
+            seen.add(node)
             order.append(node)
             rank = node.rank
             if rank < 0:
@@ -434,27 +436,15 @@ def _walk_checks(
                 phi += 2
             if active is not None and live < rank:
                 idle.append(f"node {node.uid}: {live} active children < rank {rank}")
-        walked += len(order)
-        seen.update(order)
-        if len(seen) < walked:  # a node reached twice
-            return (
-                structure_violations(heap).violations,
-                [] if floor is None else rank_bound_violations(heap).violations,
-                []
-                if active is None
-                else active_children_violations(heap, active).violations,
-                compute_potential(heap.iter_roots()),
-            )
         if floor is not None:
             # each subtree is a run of the walk, which visits a node's first
-            # child last: a subtree ends where the one of that child ends
+            # child last: a subtree ends where the one of that child ends (a
+            # node whose first child this tree did not walk later is alone)
             ends: dict[Node, int] = {}
             i = len(order)
             for node in reversed(order):
                 i -= 1
-                first = node.child
-                end = i + 1 if first is None else ends[first]
-                ends[node] = end
+                end = ends[node] = ends.get(node.child, i + 1)
                 rank = node.rank
                 if rank > 0 and end - i < floor(rank):  # rank 0 asks for 1
                     short.append(
@@ -472,8 +462,7 @@ def run_checks(universe: Universe) -> list[str]:
     (the universe-wide total against the tracked phi, so its messages repeat
     under every heap's name) and, when the universe keeps the ledger
     (``track_active``), the active-children ledger on ``simple`` heaps; at
-    most five messages of each.  The standalone checkers of
-    :mod:`instrumentation` are the reference for this output.
+    most five messages of each.  :func:`_walk_checks` holds the clauses.
     """
     tele = universe.telemetry
     ledger = tele.active if tele.track_active else None

@@ -1,15 +1,156 @@
-"""The reference that ``oracle.run_checks`` is tested against: the
-standalone checkers, one heap at a time."""
+"""The reference that ``oracle.run_checks`` is tested against: standalone
+checkers, one heap and one clause at a time, each with its own traversal."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from fibcascade import Policy
 from fibcascade.instrumentation import (
-    active_children_violations,
-    potential_violations,
-    rank_bound_violations,
-    structure_violations,
+    RANK_BOUNDS,
+    compute_potential,
+    fib,
+    iter_subtree,
 )
+
+
+def subtree_size(root) -> int:
+    return sum(1 for _ in iter_subtree(root))
+
+
+def subtree_sizes(root) -> dict:
+    """Size of every subtree under ``root`` in one bottom-up pass."""
+    order = list(iter_subtree(root))
+    sizes: dict = {}
+    for node in reversed(order):
+        total = 1
+        child = node.child
+        while child is not None:
+            total += sizes[child]
+            child = child.after
+        sizes[node] = total
+    return sizes
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one checker pass over a heap."""
+
+    name: str
+    violations: list[str] = field(default_factory=list)
+    asserted: bool = True
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def structure_violations(heap) -> CheckReport:
+    """Pointer discipline, heap order, rank sanity, and degree >= rank.
+
+    The degree >= rank clause is skipped for the randomized policy: its coin
+    may stop a walk before the cut child's parent was decremented, so ranks
+    exceeding degrees are within that rule's contract.
+    """
+    check_degree = heap.policy is not Policy.RANDOMIZED
+    report = CheckReport("structure")
+    seen = set()
+    for root in heap.iter_roots():
+        for node in iter_subtree(root):
+            if id(node) in seen:
+                report.violations.append(f"node {node.uid} reachable twice")
+                continue
+            seen.add(id(node))
+            if node.rank < 0:
+                report.violations.append(f"node {node.uid}: negative rank {node.rank}")
+            d = 0
+            prev = None
+            child = node.child
+            while child is not None:
+                d += 1
+                if child.parent is not node:
+                    report.violations.append(
+                        f"node {child.uid}: parent pointer does not match"
+                    )
+                if child.before is not prev:
+                    report.violations.append(
+                        f"node {child.uid}: broken sibling back-link"
+                    )
+                if child.key < node.key:
+                    report.violations.append(
+                        f"node {child.uid}: key {child.key!r} below parent's {node.key!r}"
+                    )
+                prev = child
+                child = child.after
+            if check_degree and d < node.rank:
+                report.violations.append(
+                    f"node {node.uid}: degree {d} < rank {node.rank}"
+                )
+    return report
+
+
+def rank_bound_violations(heap) -> CheckReport:
+    """Subtree-size lower bounds implied by ranks, as :data:`RANK_BOUNDS`
+    asserts them; the Fibonacci bound, report-only, for the other policies.
+    """
+    asserted = RANK_BOUNDS.get(heap.policy.value)
+    if asserted is None:
+        report = CheckReport("rank-bound-report-only", asserted=False)
+        bound = lambda r: fib(r + 2)
+    else:
+        name, bound = asserted
+        report = CheckReport(name)
+    for root in heap.iter_roots():
+        sizes = subtree_sizes(root)
+        for node, size in sizes.items():
+            if node.rank >= 0 and size < bound(node.rank):
+                report.violations.append(
+                    f"node {node.uid}: size {size} < bound {bound(node.rank)}"
+                    f" for rank {node.rank}"
+                )
+    return report
+
+
+def active_children_violations(heap, active: dict) -> CheckReport:
+    """Every node must have at least ``rank`` active children.
+
+    ``active`` is the telemetry shadow ledger (fair-linked and not since
+    unmarked). Only meaningful for the policies that keep the classic
+    correspondence; the caller decides whether the verdict is asserted.
+    """
+    report = CheckReport("active-children")
+    for root in heap.iter_roots():
+        for node in iter_subtree(root):
+            live = 0
+            child = node.child
+            while child is not None:
+                if active.get(child, False):
+                    live += 1
+                child = child.after
+            if live < node.rank:
+                report.violations.append(
+                    f"node {node.uid}: {live} active children < rank {node.rank}"
+                )
+    return report
+
+
+def potential_violations(heap) -> CheckReport:
+    """Incremental phi must match the traversal and must never be negative.
+
+    Checks the whole universe the heap belongs to, since phi is shared.
+    """
+    report = CheckReport("potential")
+    tele = heap.universe.telemetry
+    total = 0
+    for h in heap.universe.live_heaps():
+        total += compute_potential(h.iter_roots())
+    if total != tele.phi:
+        report.violations.append(
+            f"incremental phi {tele.phi} != recomputed {total}"
+        )
+    if tele.phi < 0:
+        report.violations.append(f"negative phi {tele.phi}")
+    return report
 
 
 def run_checks_per_heap(universe, include_active=False):

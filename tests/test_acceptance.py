@@ -18,13 +18,10 @@ from fibcascade.adversary import (
     steady_tree_size,
 )
 from fibcascade.cli import dijkstra_policy, dijkstra_reference, gen_graph
-from fibcascade.instrumentation import (
-    AmortizedAuditor,
-    active_children_violations,
-    fit_exponent,
-    rank_bound_violations,
-)
+from fibcascade.instrumentation import AmortizedAuditor, fit_exponent
 from fibcascade.oracle import TraceProfile, gen_trace, replay_differential
+
+from _reference import active_children_violations, rank_bound_violations
 
 ALL_TAGS = tuple(p.value for p in Policy)
 

@@ -19,8 +19,9 @@ from fibcascade import (
     UNMARKED,
     Universe,
 )
-from fibcascade.instrumentation import degree, subtree_size
+from fibcascade.instrumentation import degree
 
+from _reference import subtree_size
 from _shaping import adopt, assert_phi_consistent, child_keys, counters_delta, wire
 
 TREE_POLICIES = [p for p in Policy if p is not Policy.CLASSIC]

@@ -19,10 +19,9 @@ from fibcascade import (
     log_phi,
     lucas,
 )
-from fibcascade.instrumentation import (
-    AmortizedAuditor,
-    OpRecord,
-    fit_exponent,
+from fibcascade.instrumentation import AmortizedAuditor, OpRecord, fit_exponent
+
+from _reference import (
     potential_violations,
     rank_bound_violations,
     structure_violations,

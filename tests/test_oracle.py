@@ -470,7 +470,7 @@ def test_run_checks_matches_the_checkers_on_corrupted_heaps(tag, corruption):
     assert want
 
 
-def test_run_checks_hands_a_node_reached_twice_to_the_checkers():
+def test_run_checks_reports_a_node_reached_twice_once():
     from fibcascade import Universe
 
     u = Universe(track_active=True)
@@ -478,10 +478,24 @@ def test_run_checks_hands_a_node_reached_twice_to_the_checkers():
     for k in range(20):
         h.insert(u.make_item(k))
     h.delete_min()
-    h.roots.append(h.roots[-1])
-    want = run_checks_per_heap(u, include_active=True)
-    assert any("reachable twice" in v for v in want)
-    assert run_checks(u) == want
+    h.roots.append(h.roots[-1])  # a one-node tree, listed twice
+    assert run_checks(u) == [
+        "h0/structure: node 1 reachable twice",
+        "h0/potential: incremental phi 3 != recomputed 4",
+    ]
+
+
+def test_run_checks_ends_on_a_pointer_cycle():
+    from fibcascade import Universe
+
+    u = Universe(track_active=True)
+    h = u.make_heap("simple", "h0")
+    for k in range(20):
+        h.insert(u.make_item(k))
+    h.delete_min()
+    h.root.child.child = h.root
+    found = run_checks(u)
+    assert f"h0/structure: node {h.root.uid} reachable twice" in found
 
 
 def test_failing_replay_verdicts_are_pinned(monkeypatch):

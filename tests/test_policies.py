@@ -13,10 +13,10 @@ import pytest
 
 from fibcascade import MARKED, PASSIVE, Policy, UNMARKED, Universe
 from fibcascade.adversary import replay_ops
-from fibcascade.instrumentation import rank_bound_violations
 from fibcascade.oracle import parse_trace
 from fibcascade.policies import POLICY_DECREASE
 
+from _reference import rank_bound_violations
 from _shaping import adopt, assert_phi_consistent, counters_delta, wire
 
 
