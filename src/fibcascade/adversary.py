@@ -39,7 +39,7 @@ from .instrumentation import (
 )
 from .oracle import replay_ops  # noqa: F401  (re-exported: schedules are replayed with it)
 
-SIGMA_STRIDE = 1 << 16  # low zone: root-line keys (initial roots, promotes, repulls)
+SIGMA_STRIDE = 1 << 24  # low zone: root-line keys (initial roots, promotes, repulls)
 RUNG_BASE = 1 << 50  # high zone: broom roots and their leaves
 RUNG_STRIDE = 1 << 20
 
@@ -67,10 +67,10 @@ class ShapeError(AssertionError):
 class _KeyAllocator:
     """Key zones keeping every comparison's winner predetermined.
 
-    Low zone: an ascending counter striding by 2**16; each stride ceiling is
-    handed to a node that must sit directly above the root (a promoted S_0 or
-    a re-pulled leaf), leaving the 65535 keys underneath for the steady
-    rounds' inserts, which go root_key + 1, +2, ...
+    Low zone: an ascending counter striding by 2**24, below the high zone;
+    each stride ceiling is handed to a node that must sit directly above the
+    root (a promoted S_0 or a re-pulled leaf), leaving the 2**24 - 1 keys
+    underneath for the steady rounds' inserts, which go root_key + 1, +2, ...
 
     High zone (from 2**50): broom keys.  Each phase's new S_1 root tops all
     previous high keys by a 2**20 stride; conversion pairs for rebuilding
@@ -87,6 +87,8 @@ class _KeyAllocator:
         self._gap_next: dict[int, int] = {}
 
     def barrier(self) -> int:
+        if self._low + SIGMA_STRIDE >= RUNG_BASE:
+            raise ShapeError(f"low-zone keys exhausted at {self._low}")
         self._low += SIGMA_STRIDE
         return self._low
 

@@ -10,9 +10,12 @@ import pytest
 
 from fibcascade import Policy, Universe
 from fibcascade.adversary import (
+    RUNG_BASE,
+    SIGMA_STRIDE,
     VERIFY_ROUNDS,
     AdversaryBuilder,
     ShapeError,
+    _KeyAllocator,
     build_ops_needed,
     max_k_within,
     replay_ops,
@@ -133,6 +136,17 @@ def test_broken_round_raises_shape_error():
         broom.child = leaf.after
     with pytest.raises(ShapeError):
         builder.steady_round(verify=True)
+
+
+def test_low_zone_overflow_raises_shape_error():
+    # the low zone's last barrier stays below the broom keys
+    alloc = _KeyAllocator()
+    alloc._low = RUNG_BASE - SIGMA_STRIDE - 1
+    assert alloc.barrier() == RUNG_BASE - 1
+    alloc._low = RUNG_BASE - SIGMA_STRIDE
+    with pytest.raises(ShapeError, match="low-zone keys exhausted"):
+        alloc.barrier()
+    assert alloc._low == RUNG_BASE - SIGMA_STRIDE
 
 
 def test_recorded_trace_rebuilds_the_same_state():
