@@ -417,6 +417,7 @@ def max_k_within(budget_ops: float) -> int:
 
 
 VERIFY_ROUNDS = 3  # steady rounds shape-verified at each end of a schedule
+MIN_M = 12  # the smallest operation count run_lower_bound takes
 
 
 def run_lower_bound(
@@ -431,8 +432,8 @@ def run_lower_bound(
     rounds); every round still asserts the exact k fair links, which is the
     property the cost bound rides on.
     """
-    if m < 12:
-        raise ValueError("schedule too small to build anything")
+    if m < MIN_M:
+        raise ValueError(f"schedule too small to build anything (m < {MIN_M})")
     builder = AdversaryBuilder(seed=seed, recording=recording)
     builder.build(max_k_within(m / 3))
     rounds = (m - builder.op_count) // 2

@@ -39,6 +39,7 @@ from types import SimpleNamespace
 from typing import Any, NoReturn
 
 from .adversary import (
+    MIN_M,
     AdversaryBuilder,
     ShapeError,
     build_ops_needed,
@@ -385,6 +386,12 @@ def _steady_rows(
     return points
 
 
+#: The smallest largest ``--m`` that ``adversary --m --check`` accepts: the
+#: fitted exponent first reaches its 1.25 gate there (1.2462 at 50,000,
+#: 1.2501 at 70,000, 1.2561 at 100,000).
+CHECK_MIN_M = 100_000
+
+
 def cmd_adversary(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, [Policy.NON_CASCADING.value])
     if len(policies) != 1 or policies[0] not in (
@@ -395,6 +402,11 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     policy = policies[0]
     if args.m and policy is not Policy.NON_CASCADING:
         _usage_error("adversary --m runs the non-cascading schedule only")
+    if args.m and args.check and max(args.m) < CHECK_MIN_M:
+        _usage_error(
+            f"adversary --m {max(args.m)} --check: the total-cost exponent"
+            f" gate (>= 1.25) needs a largest --m of at least {CHECK_MIN_M}"
+        )
     sink = RowSink(args.out, args.format)
     failed = False
     try:
@@ -666,6 +678,16 @@ def _positive(text: str) -> int:
     return value
 
 
+def _schedule_ops(text: str) -> int:
+    """The argparse type of ``adversary --m``: a schedule's operation count."""
+    value = _count(text)
+    if value < MIN_M:
+        raise argparse.ArgumentTypeError(
+            f"expected at least {MIN_M} operations, got {text!r}"
+        )
+    return value
+
+
 def _count_list(text: str) -> list[int]:
     return [_count(part) for part in text.split(",") if part]
 
@@ -722,10 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--m",
         action="append",
-        type=_count,
+        type=_schedule_ops,
         metavar="OPS",
-        help="run whole lower-bound schedules of this many operations"
-        " (repeatable; with --check a single value expands to m/10, 3m/10, m)",
+        help=f"run whole lower-bound schedules of this many operations, at"
+        f" least {MIN_M} (repeatable; with --check a single value expands to"
+        f" m/10, 3m/10, m, and the largest must be at least {CHECK_MIN_M:,}:"
+        f" below that the exponent falls short of 1.25 on correct code)",
     )
     p.set_defaults(func=cmd_adversary)
 

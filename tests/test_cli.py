@@ -66,6 +66,9 @@ ZERO_COUNTS = [
         *NEGATIVE_COUNTS,
         *ZERO_COUNTS,
         ("verify", "--check"),  # verify always runs the full battery
+        ("adversary", "--m", "0"),  # a schedule needs at least 12 operations
+        ("adversary", "--m", "11"),
+        ("adversary", "--m", "3000", "--check"),  # the gate holds from 10^5
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -87,6 +90,22 @@ def test_negative_counts_name_their_flag(argv, capsys):
     assert f"argument {argv[-2]}: expected {want} integer" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("adversary", "--m", "0"),
+        ("adversary", "--m", "11"),
+        ("adversary", "--m", "3000", "--check"),
+        ("adversary", "--m", "50000", "--m", "99999", "--check"),
+    ],
+)
+def test_adversary_m_out_of_range_names_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    assert "--m" in capsys.readouterr().err
 
 
 def test_parse_policies_expands_lists_and_all():
