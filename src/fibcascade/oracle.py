@@ -458,37 +458,34 @@ def run_checks(universe: Universe) -> list[str]:
     """Asserted invariant checks of every live heap of ``universe``, one
     walk per heap; failures as messages.
 
-    Per heap, in order: structure, the asserted rank bound, the potential
-    (the universe-wide total against the tracked phi, so its messages repeat
-    under every heap's name) and, when the universe keeps the ledger
-    (``track_active``), the active-children ledger on ``simple`` heaps; at
-    most five messages of each.  :func:`_walk_checks` holds the clauses.
+    Per heap, in order: structure, the asserted rank bound and, when the
+    universe keeps the ledger (``track_active``), the active-children
+    ledger on ``simple`` heaps; at most five messages of each.  Then, once,
+    as ``universe/potential``, the potential: the tracked phi against the
+    total of every heap's share, and never negative.  :func:`_walk_checks`
+    holds the clauses.
     """
     tele = universe.telemetry
     ledger = tele.active if tele.track_active else None
-    walked = []
+    out: list[str] = []
     phi = 0
     for heap in universe.live_heaps():
         bound, floor = RANK_BOUNDS.get(heap.policy.value, (None, None))
         active = ledger if heap.policy is Policy.SIMPLE else None
         bad, short, idle, share = _walk_checks(heap, floor, active)
         phi += share
-        walked.append((heap.name, bad, bound, short, idle))
-    potential = []
-    if phi != tele.phi:
-        potential.append(f"incremental phi {tele.phi} != recomputed {phi}")
-    if tele.phi < 0:
-        potential.append(f"negative phi {tele.phi}")
-    out: list[str] = []
-    for name, bad, bound, short, idle in walked:
         for check, found in (
             ("structure", bad),
             (bound, short),
-            ("potential", potential),
             ("active-children", idle),
         ):
-            if found:
-                out.extend(f"{name}/{check}: {v}" for v in found[:5])
+            out.extend(f"{heap.name}/{check}: {v}" for v in found[:5])
+    if phi != tele.phi:
+        out.append(
+            f"universe/potential: incremental phi {tele.phi} != recomputed {phi}"
+        )
+    if tele.phi < 0:
+        out.append(f"universe/potential: negative phi {tele.phi}")
     return out
 
 

@@ -366,6 +366,23 @@ def test_run_checks_clean_heap_with_and_without_active_tracking():
         assert run_checks(u) == []
 
 
+def test_run_checks_reports_the_universe_potential_once():
+    from fibcascade import Universe
+
+    u = Universe()
+    for name in ("h0", "h1", "h2"):
+        h = u.make_heap("simple", name)
+        for k in range(10):
+            h.insert(u.make_item(k))
+        h.delete_min()
+    phi = u.telemetry.phi
+    u.telemetry.phi = -1
+    assert run_checks(u) == [
+        f"universe/potential: incremental phi -1 != recomputed {phi}",
+        "universe/potential: negative phi -1",
+    ]
+
+
 def _compare_checks(ops, policy, every, track_active=True):
     """Replay ``ops`` and, after every ``every``-th op, require run_checks to
     give the standalone checkers' messages, the ledger's exactly when the
@@ -481,7 +498,7 @@ def test_run_checks_reports_a_node_reached_twice_once():
     h.roots.append(h.roots[-1])  # a one-node tree, listed twice
     assert run_checks(u) == [
         "h0/structure: node 1 reachable twice",
-        "h0/potential: incremental phi 3 != recomputed 4",
+        "universe/potential: incremental phi 3 != recomputed 4",
     ]
 
 
