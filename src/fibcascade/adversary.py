@@ -433,7 +433,7 @@ def run_lower_bound(
     property the cost bound rides on.
     """
     if m < MIN_M:
-        raise ValueError(f"schedule too small to build anything (m < {MIN_M})")
+        raise ValueError("schedule too small to build anything")
     builder = AdversaryBuilder(seed=seed, recording=recording)
     builder.build(max_k_within(m / 3))
     rounds = (m - builder.op_count) // 2

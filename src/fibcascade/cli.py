@@ -386,9 +386,9 @@ def _steady_rows(
     return points
 
 
-#: The smallest largest ``--m`` that ``adversary --m --check`` accepts: the
-#: fitted exponent first reaches its 1.25 gate there (1.2462 at 50,000,
-#: 1.2501 at 70,000, 1.2561 at 100,000).
+#: The least value the largest ``--m`` may take under ``--check``: the fitted
+#: total-cost exponent first reaches its 1.25 gate there on correct code
+#: (1.2462 at 50,000, 1.2501 at 70,000, 1.2561 at 100,000).
 CHECK_MIN_M = 100_000
 
 
