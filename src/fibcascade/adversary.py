@@ -403,9 +403,9 @@ class AdversaryBuilder:
             self._verify(k)
         return rec
 
-    def run_rounds(self, rounds: int, verify: bool = True) -> list[OpRecord]:
+    def run_rounds(self, rounds: int) -> list[OpRecord]:
         self.start_rounds()
-        return [self.steady_round(verify=verify) for _ in range(rounds)]
+        return [self.steady_round() for _ in range(rounds)]
 
 
 def max_k_within(budget_ops: float) -> int:

@@ -31,7 +31,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 from pathlib import Path
@@ -51,7 +50,6 @@ from .core import POLICY_TAGS, HeapError, Policy, Universe
 from .instrumentation import AmortizedAuditor, OpRecord, fit_exponent
 from .oracle import (
     TraceError,
-    TraceProfile,
     gen_trace,
     parse_trace,
     replay_differential,
@@ -204,19 +202,17 @@ def _aggregate_rows(
 def cmd_verify(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, ["all"])
     sink = RowSink(args.out, args.format)
+    # one tally per selected policy, in order; its rows wait for the last trace
+    tallies = [
+        SimpleNamespace(divergences=0, checks=0, audits=0, first="", rows=[])
+        for _ in policies
+    ]
     failed = False
     try:
-        for policy in policies:
-            divergences = 0
-            check_failures = 0
-            audit_violations = 0
-            first_problem = ""
-            for t in range(args.traces):
-                trace_seed = args.seed + t
-                profile = TraceProfile(
-                    n_ops=args.ops, seed=trace_seed, policy=policy.value
-                )
-                ops = gen_trace(profile)
+        for t in range(args.traces):
+            trace_seed = args.seed + t
+            ops = gen_trace(args.ops, trace_seed)
+            for policy, tally in zip(policies, tallies):
                 auditor = AmortizedAuditor() if policy is Policy.SIMPLE else None
                 records: list[OpRecord] = []
                 # records are built only for a row to write; without --out
@@ -232,6 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 t0 = time.perf_counter_ns()
                 verdict = replay_differential(
                     ops,
+                    policy=policy,
                     seed=trace_seed,
                     strict_identity=True,
                     check_interval=25,
@@ -239,28 +236,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
                 wall = time.perf_counter_ns() - t0
                 if verdict.divergence:
-                    divergences += 1
-                    first_problem = first_problem or verdict.divergence
+                    tally.divergences += 1
+                    tally.first = tally.first or verdict.divergence
                 if verdict.check_failures:
-                    check_failures += len(verdict.check_failures)
-                    first_problem = first_problem or verdict.check_failures[0]
+                    tally.checks += len(verdict.check_failures)
+                    tally.first = tally.first or verdict.check_failures[0]
                 if auditor is not None and not auditor.ok:
-                    audit_violations += auditor.violation_count
-                    first_problem = first_problem or auditor.violations[0]
+                    tally.audits += auditor.violation_count
+                    tally.first = tally.first or auditor.violations[0]
                 if args.out is not None:
                     rows = _aggregate_rows(
                         policy, f"fuzz-seed{trace_seed}", records, 0.0, wall
                     )
-                    sink.write(rows[-1])  # the total
-            ok = not (divergences or check_failures or audit_violations)
+                    tally.rows.append(rows[-1])  # the total
+        for policy, tally in zip(policies, tallies):
+            for row in tally.rows:
+                sink.write(row)
+            ok = not (tally.divergences or tally.checks or tally.audits)
             failed = failed or not ok
             verdict_word = "ok" if ok else "FAIL"
             _log(
                 sink,
                 f"verify {policy.value}: {args.traces} traces x {args.ops} ops"
-                f" — {divergences} divergences, {check_failures} check failures,"
-                f" {audit_violations} audit violations [{verdict_word}]"
-                + (f" ({first_problem})" if first_problem else ""),
+                f" — {tally.divergences} divergences, {tally.checks} check"
+                f" failures, {tally.audits} audit violations [{verdict_word}]"
+                + (f" ({tally.first})" if tally.first else ""),
             )
     finally:
         sink.close()
@@ -301,6 +301,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, ["all"])
     sink = RowSink(args.out, args.format)
     failed = False
+    ops = None if args.sizes else gen_trace(args.ops, args.seed)
     try:
         for policy in policies:
             if args.sizes:
@@ -311,15 +312,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     ):
                         sink.write(row)
             else:
-                profile = TraceProfile(
-                    n_ops=args.ops, seed=args.seed, policy=policy.value
-                )
-                ops = gen_trace(profile)
                 records = []
                 t0 = time.perf_counter_ns()
                 universe, _ = replay_ops(
-                    ops, seed=args.seed, record_sink=records.append,
-                    track_active=args.check,
+                    ops, policy=policy, seed=args.seed,
+                    record_sink=records.append, track_active=args.check,
                 )
                 wall = time.perf_counter_ns() - t0
                 if args.check:
@@ -407,6 +404,17 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             f"adversary --m {max(args.m)} --check: the total-cost exponent"
             f" gate (>= 1.25) needs a largest --m of at least {CHECK_MIN_M}"
         )
+    # --check fits an exponent, which takes at least three distinct sizes
+    if args.m and args.check and len(args.m) > 1 and len(set(args.m)) < 3:
+        _usage_error(
+            "adversary --check: give one --m (expanded to m/10, 3m/10, m)"
+            " or at least three distinct --m values"
+        )
+    if not args.m and args.check and len(args.k) < 3:
+        _usage_error(
+            f"adversary --check: --k gives {len(args.k)} stage value(s);"
+            " the exponent fit needs at least three"
+        )
     sink = RowSink(args.out, args.format)
     failed = False
     try:
@@ -449,8 +457,6 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                         failed = True
                         band = f"<= {hi}" if lo is None else f"[{lo}, {hi}]"
                         _log(sink, f"FAIL: exponent {slope:.4f} outside {band}")
-            elif args.check:
-                _log(sink, "note: fewer than 3 k values, no exponent fit")
     except ShapeError as exc:
         _log(sink, f"FAIL: {exc}")
         failed = True
@@ -463,26 +469,18 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 # dijkstra
 
 
-@dataclass
-class Graph:
-    vertices: int
-    edges: list[tuple[int, int, int]]
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-        return adj
-
-
-def gen_graph(vertices: int, edges: int, seed: int) -> Graph:
-    """Uniform random simple directed graph; weights uniform in [0, 2^32)."""
+def gen_graph(
+    vertices: int, edges: int, seed: int
+) -> list[list[tuple[int, int]]]:
+    """Uniform random simple directed graph as adjacency lists of (head,
+    weight) pairs, each list in arc generation order; weights uniform in
+    [0, 2^32)."""
     if vertices < 2 or edges > vertices * (vertices - 1):
         raise ValueError("impossible graph dimensions")
     rng = random.Random(seed)
     seen: set[int] = set()
-    out: list[tuple[int, int, int]] = []
-    while len(out) < edges:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
+    while len(seen) < edges:
         u = rng.randrange(vertices)
         v = rng.randrange(vertices)
         if u == v:
@@ -491,8 +489,8 @@ def gen_graph(vertices: int, edges: int, seed: int) -> Graph:
         if code in seen:
             continue
         seen.add(code)
-        out.append((u, v, rng.getrandbits(32)))
-    return Graph(vertices=vertices, edges=out)
+        adj[u].append((v, rng.getrandbits(32)))
+    return adj
 
 
 def dijkstra_reference(adj: list[list[tuple[int, int]]]) -> list[int | None]:
@@ -514,10 +512,7 @@ UNREACHED = 1 << 62  # above any real path length at these sizes
 
 
 def dijkstra_policy(
-    graph: Graph,
-    adj: list[list[tuple[int, int]]],
-    policy: Policy,
-    seed: int,
+    adj: list[list[tuple[int, int]]], policy: Policy, seed: int
 ) -> tuple[list[int | None], dict, int]:
     """Distances from vertex 0.  All vertices go in up front at an unreached
     sentinel key; relaxing an edge is a decrease-key, settling a vertex is a
@@ -526,11 +521,11 @@ def dijkstra_policy(
     heap = universe.make_heap(policy, "sssp")
     nodes = [
         universe.make_item(0 if v == 0 else UNREACHED, info=v)
-        for v in range(graph.vertices)
+        for v in range(len(adj))
     ]
     for node in nodes:
         heap.insert(node)
-    dist: list[int | None] = [None] * graph.vertices
+    dist: list[int | None] = [None] * len(adj)
     decrease_calls = 0
     delete_calls = 0
     while not heap.is_empty:
@@ -555,31 +550,28 @@ def dijkstra_policy(
 def cmd_dijkstra(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, ["all"])
     try:
-        graph = gen_graph(args.vertices, args.edges, args.seed)
+        adj = gen_graph(args.vertices, args.edges, args.seed)
     except ValueError as exc:
         _usage_error(f"--vertices {args.vertices} --edges {args.edges}: {exc}")
     sink = RowSink(args.out, args.format)
     failed = False
     try:
-        adj = graph.adjacency()
         reference = dijkstra_reference(adj)
         for policy in policies:
             t0 = time.perf_counter_ns()
-            dist, stats, phi = dijkstra_policy(graph, adj, policy, args.seed)
+            dist, stats, phi = dijkstra_policy(adj, policy, args.seed)
             wall = time.perf_counter_ns() - t0
             problems = []
             if dist != reference:
-                bad = next(
-                    i for i in range(graph.vertices) if dist[i] != reference[i]
-                )
+                bad = next(i for i in range(len(adj)) if dist[i] != reference[i])
                 problems.append(
                     f"distance mismatch at vertex {bad}:"
                     f" {dist[bad]} != {reference[bad]}"
                 )
             if args.check:
-                if stats["decrease_calls"] > len(graph.edges):
+                if stats["decrease_calls"] > args.edges:
                     problems.append("more decrease-keys than edges")
-                if stats["delete_calls"] > graph.vertices:
+                if stats["delete_calls"] > args.vertices:
                     problems.append("more delete-mins than vertices")
                 links = stats["fair_links"] + stats["naive_links"]
                 if policy is Policy.SIMPLE and stats["comparisons"] != links:
@@ -592,15 +584,15 @@ def cmd_dijkstra(args: argparse.Namespace) -> int:
             else:
                 _log(
                     sink,
-                    f"dijkstra {policy.value}: {graph.vertices} vertices"
-                    f" {len(graph.edges)} edges ok"
+                    f"dijkstra {policy.value}: {args.vertices} vertices"
+                    f" {args.edges} edges ok"
                     f" ({stats['decrease_calls']} decrease-keys)",
                 )
             sink.write(
                 _row(
                     policy.value,
-                    f"dijkstra-v{graph.vertices}-e{len(graph.edges)}",
-                    graph.vertices,
+                    f"dijkstra-v{args.vertices}-e{args.edges}",
+                    args.vertices,
                     "all",
                     SimpleNamespace(**stats),
                     wall,
@@ -738,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_k_spec,
         default=_parse_k_spec("10..100"),
         metavar="K|LO..HI[:STEP]",
-        help="steady-cycle stage sweep (default 10..100 step 10)",
+        help="steady-cycle stage sweep (default 10..100 step 10; with --check"
+        " at least three values)",
     )
     p.add_argument("--rounds", type=_positive, default=50)
     p.add_argument(
@@ -747,9 +740,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_schedule_ops,
         metavar="OPS",
         help=f"run whole lower-bound schedules of this many operations, at"
-        f" least {MIN_M} (repeatable; with --check a single value expands to"
-        f" m/10, 3m/10, m, and the largest must be at least {CHECK_MIN_M:,}:"
-        f" below that the exponent falls short of 1.25 on correct code)",
+        f" least {MIN_M} (repeatable; with --check give one value, which"
+        f" expands to m/10, 3m/10, m, or at least three distinct values, and"
+        f" the largest must be at least {CHECK_MIN_M:,}: below that the"
+        f" exponent falls short of 1.25 on correct code)",
     )
     p.set_defaults(func=cmd_adversary)
 

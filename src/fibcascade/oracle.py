@@ -200,25 +200,6 @@ KEY_SPAN = 1 << 40  # inserted keys are drawn from [-KEY_SPAN, KEY_SPAN)
 DECREMENT_SPAN = 1 << 20  # a decrease-key lowers a key by 1..DECREMENT_SPAN
 
 
-@dataclass
-class TraceProfile:
-    """Knobs for :func:`gen_trace`; same profile + seed => same trace.
-
-    ``n_ops`` counts heap operations — standalone ``item`` declarations are
-    free.  Generated keys are globally unique so that the trace is valid
-    under every tie-breaking choice a policy might make.
-    """
-
-    n_ops: int = 1000
-    seed: int = 0
-    policy: str = "simple"
-    max_heaps: int = 4
-
-    def validate(self) -> None:
-        if self.n_ops < 0:
-            raise TraceError("n_ops must be nonnegative")
-
-
 class _ModelHeap(OracleHeap):
     """Generator-side bookkeeping for one heap: the reference heap plus an
     O(1) random member pick via a swap-remove list of names."""
@@ -251,19 +232,28 @@ class _ModelHeap(OracleHeap):
         super().meld(other)
 
 
-def gen_trace(profile: TraceProfile) -> list[Op]:
-    """Generate a random, precondition-respecting trace."""
-    profile.validate()
-    rng = Random(profile.seed)
+def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
+    """Generate a random, precondition-respecting trace; same arguments =>
+    same trace.
+
+    ``n_ops`` counts heap operations — standalone ``item`` declarations are
+    free.  Every ``newheap`` line names ``simple``: callers choose the policy
+    at replay, so one trace serves all ten.  Generated keys are globally
+    unique so that the trace is valid under every tie-breaking choice a
+    policy might make.
+    """
+    if n_ops < 0:
+        raise TraceError("n_ops must be nonnegative")
+    rng = Random(seed)
     verbs = sorted(TRACE_WEIGHTS)
     weights = [TRACE_WEIGHTS[v] for v in verbs]
-    ops: list[Op] = [("newheap", "h0", profile.policy)]
+    ops: list[Op] = [("newheap", "h0", "simple")]
     live_heaps = ["h0"]
     n_heaps = 1
     n_items = 0
     members: dict[str, _ModelHeap] = {"h0": _ModelHeap()}
     seen_keys: set[int] = set()
-    budget = profile.n_ops - 1
+    budget = n_ops - 1
 
     def fresh_key() -> int:
         while True:
@@ -293,14 +283,14 @@ def gen_trace(profile: TraceProfile) -> list[Op]:
         if verb == "insert":
             emit_insert()
         elif verb == "newheap":
-            if n_heaps >= profile.max_heaps:
+            if n_heaps >= max_heaps:
                 emit_insert()
                 continue
             h = f"h{n_heaps}"
             n_heaps += 1
             live_heaps.append(h)
             members[h] = _ModelHeap()
-            ops.append(("newheap", h, profile.policy))
+            ops.append(("newheap", h, "simple"))
         elif verb == "deletemin":
             h = some_loaded()
             if h is None:
@@ -360,16 +350,6 @@ class ReplayVerdict:
     @property
     def ok(self) -> bool:
         return self.divergence is None and not self.check_failures
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "ok": self.ok,
-            "steps": self.steps,
-            "divergence": self.divergence,
-            "step_index": self.step_index,
-            "check_failures": list(self.check_failures),
-        }
 
 
 def _walk_checks(

@@ -31,12 +31,6 @@ from .core import (
     set_state,
 )
 
-# Test hook: when True, the plain cascade forgets to unmark the nodes it
-# walks through.  Exists so the audit layer can be shown to catch a real
-# bookkeeping bug; never set outside tests.
-_TEST_SKIP_UNMARK = False
-
-
 def _cut_and_reroot(heap: Heap, x: Node) -> None:
     heap._cut(x)
     heap._add_root(x)
@@ -60,8 +54,7 @@ def _toggle_walk(heap: Heap, x: Node) -> None:
         tele.iterations += 1
         dec_rank_floor(y, tele)
         if y.state == MARKED:
-            if not _TEST_SKIP_UNMARK:
-                set_state(y, UNMARKED, tele)
+            set_state(y, UNMARKED, tele)
         else:
             set_state(y, MARKED, tele)
             break

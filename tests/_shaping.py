@@ -2,6 +2,7 @@
 public operations, so tests can start from a known arrangement."""
 
 from fibcascade import compute_potential
+from fibcascade.core import MARKED, UNMARKED, dec_rank_floor, set_state
 from fibcascade.instrumentation import iter_children
 from fibcascade.policies import _cut_and_reroot, _dk_increasing_rank
 
@@ -59,3 +60,20 @@ def guarded_increasing_rank(heap, x):
         _cut_and_reroot(heap, x)
     else:
         _dk_increasing_rank(heap, x)
+
+
+def toggle_walk_without_unmark(heap, x):
+    """``policies._toggle_walk`` with a bookkeeping bug: a marked node the
+    walk passes is left marked.  Tests install it in place of the real walk
+    to show that the amortized audit catches a bug that the asserted
+    invariants do not."""
+    tele = heap.universe.telemetry
+    set_state(heap.root, UNMARKED, tele)
+    y = x
+    while True:
+        y = y.parent
+        tele.iterations += 1
+        dec_rank_floor(y, tele)
+        if y.state != MARKED:
+            set_state(y, MARKED, tele)
+            break

@@ -19,7 +19,7 @@ from fibcascade.adversary import (
 )
 from fibcascade.cli import dijkstra_policy, dijkstra_reference, gen_graph
 from fibcascade.instrumentation import AmortizedAuditor, fit_exponent
-from fibcascade.oracle import TraceProfile, gen_trace, replay_differential
+from fibcascade.oracle import gen_trace, replay_differential
 
 from _reference import active_children_violations, rank_bound_violations
 
@@ -51,7 +51,7 @@ def ksweep():
         builder = AdversaryBuilder(seed=0, recording=True)
         builder.build(k)
         build_est = builder.est_total
-        rounds = builder.run_rounds(STEADY_ROUNDS, verify=True)
+        rounds = builder.run_rounds(STEADY_ROUNDS)
         data[k] = (builder, build_est, rounds)
     return data
 
@@ -65,7 +65,7 @@ def test_criterion_01_differential_correctness(report):
     first = None
     t0 = time.perf_counter()
     for seed in range(n_traces):
-        ops = gen_trace(TraceProfile(n_ops=n_ops, seed=seed))
+        ops = gen_trace(n_ops, seed=seed)
         for tag in ALL_TAGS:
             verdict = replay_differential(ops, policy=tag, strict_identity=True)
             if verdict.divergence is not None:
@@ -93,9 +93,7 @@ FUZZ_OPS = 1000
 def _bound_campaign(tags):
     """Replay the shared fuzz corpus per policy, checking the policy's
     size floor (Fibonacci or power-of-two) after every single operation."""
-    traces = [
-        gen_trace(TraceProfile(n_ops=FUZZ_OPS, seed=seed)) for seed in FUZZ_SEEDS
-    ]
+    traces = [gen_trace(FUZZ_OPS, seed=seed) for seed in FUZZ_SEEDS]
     results = {}
     for tag in tags:
         tally = {"states": 0, "bad": 0, "runs": 0, "first": None}
@@ -154,7 +152,7 @@ def test_criterion_03_active_children_cover_rank(report):
     states = bad = 0
     first = None
     for seed in FUZZ_SEEDS:
-        ops = gen_trace(TraceProfile(n_ops=FUZZ_OPS, seed=seed))
+        ops = gen_trace(FUZZ_OPS, seed=seed)
 
         def watch(i, universe, heaps):
             nonlocal states, bad, first
@@ -186,10 +184,10 @@ def test_criterion_04_potential_audits(report):
     violations = 0
     first = None
     for seed in (0, 1, 2):
-        ops = gen_trace(TraceProfile(n_ops=100_000, seed=seed))
+        ops = gen_trace(100_000, seed=seed)
         auditor = AmortizedAuditor()
         verdict = replay_differential(ops, policy="simple", record_sink=auditor)
-        assert verdict.ok, verdict.as_dict()
+        assert verdict.ok, verdict
         total_ops += auditor.ops
         violations += auditor.violation_count
         if auditor.violations and first is None:
@@ -289,7 +287,7 @@ def test_criterion_06_sequence_cost_growth(ksweep, report):
 
 def test_criterion_08_randomized_walk(report):
     # determinism: same universe seed, same trace -> identical counters
-    ops = gen_trace(TraceProfile(n_ops=2000, seed=77))
+    ops = gen_trace(2000, seed=77)
     runs = []
     for seed in (5, 5, 6):
         universe, _ = replay_ops(ops, policy="randomized", seed=seed)
@@ -348,11 +346,10 @@ def test_criterion_10_dijkstra_everywhere(report):
     mismatches = []
     identity_breaks = []
     for rung, (vertices, edges) in enumerate(DIJKSTRA_LADDER):
-        graph = gen_graph(vertices, edges, seed=42 + rung)
-        adj = graph.adjacency()
+        adj = gen_graph(vertices, edges, seed=42 + rung)
         reference = dijkstra_reference(adj)
         for policy in Policy:
-            dist, stats, _ = dijkstra_policy(graph, adj, policy, seed=0)
+            dist, stats, _ = dijkstra_policy(adj, policy, seed=0)
             if dist != reference:
                 bad = next(
                     v for v in range(vertices) if dist[v] != reference[v]

@@ -22,7 +22,7 @@ from fibcascade.cli import (
 )
 from fibcascade.oracle import replay_ops
 
-from _shaping import guarded_increasing_rank
+from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
 
 
 def run_cli(*argv):
@@ -69,6 +69,9 @@ ZERO_COUNTS = [
         ("adversary", "--m", "0"),  # a schedule needs at least 12 operations
         ("adversary", "--m", "11"),
         ("adversary", "--m", "3000", "--check"),  # the gate holds from 10^5
+        # an exponent fit needs three sizes: two are neither expanded nor fitted
+        ("adversary", "--m", "100000", "--m", "100001", "--check"),
+        ("adversary", "--k", "10..20:10", "--rounds", "2", "--check"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -99,6 +102,7 @@ def test_negative_counts_name_their_flag(argv, capsys):
         ("adversary", "--m", "11"),
         ("adversary", "--m", "3000", "--check"),
         ("adversary", "--m", "50000", "--m", "99999", "--check"),
+        ("adversary", "--m", "100000", "--m", "100001", "--check"),
     ],
 )
 def test_adversary_m_out_of_range_names_the_flag(argv, capsys):
@@ -106,6 +110,13 @@ def test_adversary_m_out_of_range_names_the_flag(argv, capsys):
         run_cli(*argv)
     assert err.value.code == 2
     assert "--m" in capsys.readouterr().err
+
+
+def test_adversary_check_with_fewer_than_three_k_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("adversary", "--k", "10..20:10", "--rounds", "2", "--check")
+    assert err.value.code == 2
+    assert "--k" in capsys.readouterr().err
 
 
 def test_parse_policies_expands_lists_and_all():
@@ -158,8 +169,34 @@ def test_verify_detects_the_undersized_trees(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _count_gen_trace(monkeypatch):
+    calls = []
+    real = fibcascade.cli.gen_trace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fibcascade.cli, "gen_trace", counted)
+    return calls
+
+
+def test_verify_generates_each_trace_once(monkeypatch, capsys):
+    calls = _count_gen_trace(monkeypatch)
+    code = run_cli(
+        "verify", "--policy", "simple,classic", "--traces", "3", "--ops", "200"
+    )
+    assert code == 0
+    assert len(calls) == 3
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "verify simple", "verify classic",
+    ]
+
+
 def test_verify_fault_injection_trips_the_audits(monkeypatch, capsys):
-    monkeypatch.setattr(fibcascade.policies, "_TEST_SKIP_UNMARK", True)
+    monkeypatch.setattr(
+        fibcascade.policies, "_toggle_walk", toggle_walk_without_unmark
+    )
     code = run_cli("verify", "--policy", "simple", "--traces", "2", "--ops", "400")
     assert code == 1
     assert "audit" in capsys.readouterr().out
@@ -189,6 +226,13 @@ def test_bench_csv_schema(tmp_path):
         int(row["fair_links"]); int(row["naive_links"])
         int(row["comparisons"]); int(row["wall_time_ns"])
         float(row["phi"])
+
+
+def test_bench_generates_its_trace_once(monkeypatch, capsys):
+    calls = _count_gen_trace(monkeypatch)
+    assert run_cli("bench", "--policy", "simple,classic", "--ops", "200") == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_bench_check_audits_the_active_children_ledger(monkeypatch, capsys):
@@ -283,12 +327,12 @@ def test_adversary_m_schedule_reports_totals(tmp_path, capsys):
 # dijkstra
 
 def test_gen_graph_is_simple_and_deterministic():
-    g1 = gen_graph(50, 400, seed=9)
-    g2 = gen_graph(50, 400, seed=9)
-    assert g1.edges == g2.edges
-    assert len(g1.edges) == 400
+    adj = gen_graph(50, 400, seed=9)
+    assert adj == gen_graph(50, 400, seed=9)
+    edges = [(u, v, w) for u, arcs in enumerate(adj) for v, w in arcs]
+    assert len(edges) == 400
     seen = set()
-    for u, v, w in g1.edges:
+    for u, v, w in edges:
         assert u != v
         assert (u, v) not in seen
         seen.add((u, v))

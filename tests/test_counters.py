@@ -17,7 +17,7 @@ import fibcascade.instrumentation
 from fibcascade import POLICY_TAGS, Policy, Universe
 from fibcascade.cli import dijkstra_policy, gen_graph
 from fibcascade.instrumentation import COUNTER_FIELDS
-from fibcascade.oracle import TraceProfile, gen_trace, replay_ops, run_trace
+from fibcascade.oracle import gen_trace, replay_ops, run_trace
 
 # counters in COUNTER_FIELDS order, then phi
 TRACE_PINS = {
@@ -62,7 +62,7 @@ DRAIN_PINS = {
     "classic": (27095, 0, 43923, 0, 0, 0, 0, 0, 0),
 }
 
-_TRACE = gen_trace(TraceProfile(n_ops=400, seed=11))
+_TRACE = gen_trace(400, seed=11)
 
 
 def _snapshot(tele) -> tuple[int, ...]:
@@ -83,8 +83,8 @@ def test_trace_counters_are_pinned(tag):
 
 @pytest.mark.parametrize("tag", POLICY_TAGS)
 def test_dijkstra_counters_are_pinned(tag):
-    graph = gen_graph(300, 750, seed=4)
-    _, stats, phi = dijkstra_policy(graph, graph.adjacency(), Policy(tag), 2)
+    adj = gen_graph(300, 750, seed=4)
+    _, stats, phi = dijkstra_policy(adj, Policy(tag), 2)
     assert tuple(stats[f] for f in COUNTER_FIELDS) + (phi,) == DIJKSTRA_PINS[tag]
 
 

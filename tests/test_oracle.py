@@ -15,7 +15,6 @@ from fibcascade.instrumentation import COUNTER_FIELDS, iter_subtree
 from fibcascade.oracle import (
     OracleHeap,
     TraceError,
-    TraceProfile,
     format_trace,
     gen_trace,
     parse_trace,
@@ -25,7 +24,7 @@ from fibcascade.oracle import (
 )
 
 from _reference import run_checks_per_heap
-from _shaping import guarded_increasing_rank
+from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
 
 
 # ---------------------------------------------------------------------------
@@ -88,31 +87,30 @@ def test_every_policy_tag_parses():
 # generator
 
 def test_gen_trace_shape_and_determinism():
-    profile = TraceProfile(n_ops=400, seed=7, policy="heap-order")
-    ops = gen_trace(profile)
-    assert ops == gen_trace(profile)
-    assert ops[0] == ("newheap", "h0", "heap-order")
+    ops = gen_trace(400, seed=7)
+    assert ops == gen_trace(400, seed=7)
+    assert ops[0] == ("newheap", "h0", "simple")
     assert len(ops) == 400
     for tag in POLICY_TAGS:  # well formed: no policy raises TraceError
         replay_ops(ops, policy=tag)
 
 
 def test_gen_trace_keys_are_globally_unique():
-    ops = gen_trace(TraceProfile(n_ops=600, seed=3))
+    ops = gen_trace(600, seed=3)
     keys = [op[3] for op in ops if op[0] == "insert"]
     keys += [op[2] for op in ops if op[0] == "decreasekey"]
     assert len(keys) == len(set(keys))
 
 
 def test_gen_trace_seeds_differ():
-    a = gen_trace(TraceProfile(n_ops=200, seed=0))
-    b = gen_trace(TraceProfile(n_ops=200, seed=1))
+    a = gen_trace(200, seed=0)
+    b = gen_trace(200, seed=1)
     assert a != b
 
 
 def test_profile_validation():
     with pytest.raises(TraceError):
-        TraceProfile(n_ops=-1).validate()
+        gen_trace(-1)
 
 
 def test_gen_trace_output_is_pinned():
@@ -121,8 +119,8 @@ def test_gen_trace_output_is_pinned():
     for seed in range(8):
         for n_ops in (0, 1, 51, 1000):
             for max_heaps in (4, 6):
-                profile = TraceProfile(n_ops=n_ops, seed=seed, max_heaps=max_heaps)
-                digest.update(format_trace(gen_trace(profile)).encode())
+                ops = gen_trace(n_ops, seed=seed, max_heaps=max_heaps)
+                digest.update(format_trace(ops).encode())
     assert digest.hexdigest() == (
         "f83b812a5106f15c3b0c523481f8f100c45b21121889cee5a4007607a1fa1321"
     )
@@ -174,9 +172,9 @@ def test_oracle_remove_tolerates_stale_entries():
 
 @pytest.mark.parametrize("tag", POLICY_TAGS)
 def test_replay_clean_for_every_policy(tag):
-    ops = gen_trace(TraceProfile(n_ops=500, seed=11))
+    ops = gen_trace(500, seed=11)
     verdict = replay_differential(ops, policy=tag, strict_identity=True)
-    assert verdict.ok, verdict.as_dict()
+    assert verdict.ok, verdict
     assert verdict.steps == len(ops)
     assert verdict.policy == tag
 
@@ -286,7 +284,7 @@ def test_replay_routes_ownership_through_melds(replay, tag):
     )
     if replay is replay_differential:
         verdict = replay(ops, strict_identity=True)
-        assert verdict.ok, verdict.as_dict()
+        assert verdict.ok, verdict
         assert verdict.steps == len(ops)
     else:
         _, heaps = replay(ops)
@@ -298,7 +296,7 @@ def test_replay_routes_ownership_through_melds(replay, tag):
 def test_mirror_observes_without_touching_the_policy_heaps():
     # one multi-heap trace per policy: the reference mirror and the
     # lockstep checks must not change a single counter or potential step
-    ops = gen_trace(TraceProfile(n_ops=600, seed=4))
+    ops = gen_trace(600, seed=4)
     assert sum(op[0] == "meld" for op in ops) > 0
     for tag in POLICY_TAGS:
         seen = {}
@@ -314,7 +312,7 @@ def test_mirror_observes_without_touching_the_policy_heaps():
 
 
 def test_periodic_checks_pass_for_the_sound_policy():
-    ops = gen_trace(TraceProfile(n_ops=800, seed=5))
+    ops = gen_trace(800, seed=5)
     verdict = replay_differential(ops, policy="simple", check_interval=25)
     assert verdict.ok, verdict.check_failures[:3]
 
@@ -328,7 +326,7 @@ def test_periodic_checks_expose_the_rank_walk_defect(monkeypatch):
         Policy.INCREASING_RANK,
         guarded_increasing_rank,
     )
-    ops = gen_trace(TraceProfile(n_ops=1000, seed=0))
+    ops = gen_trace(1000, seed=0)
     verdict = replay_differential(
         ops, policy="increasing-rank", check_interval=25
     )
@@ -345,7 +343,7 @@ def test_final_check_runs_only_after_an_unchecked_step(monkeypatch):
         return run_checks(universe)
 
     monkeypatch.setattr(fibcascade.oracle, "run_checks", counting)
-    ops = gen_trace(TraceProfile(n_ops=51, seed=2))
+    ops = gen_trace(51, seed=2)
     for n_ops, want in ((50, 2), (51, 3)):
         calls.clear()
         verdict = replay_differential(ops[:n_ops], policy="simple", check_interval=25)
@@ -403,7 +401,7 @@ def _compare_checks(ops, policy, every, track_active=True):
 @pytest.mark.parametrize("tag", POLICY_TAGS)
 def test_run_checks_matches_the_checkers_on_generated_states(tag):
     for seed in range(3):
-        ops = gen_trace(TraceProfile(n_ops=300, seed=seed, max_heaps=6))
+        ops = gen_trace(300, seed=seed, max_heaps=6)
         assert any(op[0] == "meld" for op in ops)
         assert _compare_checks(ops, tag, every=3) == 0
 
@@ -411,7 +409,7 @@ def test_run_checks_matches_the_checkers_on_generated_states(tag):
 @pytest.mark.parametrize("tag", POLICY_TAGS)
 def test_run_checks_without_a_ledger_matches_the_checkers(tag):
     for seed in range(2):
-        ops = gen_trace(TraceProfile(n_ops=300, seed=seed, max_heaps=6))
+        ops = gen_trace(300, seed=seed, max_heaps=6)
         assert _compare_checks(ops, tag, every=3, track_active=False) == 0
 
 
@@ -423,16 +421,18 @@ def test_run_checks_matches_the_checkers_on_undersized_trees(monkeypatch):
     )
     failing = 0
     for seed in range(2):
-        ops = gen_trace(TraceProfile(n_ops=1000, seed=seed, max_heaps=6))
+        ops = gen_trace(1000, seed=seed, max_heaps=6)
         failing += _compare_checks(ops, "increasing-rank", every=5)
     assert failing > 20
 
 
 @pytest.mark.parametrize("tag", ["simple", "heap-order"])
 def test_run_checks_matches_the_checkers_without_unmarking(monkeypatch, tag):
-    monkeypatch.setattr(fibcascade.policies, "_TEST_SKIP_UNMARK", True)
+    monkeypatch.setattr(
+        fibcascade.policies, "_toggle_walk", toggle_walk_without_unmark
+    )
     for seed in range(2):
-        ops = gen_trace(TraceProfile(n_ops=600, seed=seed, max_heaps=6))
+        ops = gen_trace(600, seed=seed, max_heaps=6)
         _compare_checks(ops, tag, every=3)
 
 
@@ -518,7 +518,7 @@ def test_run_checks_ends_on_a_pointer_cycle():
 def test_failing_replay_verdicts_are_pinned(monkeypatch):
     # both verdicts as the per-heap checks gave them before the checks of a
     # universe became one walk per heap
-    ops = gen_trace(TraceProfile(n_ops=1000, seed=0))
+    ops = gen_trace(1000, seed=0)
     with monkeypatch.context() as patch:
         patch.setitem(
             fibcascade.policies.POLICY_DECREASE,
@@ -535,7 +535,9 @@ def test_failing_replay_verdicts_are_pinned(monkeypatch):
     ]
     # marks the walk forgot to clear break the amortized audit, not the
     # invariants these checks assert
-    monkeypatch.setattr(fibcascade.policies, "_TEST_SKIP_UNMARK", True)
+    monkeypatch.setattr(
+        fibcascade.policies, "_toggle_walk", toggle_walk_without_unmark
+    )
     verdict = replay_differential(ops, policy="simple", check_interval=25)
     assert verdict.step_index is None
     assert verdict.check_failures == []
@@ -544,5 +546,5 @@ def test_failing_replay_verdicts_are_pinned(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31), st.sampled_from(["simple", "classic", "randomized"]))
 def test_replay_random_traces(seed, tag):
-    ops = gen_trace(TraceProfile(n_ops=120, seed=seed))
+    ops = gen_trace(120, seed=seed)
     assert replay_differential(ops, policy=tag, strict_identity=True).ok
