@@ -207,12 +207,17 @@ class _LastRecord:
         self.last = rec
 
 
+_DELETE_MIN = ("deletemin", "h0")  # every recorded delete-min shares this op
+
+
 class AdversaryBuilder:
     """Drives a non-cascading heap through the worst-case construction.
 
     All mutations go through the public heap operations; ``recording=True``
     additionally logs every operation in the replayable trace format, so the
-    very same schedule can be rerun on other policies.
+    very same schedule can be rerun on other policies.  A recorded item's
+    name is formatted once, kept in its ``info`` and shared by every op that
+    names it.
     """
 
     def __init__(self, seed: int = 0, recording: bool = False) -> None:
@@ -240,21 +245,22 @@ class AdversaryBuilder:
     def _insert(self, key: int) -> Node:
         node = self.universe.make_item(key)
         if self._recording:
-            self.trace.append(("insert", "h0", f"x{node.uid}", key))
+            node.info = f"x{node.uid}"  # its trace name, as replay names items
+            self.trace.append(("insert", "h0", node.info, key))
         self.heap.insert(node)
         self.op_count += 1
         return node
 
     def _delete_min(self) -> Node:
         if self._recording:
-            self.trace.append(("deletemin", "h0"))
+            self.trace.append(_DELETE_MIN)
         removed = self.heap.delete_min()
         self.op_count += 1
         return removed
 
     def _decrease_key(self, node: Node, key: int) -> None:
         if self._recording:
-            self.trace.append(("decreasekey", f"x{node.uid}", key))
+            self.trace.append(("decreasekey", node.info, key))
         self.heap.decrease_key(node, key)
         self.op_count += 1
 

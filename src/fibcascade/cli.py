@@ -298,6 +298,8 @@ def _drain_workload(policy: Policy, size: int, seed: int) -> tuple[list[OpRecord
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.sizes and args.check:
+        _usage_error("bench --sizes runs no checks: drop --check or --sizes")
     policies = _parse_policies(args.policy, ["all"])
     sink = RowSink(args.out, args.format)
     failed = False
@@ -383,6 +385,10 @@ def _steady_rows(
     return points
 
 
+#: The steady-cycle sweep ``adversary`` runs without ``--m``, unless given.
+K_DEFAULT = "10..100"
+ROUNDS_DEFAULT = 50
+
 #: The least value the largest ``--m`` may take under ``--check``: the fitted
 #: total-cost exponent first reaches its 1.25 gate there on correct code
 #: (1.2462 at 50,000, 1.2501 at 70,000, 1.2561 at 100,000).
@@ -399,6 +405,13 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     policy = policies[0]
     if args.m and policy is not Policy.NON_CASCADING:
         _usage_error("adversary --m runs the non-cascading schedule only")
+    if args.m:
+        for flag, value in (("--k", args.k), ("--rounds", args.rounds)):
+            if value is not None:
+                _usage_error(f"adversary --m runs whole schedules; drop {flag}")
+    else:
+        args.k = args.k or _parse_k_spec(K_DEFAULT)
+        args.rounds = args.rounds or ROUNDS_DEFAULT
     if args.m and args.check and max(args.m) < CHECK_MIN_M:
         _usage_error(
             f"adversary --m {max(args.m)} --check: the total-cost exponent"
@@ -718,7 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_count_list,
         default=None,
         metavar="N,N,...",
-        help="insert-then-drain workloads of these sizes instead of a random trace",
+        help="insert-then-drain workloads of these sizes instead of a random"
+        " trace (not with --check)",
     )
     p.set_defaults(func=cmd_bench)
 
@@ -728,12 +742,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k",
         type=_parse_k_spec,
-        default=_parse_k_spec("10..100"),
         metavar="K|LO..HI[:STEP]",
-        help="steady-cycle stage sweep (default 10..100 step 10; with --check"
-        " at least three values)",
+        help=f"steady-cycle stage sweep (default {K_DEFAULT} step 10; with"
+        " --check at least three values; not with --m)",
     )
-    p.add_argument("--rounds", type=_positive, default=50)
+    p.add_argument(
+        "--rounds",
+        type=_positive,
+        help=f"steady rounds per stage (default {ROUNDS_DEFAULT}; not with --m)",
+    )
     p.add_argument(
         "--m",
         action="append",

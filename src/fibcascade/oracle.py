@@ -482,11 +482,13 @@ def run_trace(
     ``policy`` overrides every ``newheap`` line's recorded policy.
 
     Item ownership is tracked by heap name (insert records the heap, meld
-    the absorber), never by walking the tree.  Malformed ops raise
+    the absorber), never by walking the tree.  A removed item keeps its name,
+    so the name cannot be reused, but drops its node: memory follows the
+    live items and the names seen so far.  Malformed ops raise
     :class:`TraceError` naming the op's index.
     """
-    items: dict[str, Node] = {}
-    home: dict[str, str] = {}  # item -> the heap it went into, or its absorber
+    items: dict[str, Node | None] = {}  # None: removed, the name stays taken
+    home: dict[str, str] = {}  # live item -> the heap it went into, or its absorber
     absorber: dict[str, str] = {}  # melded-away heap -> the heap that took it
 
     def new_item(i: int, name: str, key: Any) -> Node:
@@ -497,7 +499,7 @@ def run_trace(
 
     def owner(i: int, name: str) -> tuple[Heap, Node]:
         node = items[name]
-        if not node.in_heap:
+        if node is None or not node.in_heap:
             raise TraceError(f"op {i}: item {name!r} is in no live heap")
         h = home[name]
         while h in absorber:
@@ -521,18 +523,24 @@ def run_trace(
             elif verb == "insert":
                 name = op[2]
                 node = new_item(i, name, op[3]) if len(op) == 4 else items[name]
+                if node is None:
+                    raise TraceError(f"op {i}: item {name!r} was already removed")
                 heap = heaps[op[1]]
                 heap.insert(node)
                 home[name] = op[1]
             elif verb == "deletemin":
                 heap = heaps[op[1]]
                 node = heap.delete_min()
+                items[node.info] = None  # every item is made with its name
+                del home[node.info]
             elif verb == "decreasekey":
                 heap, node = owner(i, op[1])
                 heap.decrease_key(node, op[2])
             elif verb == "delete":
                 heap, node = owner(i, op[1])
                 heap.delete(node)
+                items[op[1]] = None
+                del home[op[1]]
             elif verb == "meld":
                 heap = heaps[op[1]]
                 heap.meld(heaps[op[2]])

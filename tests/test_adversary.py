@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -24,6 +25,7 @@ from fibcascade.adversary import (
     verify_t_shape,
 )
 from fibcascade.instrumentation import log_phi
+from fibcascade.oracle import format_trace
 
 
 def test_shape_sizes():
@@ -162,6 +164,28 @@ def test_recorded_trace_rebuilds_the_same_state():
     ours = universe.telemetry.counters()
     theirs = builder.universe.telemetry.counters()
     assert ours == theirs
+
+
+def test_recorded_schedule_text_is_pinned():
+    # the replayed schedules are recorded traces: they must not move by a byte
+    trace = run_lower_bound(3000, seed=0, recording=True).trace
+    assert hashlib.sha256(format_trace(trace).encode()).hexdigest() == (
+        "6ac888e06ca4d0d1c59d5e88b5cfd081793fe0c28fb8f4da49cb49745b50491f"
+    )
+
+
+def test_a_recording_stores_each_name_once():
+    builder = AdversaryBuilder(recording=True)
+    builder.build(6)
+    builder.run_rounds(3)
+    names = {}
+    for op in builder.trace:
+        if op[0] == "insert":
+            names[op[2]] = op[2]
+        elif op[0] == "decreasekey":
+            assert op[1] is names[op[1]]
+    deletes = [op for op in builder.trace if op[0] == "deletemin"]
+    assert len(deletes) > 1 and all(op is deletes[0] for op in deletes)
 
 
 def test_replay_on_simple_takes_a_different_path():

@@ -50,6 +50,14 @@ ZERO_COUNTS = [
     ("adversary", "--policy", "simple", "--k", "10", "--rounds", "0"),
 ]
 
+# flags that do not combine: the drain workloads run no checks, and a whole
+# --m schedule takes no stage sweep or round count
+EXCLUSIVE_FLAGS = [
+    ("bench", "--policy", "simple", "--sizes", "200", "--check"),
+    ("adversary", "--m", "2000", "--k", "10..20"),
+    ("adversary", "--m", "2000", "--rounds", "3"),
+]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -72,6 +80,7 @@ ZERO_COUNTS = [
         # an exponent fit needs three sizes: two are neither expanded nor fitted
         ("adversary", "--m", "100000", "--m", "100001", "--check"),
         ("adversary", "--k", "10..20:10", "--rounds", "2", "--check"),
+        *EXCLUSIVE_FLAGS,
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -110,6 +119,16 @@ def test_adversary_m_out_of_range_names_the_flag(argv, capsys):
         run_cli(*argv)
     assert err.value.code == 2
     assert "--m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", EXCLUSIVE_FLAGS)
+def test_flags_that_do_not_combine_are_named(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    flags = [a for a in argv if a.startswith("--") and a != "--policy"]
+    assert len(flags) == 2 and all(flag in message for flag in flags)
 
 
 def test_adversary_check_with_fewer_than_three_k_names_the_flag(capsys):

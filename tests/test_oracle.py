@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import fibcascade.oracle
 import fibcascade.policies
-from fibcascade import POLICY_TAGS, Policy
+from fibcascade import POLICY_TAGS, Node, Policy
 from fibcascade.instrumentation import COUNTER_FIELDS, iter_subtree
 from fibcascade.oracle import (
     OracleHeap,
@@ -250,6 +251,15 @@ H0 = ("newheap", "h0", "simple")
             "op 2: precondition failed: decrease-key must not increase",
         ),
         ([H0, ("meld", "h0", "h0")], "op 1: precondition failed: cannot meld a heap"),
+        (
+            [H0, ("item", "x0", 5), ("insert", "h0", "x0"), ("deletemin", "h0"),
+             ("insert", "h0", "x0")],
+            "op 4: item 'x0' was already removed",
+        ),
+        (
+            [H0, ("insert", "h0", "x0", 5), ("delete", "x0"), ("insert", "h0", "x0")],
+            "op 3: item 'x0' was already removed",
+        ),
     ],
     ids=[
         "insert-unknown-item",
@@ -264,11 +274,34 @@ H0 = ("newheap", "h0", "simple")
         "deletemin-empty-heap",
         "decreasekey-raises-key",
         "meld-with-itself",
+        "reinsert-after-deletemin",
+        "reinsert-after-delete",
     ],
 )
 def test_replay_wraps_unknown_names(replay, ops, fragment):
     with pytest.raises(TraceError, match=fragment):
         replay(ops)
+
+
+def test_replay_holds_only_the_live_items():
+    n = 2000
+    ops = [H0]
+    ops += [("insert", "h0", f"x{i}", i) for i in range(n)]
+    ops += [("deletemin", "h0")] * n
+    alive = []
+
+    def nodes():
+        return sum(isinstance(o, Node) for o in gc.get_objects())
+
+    def on_op(index, universe, heaps):
+        if index == len(ops) - 1:
+            alive.append(nodes() - before)
+
+    gc.collect()  # other tests' heaps are cyclic garbage
+    before = nodes()
+    replay_ops(ops, on_op=on_op)
+    # the item the last delete-min hands back, and nothing else
+    assert alive and alive[0] <= 3
 
 
 @REPLAYS
