@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter, sub
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -36,7 +36,7 @@ COUNTER_FIELDS = (
     "rank_clamps",
 )
 
-# every counter, then phi: the fields an OpRecord holds as deltas
+# every counter, then phi, in the order an OpRecord holds their deltas
 _snapshot = attrgetter(*COUNTER_FIELDS, "phi")
 
 
@@ -168,8 +168,9 @@ class Telemetry:
         self.record_sink: Callable[[OpRecord], None] | None = None
         self.track_active = track_active
         self.active: dict[Any, bool] = {}
-        # kind, size before, then the counters and phi: taken by an op_begin
-        # under a sink, consumed by the op_end that hands out its record
+        # kind, size before and a snapshot of the counters and phi: taken by
+        # an op_begin under a sink, consumed by the op_end that hands out its
+        # record
         self._op_open: tuple | None = None
 
     def counters(self) -> dict[str, int]:
@@ -182,7 +183,7 @@ class Telemetry:
     def op_begin(self, kind: str, n_before: int) -> None:
         if self.record_sink is None:
             return
-        self._op_open = (kind, n_before) + _snapshot(self)
+        self._op_open = (kind, n_before, _snapshot(self))
 
     def op_end(self) -> None:
         sink = self.record_sink
@@ -192,7 +193,23 @@ class Telemetry:
         if opened is None:  # this operation began without a sink
             return
         self._op_open = None
-        sink(OpRecord(opened[0], opened[1], *map(sub, _snapshot(self), opened[2:])))
+        kind, n_before, counted = opened
+        fair, naive, compared, steps, cuts, marks, unmarks, clamps, phi = counted
+        sink(
+            OpRecord(
+                kind,
+                n_before,
+                self.fair_links - fair,
+                self.naive_links - naive,
+                self.comparisons - compared,
+                self.iterations - steps,
+                self.cuts - cuts,
+                self.markings - marks,
+                self.unmarkings - unmarks,
+                self.rank_clamps - clamps,
+                self.phi - phi,
+            )
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +285,10 @@ RANK_BOUNDS: dict[str, tuple[str, Callable[[int], int]]] = {
 # amortized audit
 
 
+def _exceeds(kind: str, bound_name: str, value: float, bound: float) -> str:
+    return f"{kind}: {bound_name} {value:.12g} exceeds {bound:.12g}"
+
+
 def audit_violations(rec: OpRecord) -> list[str]:
     """Per-operation potential-change bounds for the baseline policy.
 
@@ -279,27 +300,24 @@ def audit_violations(rec: OpRecord) -> list[str]:
     """
     out: list[str] = []
     kind = rec.kind
-
-    def fail(bound_name: str, value: float, bound: float) -> None:
-        out.append(f"{kind}: {bound_name} {value:.12g} exceeds {bound:.12g}")
-
+    d_phi = rec.d_phi
     if kind in ("make-heap", "find-min", "meld"):
-        if rec.d_phi != 0:
-            fail("d_phi", rec.d_phi, 0)
+        if d_phi != 0:
+            out.append(_exceeds(kind, "d_phi", d_phi, 0))
     elif kind == "insert":
-        if rec.d_phi > 1 + SLACK:
-            fail("d_phi", rec.d_phi, 1)
+        if d_phi > 1 + SLACK:
+            out.append(_exceeds(kind, "d_phi", d_phi, 1))
     elif kind == "decrease-key":
-        if rec.d_phi > 4 - rec.iterations + SLACK:
-            fail("d_phi", rec.d_phi, 4 - rec.iterations)
+        if d_phi > 4 - rec.iterations + SLACK:
+            out.append(_exceeds(kind, "d_phi", d_phi, 4 - rec.iterations))
         if rec.amortized_time > 5 + SLACK:
-            fail("amortized", rec.amortized_time, 5)
+            out.append(_exceeds(kind, "amortized", rec.amortized_time, 5))
     elif kind == "delete-min":
         lg = log_phi(max(rec.n_before, 1))
-        if rec.d_phi > 2 * lg - 1 - rec.links + SLACK:
-            fail("d_phi", rec.d_phi, 2 * lg - 1 - rec.links)
+        if d_phi > 2 * lg - 1 - rec.links + SLACK:
+            out.append(_exceeds(kind, "d_phi", d_phi, 2 * lg - 1 - rec.links))
         if rec.amortized_time > 3 * lg + SLACK:
-            fail("amortized", rec.amortized_time, 3 * lg)
+            out.append(_exceeds(kind, "amortized", rec.amortized_time, 3 * lg))
     return out
 
 

@@ -30,6 +30,7 @@ is only sound when all keys are unique.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from random import Random
@@ -53,13 +54,19 @@ class OracleHeap:
     """Sorted-multiset semantics via a lazy-deletion binary heap.
 
     Keeps (key, uid) pairs; the minimum is the lexicographically least live
-    pair.  Decreases push a fresh pair and stale ones are skipped on the way
-    out, so every operation is O(log n) against entries ever pushed.
+    pair, and :attr:`top` holds it (``None`` when empty), settled after every
+    mutation so that observers read it without a call.  A decrease pushes a
+    fresh pair and a removal only forgets the item's key; stale pairs are
+    dropped when they reach the top, and once they outnumber the live ones
+    the entries are rebuilt from the live keys with one heapify.  So the
+    entries stay within twice the live items, and every operation is
+    O(log n) amortized.
     """
 
     def __init__(self) -> None:
         self._entries: list[tuple[Any, int]] = []
         self._key: dict[int, Any] = {}
+        self.top: tuple[Any, int] | None = None
 
     def __len__(self) -> int:
         return len(self._key)
@@ -68,7 +75,9 @@ class OracleHeap:
         if uid in self._key:
             raise TraceError(f"oracle: duplicate insert of item {uid}")
         self._key[uid] = key
-        heapq.heappush(self._entries, (key, uid))
+        entries = self._entries
+        heapq.heappush(entries, (key, uid))
+        self.top = entries[0]  # the new pair or the live top it did not beat
 
     def decrease_key(self, uid: int, key: Any) -> None:
         old = self._key[uid]
@@ -76,37 +85,43 @@ class OracleHeap:
             raise TraceError(f"oracle: key increase {old!r} -> {key!r}")
         self._key[uid] = key
         heapq.heappush(self._entries, (key, uid))
+        self._settle()  # the old pair is stale now: it may be due a rebuild
 
     def _settle(self) -> None:
         entries = self._entries
+        live = self._key
+        if len(entries) > 2 * len(live):
+            self._entries = entries = [(key, uid) for uid, key in live.items()]
+            heapq.heapify(entries)
         while entries:
-            key, uid = entries[0]
-            if self._key.get(uid, _ABSENT) == key:
+            pair = entries[0]
+            if live.get(pair[1], _ABSENT) == pair[0]:
+                self.top = pair
                 return
             heapq.heappop(entries)
+        self.top = None
 
     def find_min(self) -> tuple[Any, int] | None:
-        if not self._key:
-            return None
-        self._settle()
-        return self._entries[0]
+        return self.top
 
     def min_key(self) -> Any:
-        pair = self.find_min()
+        pair = self.top
         return None if pair is None else pair[0]
 
     def delete_min(self) -> tuple[Any, int]:
-        pair = self.find_min()
+        pair = self.top
         if pair is None:
             raise TraceError("oracle: delete-min on empty heap")
         del self._key[pair[1]]
         heapq.heappop(self._entries)
+        self._settle()
         return pair
 
     def remove(self, uid: int) -> None:
         """Drop a specific item (the policy heap chose it among equal keys,
         or a delete targeted it directly)."""
         del self._key[uid]
+        self._settle()
 
     def meld(self, other: "OracleHeap") -> None:
         if len(other._entries) > len(self._entries):
@@ -116,6 +131,8 @@ class OracleHeap:
         self._key.update(other._key)
         other._entries = []
         other._key = {}
+        other.top = None
+        self._settle()
 
 
 class _Absent:
@@ -352,6 +369,14 @@ class ReplayVerdict:
         return self.divergence is None and not self.check_failures
 
 
+@functools.cache
+def _floor_table(floor: Callable[[int], int]) -> list[int]:
+    """``floor`` at every rank below 64, which covers any tree that meets
+    its floor (a rank-64 tree holds F_66 or 2**64 nodes); beyond the table
+    :func:`_walk_checks` calls ``floor`` itself."""
+    return [floor(rank) for rank in range(64)]
+
+
 def _walk_checks(
     heap: Heap, floor: Callable[[int], int] | None, active: dict | None
 ) -> tuple[list[str], list[str], list[str], int]:
@@ -370,6 +395,9 @@ def _walk_checks(
     ends on any pointer graph, a cycle included.
     """
     check_degree = heap.policy is not Policy.RANDOMIZED
+    if floor is not None:
+        table = _floor_table(floor)
+        reach = len(table)
     bad: list[str] = []
     short: list[str] = []
     idle: list[str] = []
@@ -426,7 +454,9 @@ def _walk_checks(
                 i -= 1
                 end = ends[node] = ends.get(node.child, i + 1)
                 rank = node.rank
-                if rank > 0 and end - i < floor(rank):  # rank 0 asks for 1
+                if rank > 0 and end - i < (  # rank 0 asks for 1
+                    table[rank] if rank < reach else floor(rank)
+                ):
                     short.append(
                         f"node {node.uid}: size {end - i} < bound {floor(rank)}"
                         f" for rank {rank}"
@@ -454,12 +484,13 @@ def run_checks(universe: Universe) -> list[str]:
         active = ledger if heap.policy is Policy.SIMPLE else None
         bad, short, idle, share = _walk_checks(heap, floor, active)
         phi += share
-        for check, found in (
-            ("structure", bad),
-            (bound, short),
-            ("active-children", idle),
-        ):
-            out.extend(f"{heap.name}/{check}: {v}" for v in found[:5])
+        if bad or short or idle:
+            for check, found in (
+                ("structure", bad),
+                (bound, short),
+                ("active-children", idle),
+            ):
+                out.extend(f"{heap.name}/{check}: {v}" for v in found[:5])
     if phi != tele.phi:
         out.append(
             f"universe/potential: incremental phi {tele.phi} != recomputed {phi}"
@@ -594,12 +625,14 @@ def replay_differential(
 
     ``policy`` overrides every ``newheap`` line's recorded policy, which is
     how one generated trace is replayed across all ten.  After each step the
-    minimum keys of every live heap are compared (quietly — observation does
-    not disturb the counters); that comparison also covers what a find-min
-    returns.  ``check_interval`` > 0 additionally runs the
-    asserted invariant checkers every that-many steps, and once more at the
-    end unless the last step was one of those.  The reference only observes
-    what :func:`run_trace` yields.
+    minimum key of every live heap, not only the one the step touched, is
+    compared with its mirror's settled :attr:`OracleHeap.top` (quietly —
+    observation does not disturb the counters); that comparison also covers
+    what a find-min returns.  ``check_interval`` > 0 additionally runs
+    :func:`run_checks`, looked up as this module's global on every call,
+    every that-many steps, and once more at the end unless the last step was
+    one of those.  The reference only observes what :func:`run_trace`
+    yields.
     """
     if isinstance(policy, str):
         policy = Policy.from_tag(policy)
@@ -621,21 +654,6 @@ def replay_differential(
             verdict.step_index = i
         return bool(verdict.check_failures)
 
-    def agree(i: int, op: Op) -> bool:
-        for name, heap in heaps.items():
-            top = heap.peek()
-            got = None if top is None else top.key
-            want = mirrors[name].min_key()
-            if got != want:
-                diverged(
-                    i,
-                    f"after {' '.join(map(str, op))}: heap {name} finds min"
-                    f" {got!r}, reference finds {want!r}"
-                    f" (sizes {len(heap)}/{len(mirrors[name])})",
-                )
-                return False
-        return True
-
     for i, op, heap, node in run_trace(ops, universe, heaps, policy):
         verb = op[0]
         if verb == "newheap":
@@ -644,7 +662,7 @@ def replay_differential(
             mirrors[op[1]].insert(node.uid, node.key)
         elif verb == "deletemin":
             name = op[1]
-            pair = mirrors[name].find_min()
+            pair = mirrors[name].top
             want = None if pair is None else pair[0]
             if node.key != want:
                 return diverged(
@@ -666,8 +684,18 @@ def replay_differential(
         elif verb == "meld":
             mirrors[op[1]].meld(mirrors.pop(op[2]))
         verdict.steps += 1
-        if not agree(i, op):
-            return verdict
+        for name, live in heaps.items():  # every live heap, not just this op's
+            least = live.peek()
+            got = None if least is None else least.key
+            pair = mirrors[name].top
+            want = None if pair is None else pair[0]
+            if got != want:
+                return diverged(
+                    i,
+                    f"after {' '.join(map(str, op))}: heap {name} finds min"
+                    f" {got!r}, reference finds {want!r}"
+                    f" (sizes {len(live)}/{len(mirrors[name])})",
+                )
         if check_interval and (i + 1) % check_interval == 0 and checks_failed(i):
             return verdict
     if check_interval and verdict.steps % check_interval:

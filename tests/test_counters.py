@@ -111,6 +111,16 @@ def test_no_record_is_built_without_a_sink(monkeypatch):
 
 
 @pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_the_records_of_a_replay_sum_to_its_counters(tag):
+    records = []
+    universe, _ = replay_ops(_TRACE, policy=tag, seed=2, record_sink=records.append)
+    sums = tuple(
+        sum(getattr(rec, f) for rec in records) for f in COUNTER_FIELDS + ("d_phi",)
+    )
+    assert sums == _snapshot(universe.telemetry) == TRACE_PINS[tag]
+
+
+@pytest.mark.parametrize("tag", POLICY_TAGS)
 def test_a_sink_attached_between_operations_sees_every_later_delta(tag):
     universe = Universe(seed=2)
     tele = universe.telemetry

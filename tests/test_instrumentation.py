@@ -127,12 +127,26 @@ def test_audit_accepts_the_exact_bounds():
 
 
 def test_audit_flags_everything_beyond_slack():
-    assert audit_violations(_record("make-heap", d_phi=0.5))
-    assert audit_violations(_record("insert", d_phi=1.0 + 3 * SLACK))
+    assert audit_violations(_record("make-heap", d_phi=0.5)) == [
+        "make-heap: d_phi 0.5 exceeds 0"
+    ]
+    assert audit_violations(_record("insert", d_phi=1.0 + 3 * SLACK)) == [
+        "insert: d_phi 1.000000003 exceeds 1"
+    ]
     assert audit_violations(
         _record("decrease-key", iterations=3, d_phi=1.0 + 3 * SLACK)
-    )
-    assert audit_violations(_record("delete-min", n=1, d_phi=-1.0 + 3 * SLACK))
+    ) == [
+        "decrease-key: d_phi 1.000000003 exceeds 1",
+        "decrease-key: amortized 5.000000003 exceeds 5",
+    ]
+    assert audit_violations(_record("delete-min", n=1, d_phi=-1.0 + 3 * SLACK)) == [
+        "delete-min: d_phi -0.999999997 exceeds -1",
+        "delete-min: amortized 3.00000002618e-09 exceeds 0",
+    ]
+    assert audit_violations(_record("delete-min", n=8, fair_links=30, d_phi=20)) == [
+        "delete-min: d_phi 20 exceeds -22.3574794575",
+        "delete-min: amortized 55.3212602712 exceeds 12.9637808137",
+    ]
     # within slack is accepted
     assert not audit_violations(_record("insert", d_phi=1.0 + SLACK / 2))
 

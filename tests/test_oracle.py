@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,81 @@ def test_oracle_remove_tolerates_stale_entries():
     o.decrease_key(1, 2)
     o.remove(1)
     assert len(o) == 0 and o.find_min() is None
+
+
+def _least_live(o: OracleHeap):
+    return min(((key, uid) for uid, key in o._key.items()), default=None)
+
+
+def test_oracle_top_is_the_least_live_pair_after_every_mutation():
+    rng = random.Random(7)
+    heaps = [OracleHeap() for _ in range(3)]
+    covered = set()
+    uid = 0
+    for _ in range(6000):
+        o = heaps[rng.randrange(3)]
+        entries = o._entries
+        roll = rng.random()
+        if not o or roll < 0.3:
+            o.insert(uid, rng.randrange(40))  # few keys: ties go to the uid
+            uid += 1
+        elif roll < 0.6:
+            victim = rng.choice(list(o._key))
+            drop = rng.randrange(3)
+            o.decrease_key(victim, o._key[victim] - drop)
+            if drop == 0:
+                covered.add("decrease-key to an equal key")
+        elif roll < 0.75:
+            victim = rng.choice(list(o._key))
+            covered.add("remove the top" if victim == o.top[1] else "remove another")
+            o.remove(victim)
+        elif roll < 0.9:
+            want = _least_live(o)
+            assert o.delete_min() == want
+        else:
+            i = heaps.index(o)
+            other = heaps[(i + 1) % 3]
+            covered.add(
+                "meld a larger one in"
+                if len(other._entries) > len(o._entries)
+                else "meld a smaller one in"
+            )
+            o.meld(other)
+            assert other.top is None and not other._entries
+            heaps[(i + 1) % 3] = OracleHeap()
+            entries = o._entries
+        if o._entries is not entries:
+            covered.add("compaction")
+        for h in heaps:
+            assert h.top == _least_live(h)
+            assert len(h._entries) <= 2 * len(h)
+    assert covered == {
+        "decrease-key to an equal key",
+        "remove the top",
+        "remove another",
+        "meld a larger one in",
+        "meld a smaller one in",
+        "compaction",
+    }
+
+
+def test_mirror_entries_stay_within_twice_the_live_items(monkeypatch):
+    over = []
+
+    def bounded(method):
+        def call(self, *args):
+            result = method(self, *args)
+            if len(self._entries) > 2 * len(self) + 1:
+                over.append((method.__name__, len(self._entries), len(self)))
+            return result
+
+        return call
+
+    for name in ("insert", "decrease_key", "delete_min", "remove", "meld"):
+        monkeypatch.setattr(OracleHeap, name, bounded(getattr(OracleHeap, name)))
+    ops = gen_trace(100000, seed=1)  # the generator's own heaps count as well
+    assert replay_differential(ops, policy="simple").ok
+    assert over[:3] == []
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +623,45 @@ def test_run_checks_ends_on_a_pointer_cycle():
     h.root.child.child = h.root
     found = run_checks(u)
     assert f"h0/structure: node {h.root.uid} reachable twice" in found
+
+
+@pytest.mark.parametrize(
+    "tag, bound",
+    [
+        ("simple", "rank-bound-fibonacci: node 0: size 1 < bound 498454011879264"),
+        ("eager", "rank-bound-pow2: node 0: size 1 < bound 1180591620717411303424"),
+    ],
+)
+def test_a_rank_beyond_the_floor_table_is_still_checked(tag, bound):
+    from fibcascade import Universe
+
+    u = Universe()
+    h = u.make_heap(tag, "h0")
+    node = u.make_item(1)
+    h.insert(node)
+    node.rank = 70  # F_72 and 2**70: past any tree this process can build
+    assert run_checks(u) == [
+        "h0/structure: node 0: degree 0 < rank 70",
+        f"h0/{bound} for rank 70",
+        "universe/potential: incremental phi 1 != recomputed -69",
+    ]
+
+
+def test_the_traced_benchmark_sees_the_mirror_and_the_checks(monkeypatch):
+    # benchmarks/tracing.py wraps the mirror's methods and the module-level
+    # run_checks; the replay has to keep reaching both through those names
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.syspath_prepend(str(benchmarks))
+    tracing = importlib.import_module("tracing")
+    recorder = tracing.Recorder()
+    with recorder.installed():
+        verdict = replay_differential(
+            gen_trace(200, seed=3), policy="simple", check_interval=25
+        )
+    assert verdict.ok and verdict.steps == 200
+    spans = recorder.summarize()
+    assert spans["oracle.mirror"]["calls"] > 0
+    assert spans["instrumentation.checks"]["calls"] == 8
 
 
 def test_failing_replay_verdicts_are_pinned(monkeypatch):
