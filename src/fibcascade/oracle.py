@@ -30,7 +30,6 @@ is only sound when all keys are unique.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass, field
 from random import Random
@@ -369,14 +368,6 @@ class ReplayVerdict:
         return self.divergence is None and not self.check_failures
 
 
-@functools.cache
-def _floor_table(floor: Callable[[int], int]) -> list[int]:
-    """``floor`` at every rank below 64, which covers any tree that meets
-    its floor (a rank-64 tree holds F_66 or 2**64 nodes); beyond the table
-    :func:`_walk_checks` calls ``floor`` itself."""
-    return [floor(rank) for rank in range(64)]
-
-
 def _walk_checks(
     heap: Heap, floor: Callable[[int], int] | None, active: dict | None
 ) -> tuple[list[str], list[str], list[str], int]:
@@ -395,9 +386,6 @@ def _walk_checks(
     ends on any pointer graph, a cycle included.
     """
     check_degree = heap.policy is not Policy.RANDOMIZED
-    if floor is not None:
-        table = _floor_table(floor)
-        reach = len(table)
     bad: list[str] = []
     short: list[str] = []
     idle: list[str] = []
@@ -454,9 +442,7 @@ def _walk_checks(
                 i -= 1
                 end = ends[node] = ends.get(node.child, i + 1)
                 rank = node.rank
-                if rank > 0 and end - i < (  # rank 0 asks for 1
-                    table[rank] if rank < reach else floor(rank)
-                ):
+                if rank > 0 and end - i < floor(rank):  # rank 0 asks for 1
                     short.append(
                         f"node {node.uid}: size {end - i} < bound {floor(rank)}"
                         f" for rank {rank}"

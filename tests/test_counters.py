@@ -110,36 +110,43 @@ def test_no_record_is_built_without_a_sink(monkeypatch):
         assert _snapshot(universe.telemetry) == TRACE_PINS[tag]
 
 
-@pytest.mark.parametrize("tag", POLICY_TAGS)
-def test_the_records_of_a_replay_sum_to_its_counters(tag):
-    records = []
-    universe, _ = replay_ops(_TRACE, policy=tag, seed=2, record_sink=records.append)
-    sums = tuple(
-        sum(getattr(rec, f) for rec in records) for f in COUNTER_FIELDS + ("d_phi",)
-    )
-    assert sums == _snapshot(universe.telemetry) == TRACE_PINS[tag]
-
-
-@pytest.mark.parametrize("tag", POLICY_TAGS)
-def test_a_sink_attached_between_operations_sees_every_later_delta(tag):
+@pytest.mark.parametrize(
+    "tag, attach_at, detach_at",
+    [pytest.param(tag, 100, 300, id=tag) for tag in POLICY_TAGS]
+    + [pytest.param(tag, None, None, id=f"{tag}-whole") for tag in POLICY_TAGS],
+)
+def test_a_sink_attached_between_operations_sees_every_later_delta(
+    tag, attach_at, detach_at
+):
+    # a window edge of None is the trace's own: attached before the first
+    # operation, or never detached
     universe = Universe(seed=2)
     tele = universe.telemetry
     records = []
-    attach_at, detach_at = 100, 300
-    base = after_detach = None
+
+    def attach():
+        tele.record_sink = records.append
+        return _snapshot(tele)
+
+    def check_sums():
+        moved = tuple(a - b for a, b in zip(_snapshot(tele), base))
+        sums = tuple(
+            sum(getattr(rec, f) for rec in records)
+            for f in COUNTER_FIELDS + ("d_phi",)
+        )
+        assert sums == moved
+        return len(records)
+
+    base = attach() if attach_at is None else None
+    after_detach = None
     for index, _, _, _ in run_trace(_TRACE, universe, {}, tag):
         if index == attach_at:
-            base = _snapshot(tele)
-            tele.record_sink = records.append
+            base = attach()
         elif index == detach_at:
             tele.record_sink = None
-            moved = tuple(a - b for a, b in zip(_snapshot(tele), base))
-            sums = tuple(
-                sum(getattr(rec, f) for rec in records)
-                for f in COUNTER_FIELDS + ("d_phi",)
-            )
-            assert sums == moved
-            after_detach = len(records)
+            after_detach = check_sums()
+    if detach_at is None:
+        after_detach = check_sums()
     assert base is not None and after_detach is not None
     assert records, "the attached sink saw no operation"
     assert len(records) == after_detach  # detaching stops the records

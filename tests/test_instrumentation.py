@@ -19,7 +19,13 @@ from fibcascade import (
     log_phi,
     lucas,
 )
-from fibcascade.instrumentation import AmortizedAuditor, OpRecord, fit_exponent
+from fibcascade.instrumentation import (
+    COUNTER_FIELDS,
+    AmortizedAuditor,
+    OpRecord,
+    Telemetry,
+    fit_exponent,
+)
 
 from _reference import (
     potential_violations,
@@ -175,6 +181,25 @@ def test_telemetry_op_records_flow_to_the_sink():
     assert [r.kind for r in seen] == ["insert", "insert", "find-min", "delete-min"]
     assert seen[0].d_phi == 1  # fresh root
     assert seen[2].estimated_time == 1
+
+
+def test_each_record_field_holds_the_delta_of_its_own_counter():
+    # distinct powers of two per counter: a delta taken against another
+    # counter's snapshot, or stored in another field, cannot match by chance
+    tele = Telemetry()
+    names = COUNTER_FIELDS + ("phi",)
+    for i, name in enumerate(names):
+        setattr(tele, name, 3**i)
+    seen = []
+    tele.record_sink = seen.append
+    tele.op_begin("insert", 7)
+    for i, name in enumerate(names):
+        setattr(tele, name, getattr(tele, name) + 2**i)
+    tele.op_end()
+    (rec,) = seen
+    assert (rec.kind, rec.n_before) == ("insert", 7)
+    for i, name in enumerate(names):
+        assert getattr(rec, "d_phi" if name == "phi" else name) == 2**i, name
 
 
 def test_live_audit_over_a_real_workload():

@@ -625,28 +625,6 @@ def test_run_checks_ends_on_a_pointer_cycle():
     assert f"h0/structure: node {h.root.uid} reachable twice" in found
 
 
-@pytest.mark.parametrize(
-    "tag, bound",
-    [
-        ("simple", "rank-bound-fibonacci: node 0: size 1 < bound 498454011879264"),
-        ("eager", "rank-bound-pow2: node 0: size 1 < bound 1180591620717411303424"),
-    ],
-)
-def test_a_rank_beyond_the_floor_table_is_still_checked(tag, bound):
-    from fibcascade import Universe
-
-    u = Universe()
-    h = u.make_heap(tag, "h0")
-    node = u.make_item(1)
-    h.insert(node)
-    node.rank = 70  # F_72 and 2**70: past any tree this process can build
-    assert run_checks(u) == [
-        "h0/structure: node 0: degree 0 < rank 70",
-        f"h0/{bound} for rank 70",
-        "universe/potential: incremental phi 1 != recomputed -69",
-    ]
-
-
 def test_the_traced_benchmark_sees_the_mirror_and_the_checks(monkeypatch):
     # benchmarks/tracing.py wraps the mirror's methods and the module-level
     # run_checks; the replay has to keep reaching both through those names
