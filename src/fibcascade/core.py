@@ -5,9 +5,12 @@ The data structure keeps one tree per heap; the textbook multi-root baseline,
 combined by *naive* links that ignore ranks; delete-min's registry pass
 (:meth:`Heap._fill_registry`) combines roots of equal rank with *fair* links
 that bump the winner's rank.  That pass is the only place fair links happen
-and ranks grow.  What happens to ranks when a node loses a child is the
-pluggable part: each :class:`Policy` names one rank-maintenance rule,
-implemented in :mod:`fibcascade.policies`.
+and ranks grow; it walks the sibling chain of the deleted root's children
+(for :class:`ClassicHeap`, the other roots threaded ahead of them) once,
+following ``after`` itself, and resets only its survivors to roots.  What
+happens to ranks when a node loses a child is the pluggable part: each
+:class:`Policy` names one rank-maintenance rule, implemented in
+:mod:`fibcascade.policies`.
 
 Ties: ``link(x, y)`` compares with a strict ``x.key > y.key``, so the first
 argument wins ties everywhere (inserted singletons beat equal-keyed roots,
@@ -177,8 +180,10 @@ class Universe:
         cls = ClassicHeap if policy is Policy.CLASSIC else Heap
         heap = cls(self, policy, name)
         self._heaps.append(heap)
-        self.telemetry.op_begin("make-heap", 0)
-        self.telemetry.op_end()
+        tele = self.telemetry
+        if tele.record_sink is not None:
+            tele.op_begin("make-heap", 0)
+            tele.op_end()
         return heap
 
     def live_heaps(self) -> list["Heap"]:
@@ -231,9 +236,10 @@ _LOSER_STATES = {
 class Heap:
     """A mergeable heap bound to one policy and one universe.
 
-    All mutating entry points funnel through telemetry record boundaries, so
-    per-operation counter deltas and potential changes reach any attached
-    record sink.
+    Every public operation reads the telemetry's record sink once and, when
+    one is attached, brackets itself with the record boundaries, so
+    per-operation counter deltas and potential changes reach the sink;
+    without one no boundary is called.
     """
 
     __slots__ = (
@@ -358,6 +364,8 @@ class Heap:
     def find_min(self) -> Node | None:
         self._check_live()
         tele = self.universe.telemetry
+        if tele.record_sink is None:
+            return self.peek()
         tele.op_begin("find-min", self._size)
         out = self.peek()
         tele.op_end()
@@ -370,13 +378,16 @@ class Heap:
         if x.in_heap:
             raise PreconditionError(f"item {x.uid} is already in a heap")
         tele = self.universe.telemetry
-        tele.op_begin("insert", self._size)
+        recording = tele.record_sink is not None
+        if recording:
+            tele.op_begin("insert", self._size)
         x.in_heap = True
         x.parent = x
         tele.phi += 1  # a fresh singleton root
         self._add_root(x)
         self._size += 1
-        tele.op_end()
+        if recording:
+            tele.op_end()
 
     def meld(self, other: "Heap") -> "Heap":
         self._check_live()
@@ -390,14 +401,17 @@ class Heap:
                 f"cannot meld {self.policy.value} with {other.policy.value}"
             )
         tele = self.universe.telemetry
-        tele.op_begin("meld", self._size + other._size)
+        recording = tele.record_sink is not None
+        if recording:
+            tele.op_begin("meld", self._size + other._size)
         self._absorb(other)
         self._size += other._size
         other._size = 0
         other.live = False
         self.coin_seed = _mix_seeds(self.coin_seed, other.coin_seed)
         self._coin = None
-        tele.op_end()
+        if recording:
+            tele.op_end()
         return self
 
     def decrease_key(self, x: Node, new_key: Any) -> None:
@@ -416,20 +430,26 @@ class Heap:
                 f"decrease-key must not increase the key ({new_key!r} > {x.key!r})"
             )
         tele = self.universe.telemetry
-        tele.op_begin("decrease-key", self._size)
+        recording = tele.record_sink is not None
+        if recording:
+            tele.op_begin("decrease-key", self._size)
         x.key = new_key
         self._walk(self, x)
-        tele.op_end()
+        if recording:
+            tele.op_end()
 
     def delete_min(self) -> Node:
         self._check_live()
         if self._size == 0:
             raise PreconditionError("delete-min on an empty heap")
         tele = self.universe.telemetry
-        tele.op_begin("delete-min", self._size)
+        recording = tele.record_sink is not None
+        if recording:
+            tele.op_begin("delete-min", self._size)
         removed = self._remove_min()
         self._size -= 1
-        tele.op_end()
+        if recording:
+            tele.op_end()
         return removed
 
     def delete(self, x: Node) -> Node:
@@ -467,7 +487,7 @@ class Heap:
         h = self.root
         assert h is not None
         root: Node | None = None
-        for occupant in self._fill_registry(_detach_children(h)):
+        for occupant in self._fill_registry(h.child):
             if root is None:
                 root = occupant
             else:
@@ -476,25 +496,33 @@ class Heap:
         self._destroy(h)
         return h
 
-    def _fill_registry(self, roots: list[Node]) -> list[Node]:
-        """Fair-link equal-rank roots through the registry, scanning
-        ``roots`` first to last; return the survivors in ascending rank
-        order and leave the registry clear.
+    def _fill_registry(self, y: Node | None) -> list[Node]:
+        """Fair-link equal-rank roots through the registry, scanning the
+        sibling chain that starts at ``y`` first to last; return the
+        survivors, each made a root, in ascending rank order and leave the
+        registry clear.
 
-        A fair link splices as :meth:`_link` does and bumps the winner's
-        rank (phi -1 via the rank change; the loser's root bonus moves to
-        the winner's new child slot, net zero).  The registry slot is
-        cleared at the winner's pre-bump rank, and the scanned (or
-        accumulated) node is always the first link argument.  The counters
-        and phi are settled once, after the scan.
+        Each node's ``after`` is read before the node can be linked, so the
+        chain is walked once and needs no detaching first: a loser's three
+        pointers are rewritten by its link, and only the survivors (about
+        log n of them) are reset to roots after the scan.  A fair link
+        splices as :meth:`_link` does and bumps the winner's rank (phi -1
+        via the rank change; the loser's root bonus moves to the winner's
+        new child slot, net zero).  The registry slot is cleared at the
+        winner's pre-bump rank, and the scanned (or accumulated) node is
+        always the first link argument.  Every fair link removes one tree,
+        so the links are the roots scanned minus the survivors, and the
+        counters and phi are settled once, after the scan.
         """
         A = self.universe.registry
         tele = self.universe.telemetry
         state = self._fair_loser_state
         active = tele.active if tele.track_active else None
-        links = 0
+        scanned = 0
         max_rank = 0
-        for y in roots:
+        while y is not None:
+            after = y.after
+            scanned += 1
             r = y.rank
             while True:
                 try:
@@ -505,7 +533,6 @@ class Heap:
                 if occupant is None:
                     break
                 A[r] = None
-                links += 1
                 if y.key > occupant.key:
                     y.rank = r  # the scanned node loses with its rank so far
                     y, occupant = occupant, y
@@ -518,7 +545,8 @@ class Heap:
                     z.before = occupant
                 y.child = occupant
                 r += 1
-                if state is not None:
+                # a loser already in the policy's state needs no transition
+                if state is not None and occupant.state != state:
                     set_state(occupant, state, tele)
                 if active is not None:
                     active[occupant] = True
@@ -526,31 +554,21 @@ class Heap:
             A[r] = y
             if r > max_rank:
                 max_rank = r
-        tele.comparisons += links
-        tele.fair_links += links
-        tele.phi -= links
+            y = after
         survivors: list[Node] = []
         for i in range(max_rank + 1):
             occupant = A[i]
             if occupant is not None:
                 A[i] = None
+                occupant.parent = occupant
+                occupant.before = None
+                occupant.after = None
                 survivors.append(occupant)
+        links = scanned - len(survivors)
+        tele.comparisons += links
+        tele.fair_links += links
+        tele.phi -= links
         return survivors
-
-
-def _detach_children(node: Node) -> list[Node]:
-    """Node's children first to last, each made a root."""
-    children = []
-    x = node.child
-    node.child = None
-    while x is not None:
-        children.append(x)
-        x.parent = x
-        x.before = None
-        y = x.after
-        x.after = None
-        x = y
-    return children
 
 
 class ClassicHeap(Heap):
@@ -596,16 +614,22 @@ class ClassicHeap(Heap):
         other.min_node = None
 
     def _remove_min(self) -> Node:
+        """Thread the other roots, in list order, ahead of the minimum's
+        children through ``after`` and fair-link the whole chain; only the
+        survivors need unmarking (roots are never marked), as the fair-loser
+        rule unmarks every loser."""
         tele = self.universe.telemetry
         m = self.min_node
         assert m is not None
-        self.roots.remove(m)
-        for child in _detach_children(m):
-            set_state(child, UNMARKED, tele)  # roots are never marked
-            self.roots.append(child)
-        self.roots = self._fill_registry(self.roots)
+        first = m.child
+        for y in reversed(self.roots):
+            if y is not m:
+                y.after = first
+                first = y
+        self.roots = self._fill_registry(first)
         self.min_node = None
         for y in self.roots:
+            set_state(y, UNMARKED, tele)
             self._offer_min(y)
         self._destroy(m)
         return m

@@ -146,11 +146,13 @@ class Telemetry:
 
     ``record_sink``, when set, receives every finished :class:`OpRecord`
     (used by the streaming amortized auditor).  Records exist only for
-    operations that begin while a sink is attached; without one the
-    operation boundaries return at once, so the counters cost only their
-    increments.  ``active`` is the shadow activity ledger: it marks children
-    that arrived via a fair link and have not since been unmarked or cut
-    loose; it exists purely for checking and never influences heap behavior.
+    operations that begin while a sink is attached: each heap operation
+    reads ``record_sink`` once and calls :meth:`op_begin` and
+    :meth:`op_end` only when it is set, so without a sink the counters cost
+    only their increments.  ``active`` is the shadow activity ledger: it
+    marks children that arrived via a fair link and have not since been
+    unmarked or cut loose; it exists purely for checking and never
+    influences heap behavior.
     """
 
     __slots__ = COUNTER_FIELDS + (
@@ -169,8 +171,7 @@ class Telemetry:
         self.track_active = track_active
         self.active: dict[Any, bool] = {}
         # kind, size before and a snapshot of the counters and phi: taken by
-        # an op_begin under a sink, consumed by the op_end that hands out its
-        # record
+        # op_begin, read by the op_end that hands out the operation's record
         self._op_open: tuple | None = None
 
     def counters(self) -> dict[str, int]:
@@ -181,21 +182,15 @@ class Telemetry:
         return self.fair_links + self.naive_links
 
     def op_begin(self, kind: str, n_before: int) -> None:
-        if self.record_sink is None:
-            return
+        """Open an operation's record; called only under a record sink."""
         self._op_open = (kind, n_before, _snapshot(self))
 
     def op_end(self) -> None:
-        sink = self.record_sink
-        if sink is None:
-            return
-        opened = self._op_open
-        if opened is None:  # this operation began without a sink
-            return
-        self._op_open = None
-        kind, n_before, counted = opened
+        """Hand the record of the operation :meth:`op_begin` opened to the
+        record sink."""
+        kind, n_before, counted = self._op_open
         fair, naive, compared, steps, cuts, marks, unmarks, clamps, phi = counted
-        sink(
+        self.record_sink(
             OpRecord(
                 kind,
                 n_before,

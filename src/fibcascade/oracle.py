@@ -375,15 +375,16 @@ def _walk_checks(
     only copy of them.
 
     Returns, in walk order, the structure violations (pointer discipline,
-    heap order, rank sanity and degree >= rank), the nodes whose subtree is
-    smaller than ``floor`` of their rank (none without a floor), the nodes
-    with fewer children active in the ledger ``active`` than their rank
-    (none without a ledger), and the heap's share of the potential.  The
-    degree >= rank clause is skipped for ``randomized``: its coin may stop a
-    walk before the cut child's parent was decremented, so ranks above
-    degrees are within that rule's contract.  A node reached a second time
-    is reported once, as reachable twice, and not walked again, so the walk
-    ends on any pointer graph, a cycle included.
+    each root its own parent with no siblings, heap order, rank sanity and
+    degree >= rank), the nodes whose subtree is smaller than ``floor`` of
+    their rank (none without a floor), the nodes with fewer children active
+    in the ledger ``active`` than their rank (none without a ledger), and
+    the heap's share of the potential.  The degree >= rank clause is
+    skipped for ``randomized``: its coin may stop a walk before the cut
+    child's parent was decremented, so ranks above degrees are within that
+    rule's contract.  A node reached a second time is reported once, as
+    reachable twice, and not walked again, so the walk ends on any pointer
+    graph, a cycle included.
     """
     check_degree = heap.policy is not Policy.RANDOMIZED
     bad: list[str] = []
@@ -393,6 +394,10 @@ def _walk_checks(
     seen: set[Node] = set()
     for root in heap.iter_roots():
         phi += 1  # each root contributes one
+        if root.parent is not root:
+            bad.append(f"node {root.uid}: root is not its own parent")
+        if root.before is not None or root.after is not None:
+            bad.append(f"node {root.uid}: root has a sibling link")
         order = []
         stack = [root]
         while stack:

@@ -47,7 +47,8 @@ class CheckReport:
 
 
 def structure_violations(heap) -> CheckReport:
-    """Pointer discipline, heap order, rank sanity, and degree >= rank.
+    """Pointer discipline (each root its own parent with no siblings), heap
+    order, rank sanity, and degree >= rank.
 
     The degree >= rank clause is skipped for the randomized policy: its coin
     may stop a walk before the cut child's parent was decremented, so ranks
@@ -57,6 +58,10 @@ def structure_violations(heap) -> CheckReport:
     report = CheckReport("structure")
     seen = set()
     for root in heap.iter_roots():
+        if root.parent is not root:
+            report.violations.append(f"node {root.uid}: root is not its own parent")
+        if root.before is not None or root.after is not None:
+            report.violations.append(f"node {root.uid}: root has a sibling link")
         for node in iter_subtree(root):
             if id(node) in seen:
                 report.violations.append(f"node {node.uid} reachable twice")

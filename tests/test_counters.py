@@ -9,14 +9,16 @@ measure and has to say why.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
 
 import pytest
 
 import fibcascade.instrumentation
 from fibcascade import POLICY_TAGS, Policy, Universe
 from fibcascade.cli import dijkstra_policy, gen_graph
-from fibcascade.instrumentation import COUNTER_FIELDS
+from fibcascade.instrumentation import COUNTER_FIELDS, Telemetry
 from fibcascade.oracle import gen_trace, replay_ops, run_trace
 
 # counters in COUNTER_FIELDS order, then phi
@@ -62,6 +64,38 @@ DRAIN_PINS = {
     "classic": (27095, 0, 43923, 0, 0, 0, 0, 0, 0),
 }
 
+# sha256 (first 16 hex digits) of the shape of every live heap after every
+# operation, taken before delete-min walked the child chain in one pass:
+# these pin tie-breaking, child order and the registry's scan order, which
+# the counter totals above do not see
+TRACE_SHAPE_PINS = {
+    "simple": "d5af9ede68aae1f7",
+    "heap-order": "d014ddbdb14b9b56",
+    "increasing-rank": "4ee74b465d12bd07",
+    "passive-child": "fa52a3f5f99a77a1",
+    "eager": "d0891e3f5668f61f",
+    "naive-increasing": "a660f42c3dd1b7a8",
+    "zero-rank": "652ba9a82597ed06",
+    "randomized": "92a3a2b581f571f2",
+    "non-cascading": "d6f1e8a6e4b3ca9d",
+    "classic": "ff40ef1037a6eec8",
+}
+
+# the drain of DRAIN_PINS, after every insert and every delete-min; with no
+# decrease-key, the policies that give a link's loser no state share a shape
+DRAIN_SHAPE_PINS = {
+    "simple": "f59f2a0f581fffa3",
+    "heap-order": "f59f2a0f581fffa3",
+    "increasing-rank": "f59f2a0f581fffa3",
+    "passive-child": "53d6f61963e9439d",
+    "eager": "3adbe320556d3c57",
+    "naive-increasing": "f59f2a0f581fffa3",
+    "zero-rank": "f59f2a0f581fffa3",
+    "randomized": "f59f2a0f581fffa3",
+    "non-cascading": "f59f2a0f581fffa3",
+    "classic": "1aeba05a3136c6d1",
+}
+
 _TRACE = gen_trace(400, seed=11)
 
 
@@ -69,9 +103,31 @@ def _snapshot(tele) -> tuple[int, ...]:
     return tuple(tele.counters().values()) + (tele.phi,)
 
 
+def _add_shapes(universe, digest) -> None:
+    """Feed ``digest`` every live heap's name, node count and preorder
+    ``(uid, rank, state, parent uid)`` in child order, roots in list order."""
+    for heap in universe.live_heaps():
+        out: list[int] = []
+        for root in heap.iter_roots():
+            node = root
+            while True:
+                out += (node.uid, node.rank, node.state, node.parent.uid)
+                if node.child is not None:
+                    node = node.child
+                    continue
+                while node.after is None and node is not root:
+                    node = node.parent
+                if node is root:
+                    break
+                node = node.after
+        digest.update(f"{heap.name} {len(out) // 4};".encode())
+        digest.update(struct.pack(f"<{len(out)}q", *out))
+
+
 def test_pins_cover_every_policy():
     assert set(TRACE_PINS) == set(DIJKSTRA_PINS) == set(POLICY_TAGS)
-    assert set(DRAIN_PINS) == set(POLICY_TAGS)
+    assert set(DRAIN_PINS) == set(TRACE_SHAPE_PINS) == set(POLICY_TAGS)
+    assert set(DRAIN_SHAPE_PINS) == set(POLICY_TAGS)
     assert tuple(Universe().telemetry.counters()) == COUNTER_FIELDS
 
 
@@ -82,29 +138,64 @@ def test_trace_counters_are_pinned(tag):
 
 
 @pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_trace_shapes_are_pinned(tag):
+    digest = hashlib.sha256()
+    replay_ops(
+        _TRACE,
+        policy=tag,
+        seed=2,
+        on_op=lambda index, universe, heaps: _add_shapes(universe, digest),
+    )
+    assert digest.hexdigest()[:16] == TRACE_SHAPE_PINS[tag]
+
+
+@pytest.mark.parametrize("tag", POLICY_TAGS)
 def test_dijkstra_counters_are_pinned(tag):
     adj = gen_graph(300, 750, seed=4)
     _, stats, phi = dijkstra_policy(adj, Policy(tag), 2)
     assert tuple(stats[f] for f in COUNTER_FIELDS) + (phi,) == DIJKSTRA_PINS[tag]
 
 
-@pytest.mark.parametrize("tag", POLICY_TAGS)
-def test_drain_counters_are_pinned(tag):
+def _drain(tag, on_op=None) -> Universe:
+    """Insert 3,000 keys, then delete-min to empty, calling
+    ``on_op(universe)`` after every operation."""
     universe = Universe(seed=5)
     heap = universe.make_heap(tag)
     for key in random.Random(3).sample(range(10**6), 3000):
         heap.insert(universe.make_item(key))
-    keys = [heap.delete_min().key for _ in range(3000)]
+        if on_op is not None:
+            on_op(universe)
+    keys = []
+    for _ in range(3000):
+        keys.append(heap.delete_min().key)
+        if on_op is not None:
+            on_op(universe)
     assert keys == sorted(keys) and heap.is_empty
+    return universe
+
+
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_drain_counters_are_pinned(tag):
+    universe = _drain(tag)
     assert len(universe.registry) > 8
     assert _snapshot(universe.telemetry) == DRAIN_PINS[tag]
 
 
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_drain_shapes_are_pinned(tag):
+    digest = hashlib.sha256()
+    _drain(tag, lambda universe: _add_shapes(universe, digest))
+    assert digest.hexdigest()[:16] == DRAIN_SHAPE_PINS[tag]
+
+
 def test_no_record_is_built_without_a_sink(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("an OpRecord was built with no sink attached")
+        raise AssertionError("a record was opened or built with no sink attached")
 
     monkeypatch.setattr(fibcascade.instrumentation, "OpRecord", forbidden)
+    # without a sink the heap operations call no record boundary at all
+    monkeypatch.setattr(Telemetry, "op_begin", forbidden)
+    monkeypatch.setattr(Telemetry, "op_end", forbidden)
     for tag in POLICY_TAGS:
         universe, _ = replay_ops(_TRACE, policy=tag, seed=2)
         assert _snapshot(universe.telemetry) == TRACE_PINS[tag]

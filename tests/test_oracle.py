@@ -597,6 +597,22 @@ def test_run_checks_matches_the_checkers_on_corrupted_heaps(tag, corruption):
     assert want
 
 
+@pytest.mark.parametrize("tag", ["simple", "classic"])
+def test_run_checks_reports_a_root_with_a_sibling(tag):
+    from fibcascade import Universe
+
+    u = Universe(track_active=True)
+    h = u.make_heap(tag, "h0")
+    for k in range(20):
+        h.insert(u.make_item(k))
+    h.delete_min()
+    assert run_checks(u) == []
+    root = next(h.iter_roots())
+    root.after = u.make_item(99)  # a root's siblings are never walked
+    want = [f"h0/structure: node {root.uid}: root has a sibling link"]
+    assert run_checks(u) == run_checks_per_heap(u, include_active=True) == want
+
+
 def test_run_checks_reports_a_node_reached_twice_once():
     from fibcascade import Universe
 
