@@ -192,9 +192,11 @@ def verify_t_shape(heap: Heap, k: int, missing: int | None = None) -> list[str]:
 
 
 class _LastRecord:
-    """A builder's record sink: the latest operation's record and the sum of
-    all estimated times.  It does not refer back to the builder, so a
-    finished schedule is freed by reference count."""
+    """A builder's record sink: the latest record and the sum of all
+    estimated times.  The builder attaches it only around the delete-mins
+    and decrease-keys, the records it reads, and adds each insert's cost
+    itself.  It does not refer back to the builder, so a finished schedule
+    is freed by reference count."""
 
     __slots__ = ("last", "est_total")
 
@@ -208,6 +210,7 @@ class _LastRecord:
 
 
 _DELETE_MIN = ("deletemin", "h0")  # every recorded delete-min shares this op
+_INSERT_COST = OpRecord("insert", 0).estimated_time  # the cost model's insert
 
 
 class AdversaryBuilder:
@@ -217,7 +220,10 @@ class AdversaryBuilder:
     additionally logs every operation in the replayable trace format, so the
     very same schedule can be rerun on other policies.  A recorded item's
     name is formatted once, kept in its ``info`` and shared by every op that
-    names it.
+    names it.  Telemetry builds records only for the delete-mins and
+    decrease-keys, whose links and cascade steps the builder reads; an
+    insert costs the cost model's constant, so ``est_total`` sums the same
+    estimated times, in the same order, as a sink attached throughout.
     """
 
     def __init__(self, seed: int = 0, recording: bool = False) -> None:
@@ -231,7 +237,6 @@ class AdversaryBuilder:
         self.trace: list[tuple] = []
         self._recording = recording
         self._records = _LastRecord()
-        self.universe.telemetry.record_sink = self._records
         if recording:
             self.trace.append(("newheap", "h0", Policy.NON_CASCADING.value))
 
@@ -248,20 +253,31 @@ class AdversaryBuilder:
             node.info = f"x{node.uid}"  # its trace name, as replay names items
             self.trace.append(("insert", "h0", node.info, key))
         self.heap.insert(node)
+        self._records.est_total += _INSERT_COST
         self.op_count += 1
         return node
 
     def _delete_min(self) -> Node:
         if self._recording:
             self.trace.append(_DELETE_MIN)
-        removed = self.heap.delete_min()
+        tele = self.universe.telemetry
+        tele.record_sink = self._records
+        try:
+            removed = self.heap.delete_min()
+        finally:
+            tele.record_sink = None
         self.op_count += 1
         return removed
 
     def _decrease_key(self, node: Node, key: int) -> None:
         if self._recording:
             self.trace.append(("decreasekey", node.info, key))
-        self.heap.decrease_key(node, key)
+        tele = self.universe.telemetry
+        tele.record_sink = self._records
+        try:
+            self.heap.decrease_key(node, key)
+        finally:
+            tele.record_sink = None
         self.op_count += 1
 
     def _require(self, cond: bool, msg: str) -> None:
@@ -384,27 +400,29 @@ class AdversaryBuilder:
     def steady_round(self, verify: bool = True) -> OpRecord:
         """Insert just above the root, delete-min, land on the same shape;
         return the delete-min's record (the insert's one naive link and one
-        comparison are booked to its own record, not this one)."""
+        comparison are in the telemetry's counters, not in this record)."""
         heap = self.heap
         k = self.k
         old_root = heap.root
         sigma = self.s0
         assert old_root is not None and sigma is not None
         key = self.alloc.round_key()
-        self._require(
-            old_root.key < key < sigma.key,
-            "round key must fall between the root and everything else",
-        )
+        if not old_root.key < key < sigma.key:
+            raise ShapeError(
+                "round key must fall between the root and everything else"
+            )
         fresh = self._insert(key)
         removed = self._delete_min()
         rec = self._records.last
-        self._require(removed is old_root, "round delete-min missed the root")
-        self._require(heap.root is fresh, "round insert did not take the root")
-        self._require(
-            rec.fair_links == k and rec.naive_links == 0,
-            f"round delete-min did {rec.fair_links} fair / {rec.naive_links}"
-            f" naive links, expected {k} / 0",
-        )
+        if removed is not old_root:
+            raise ShapeError("round delete-min missed the root")
+        if heap.root is not fresh:
+            raise ShapeError("round insert did not take the root")
+        if rec.fair_links != k or rec.naive_links != 0:
+            raise ShapeError(
+                f"round delete-min did {rec.fair_links} fair / {rec.naive_links}"
+                f" naive links, expected {k} / 0"
+            )
         if verify:
             self._verify(k)
         return rec

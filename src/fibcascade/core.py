@@ -162,14 +162,14 @@ class Universe:
         self.seed = seed
         self.telemetry = Telemetry(track_active=track_active)
         self.registry: list[Node | None] = [None] * 8
-        self._next_uid = 0
+        self.item_count = 0  # items made so far: the next item's uid
         self._heaps: list[Heap] = []
 
     def make_item(self, key: Any, info: Any = None) -> Node:
         if key is BOTTOM or isinstance(key, _Bottom):
             raise HeapError("the reserved bottom key cannot be used for items")
-        node = Node(key, info, self._next_uid)
-        self._next_uid += 1
+        node = Node(key, info, self.item_count)
+        self.item_count += 1
         return node
 
     def make_heap(self, policy: Policy | str, name: str | None = None) -> "Heap":

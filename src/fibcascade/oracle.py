@@ -383,10 +383,15 @@ def _walk_checks(
     skipped for ``randomized``: its coin may stop a walk before the cut
     child's parent was decremented, so ranks above degrees are within that
     rule's contract.  A node reached a second time is reported once, as
-    reachable twice, and not walked again, so the walk ends on any pointer
-    graph, a cycle included.
+    reachable twice, and not walked again.  A child chain longer than the
+    universe has items must loop: its scan stops there, and the cut is
+    reported ahead of the other structure violations, whose first five
+    would otherwise be the loop's repeats.  So the walk ends on any
+    pointer graph, a cycle of child or sibling links included.
     """
     check_degree = heap.policy is not Policy.RANDOMIZED
+    most = heap.universe.item_count
+    cut: list[str] = []
     bad: list[str] = []
     short: list[str] = []
     idle: list[str] = []
@@ -416,6 +421,12 @@ def _walk_checks(
             prev = None
             child = node.child
             while child is not None:
+                if d == most:
+                    cut.append(
+                        f"node {node.uid}: child chain longer than the"
+                        f" universe's {most} items"
+                    )
+                    break
                 stack.append(child)
                 if child.parent is not node:
                     bad.append(f"node {child.uid}: parent pointer does not match")
@@ -452,6 +463,8 @@ def _walk_checks(
                         f"node {node.uid}: size {end - i} < bound {floor(rank)}"
                         f" for rank {rank}"
                     )
+    if cut:
+        bad[:0] = cut
     return bad, short, idle, phi
 
 
@@ -622,13 +635,15 @@ def replay_differential(
     what a find-min returns.  ``check_interval`` > 0 additionally runs
     :func:`run_checks`, looked up as this module's global on every call,
     every that-many steps, and once more at the end unless the last step was
-    one of those.  The reference only observes what :func:`run_trace`
-    yields.
+    one of those; the universe then keeps the activity ledger, which those
+    checks read on ``simple`` heaps, unless ``policy`` names another one.
+    The reference only observes what :func:`run_trace` yields.
     """
     if isinstance(policy, str):
         policy = Policy.from_tag(policy)
     tag = policy.value if policy is not None else "recorded"
-    universe = Universe(seed=seed, track_active=check_interval > 0)
+    ledger = check_interval > 0 and policy in (None, Policy.SIMPLE)
+    universe = Universe(seed=seed, track_active=ledger)
     universe.telemetry.record_sink = record_sink
     heaps: dict[str, Heap] = {}
     mirrors: dict[str, OracleHeap] = {}

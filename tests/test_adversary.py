@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from fibcascade import Policy, Universe
+from fibcascade import Heap, Policy, Universe, instrumentation
 from fibcascade.adversary import (
     RUNG_BASE,
     SIGMA_STRIDE,
@@ -60,9 +60,21 @@ def test_build_verified_at_every_step(k):
     assert verify_t_shape(builder.heap, k) == []
 
 
-def test_the_record_sink_does_not_refer_to_the_builder():
+def test_the_record_sink_does_not_refer_to_the_builder(monkeypatch):
     builder = AdversaryBuilder()
-    assert builder not in gc.get_referents(builder.universe.telemetry.record_sink)
+    tele = builder.universe.telemetry
+    attached = []
+    real = Heap.delete_min
+
+    def spied(heap):
+        attached.append(tele.record_sink)
+        return real(heap)
+
+    monkeypatch.setattr(Heap, "delete_min", spied)
+    builder.build(3)
+    assert attached and all(sink is builder._records for sink in attached)
+    assert tele.record_sink is None  # attached only around its reads
+    assert builder not in gc.get_referents(builder._records)
 
 
 def test_a_finished_schedule_is_freed_by_reference_count():
@@ -77,6 +89,33 @@ def test_a_finished_schedule_is_freed_by_reference_count():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_est_total_sums_the_replayed_records_and_inserts_build_none(
+    monkeypatch,
+):
+    built = []
+    real = instrumentation.OpRecord
+
+    def counted(*args):
+        built.append(args[0])
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(instrumentation, "OpRecord", counted)
+        builder = run_lower_bound(3000, recording=True)
+    verbs = [op[0] for op in builder.trace]
+    assert built.count("delete-min") == verbs.count("deletemin") > 0
+    assert built.count("decrease-key") == verbs.count("decreasekey") > 0
+    assert len(built) == verbs.count("deletemin") + verbs.count("decreasekey")
+
+    records = []
+    replay_ops(builder.trace, policy="non-cascading", record_sink=records.append)
+    assert records[0].kind == "make-heap"
+    total = 0.0
+    for rec in records[1:]:  # in order, as the builder adds them
+        total += rec.estimated_time
+    assert builder.est_total == total
 
 
 def test_steady_round_counters_are_exact():

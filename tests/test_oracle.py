@@ -641,6 +641,53 @@ def test_run_checks_ends_on_a_pointer_cycle():
     assert f"h0/structure: node {h.root.uid} reachable twice" in found
 
 
+def test_run_checks_ends_on_a_sibling_cycle():
+    # only run_checks: the reference walkers would follow the loop for ever
+    from fibcascade import Universe
+
+    u = Universe(track_active=True)
+    h = u.make_heap("simple", "h0")
+    for k in range(20):
+        h.insert(u.make_item(k))
+    h.delete_min()
+    first = h.root.child
+    first.after = first
+    assert run_checks(u) == [
+        f"h0/structure: node {h.root.uid}: child chain longer than the"
+        " universe's 20 items",
+        *[f"h0/structure: node {first.uid}: broken sibling back-link"] * 4,
+        "universe/potential: incremental phi 3 != recomputed 21",
+    ]
+
+
+@pytest.mark.parametrize(
+    "policy, interval, kept",
+    [
+        ("classic", 25, False),
+        ("non-cascading", 25, False),
+        ("simple", 25, True),
+        (None, 25, True),
+        ("simple", 0, False),
+    ],
+)
+def test_a_replay_keeps_the_ledger_only_where_checks_read_it(
+    monkeypatch, policy, interval, kept
+):
+    made = []
+    real = fibcascade.oracle.Universe
+
+    def spy(*args, **kwargs):
+        universe = real(*args, **kwargs)
+        made.append(universe.telemetry.track_active)
+        return universe
+
+    monkeypatch.setattr(fibcascade.oracle, "Universe", spy)
+    verdict = replay_differential(
+        gen_trace(200, seed=3), policy=policy, check_interval=interval
+    )
+    assert verdict.ok and made == [kept]
+
+
 def test_the_traced_benchmark_sees_the_mirror_and_the_checks(monkeypatch):
     # benchmarks/tracing.py wraps the mirror's methods and the module-level
     # run_checks; the replay has to keep reaching both through those names
