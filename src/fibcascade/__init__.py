@@ -42,11 +42,8 @@ from .instrumentation import (
     OpRecord,
     Telemetry,
     audit_violations,
-    compute_potential,
     fib,
-    fib_dominates_phi_power,
     log_phi,
-    lucas,
 )
 
 __all__ = [
@@ -67,11 +64,8 @@ __all__ = [
     "Telemetry",
     "Universe",
     "audit_violations",
-    "compute_potential",
     "fib",
-    "fib_dominates_phi_power",
     "log_phi",
-    "lucas",
 ]
 
 __version__ = "0.1.0"

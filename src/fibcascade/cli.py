@@ -1,13 +1,12 @@
-"""Command-line front end: fuzzing, benchmarks, worst-case runs, Dijkstra.
+"""Command-line front end: fuzzing, worst-case runs, Dijkstra, replay.
 
 Subcommands
 -----------
 verify
     Differential fuzz campaigns with the full invariant battery: structure
     checks, rank bounds, the active-children ledger, per-operation
-    potential audits, and lockstep comparison against the reference heap.
-bench
-    Random or drain workloads per policy, emitting counter rows.
+    potential audits, and lockstep comparison against the reference heap;
+    on ``simple`` also that every comparison is kept as a link.
 adversary
     The self-reproducing worst-case schedules: either a k-sweep of steady
     cycles or whole lower-bound runs of a given operation count; replays
@@ -53,7 +52,6 @@ from .oracle import (
     gen_trace,
     parse_trace,
     replay_differential,
-    run_checks,
 )
 
 RESULT_FIELDS = (
@@ -199,6 +197,21 @@ def _aggregate_rows(
 # verify
 
 
+class _SimpleAuditor(AmortizedAuditor):
+    """The amortized audit of ``simple`` plus the paper's claim (iii): every
+    comparison is kept as a link, so each record's ``comparisons`` equals
+    its ``links``."""
+
+    def __call__(self, rec: OpRecord) -> None:
+        super().__call__(rec)
+        if rec.comparisons != rec.links:
+            self.violation_count += 1
+            if len(self.violations) < self.KEEP:
+                self.violations.append(
+                    f"{rec.kind}: comparisons {rec.comparisons} != links {rec.links}"
+                )
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, ["all"])
     sink = RowSink(args.out, args.format)
@@ -213,7 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             trace_seed = args.seed + t
             ops = gen_trace(args.ops, trace_seed)
             for policy, tally in zip(policies, tallies):
-                auditor = AmortizedAuditor() if policy is Policy.SIMPLE else None
+                auditor = _SimpleAuditor() if policy is Policy.SIMPLE else None
                 records: list[OpRecord] = []
                 # records are built only for a row to write; without --out
                 # the auditor, if any, is the only sink
@@ -262,89 +275,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f" failures, {tally.audits} audit violations [{verdict_word}]"
                 + (f" ({tally.first})" if tally.first else ""),
             )
-    finally:
-        sink.close()
-    return 1 if failed else 0
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def _random_keys(rng: random.Random, count: int) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    while len(out) < count:
-        key = rng.randrange(1 << 40)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
-
-
-def _drain_workload(policy: Policy, size: int, seed: int) -> tuple[list[OpRecord], float, int]:
-    universe = Universe(seed=seed)
-    records: list[OpRecord] = []
-    universe.telemetry.record_sink = records.append
-    heap = universe.make_heap(policy, "bench")
-    rng = random.Random(seed)
-    t0 = time.perf_counter_ns()
-    for key in _random_keys(rng, size):
-        heap.insert(universe.make_item(key))
-    while not heap.is_empty:
-        heap.delete_min()
-    wall = time.perf_counter_ns() - t0
-    return records, universe.telemetry.phi, wall
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.sizes and args.check:
-        _usage_error("bench --sizes runs no checks: drop --check or --sizes")
-    policies = _parse_policies(args.policy, ["all"])
-    sink = RowSink(args.out, args.format)
-    failed = False
-    ops = None if args.sizes else gen_trace(args.ops, args.seed)
-    try:
-        for policy in policies:
-            if args.sizes:
-                for size in args.sizes:
-                    records, phi, wall = _drain_workload(policy, size, args.seed)
-                    for row in _aggregate_rows(
-                        policy, f"drain-n{size}", records, phi, wall
-                    ):
-                        sink.write(row)
-            else:
-                records = []
-                t0 = time.perf_counter_ns()
-                universe, _ = replay_ops(
-                    ops, policy=policy, seed=args.seed,
-                    record_sink=records.append, track_active=args.check,
-                )
-                wall = time.perf_counter_ns() - t0
-                if args.check:
-                    problems = run_checks(universe)
-                    if policy is Policy.SIMPLE:
-                        auditor = AmortizedAuditor()
-                        for rec in records:
-                            auditor(rec)
-                        problems.extend(auditor.violations)
-                        tele = universe.telemetry
-                        if tele.comparisons != tele.total_links:
-                            problems.append(
-                                f"comparisons {tele.comparisons}"
-                                f" != links {tele.total_links}"
-                            )
-                    if problems:
-                        failed = True
-                        _log(sink, f"bench {policy.value}: FAIL {problems[0]}")
-                for row in _aggregate_rows(
-                    policy,
-                    f"random-ops{args.ops}",
-                    records,
-                    universe.telemetry.phi,
-                    wall,
-                ):
-                    sink.write(row)
     finally:
         sink.close()
     return 1 if failed else 0
@@ -683,6 +613,17 @@ def _positive(text: str) -> int:
     return value
 
 
+def _k_spec(text: str) -> list[int]:
+    """The argparse type of ``adversary --k``: a stage value or range."""
+    try:
+        return _parse_k_spec(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected K, LO..HI or LO..HI:STEP with 1 <= K, 1 <= LO <= HI"
+            f" and STEP >= 1, got {text!r}"
+        ) from None
+
+
 def _schedule_ops(text: str) -> int:
     """The argparse type of ``adversary --m``: a schedule's operation count."""
     value = _count(text)
@@ -691,10 +632,6 @@ def _schedule_ops(text: str) -> int:
             f"expected at least {MIN_M} operations, got {text!r}"
         )
     return value
-
-
-def _count_list(text: str) -> list[int]:
-    return [_count(part) for part in text.split(",") if part]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -722,26 +659,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", type=_count, default=1000)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="counter benchmarks")
-    common(p, "-")
-    p.add_argument("--check", action="store_true", help="enable the invariant suite")
-    p.add_argument("--ops", type=_count, default=2000)
-    p.add_argument(
-        "--sizes",
-        type=_count_list,
-        default=None,
-        metavar="N,N,...",
-        help="insert-then-drain workloads of these sizes instead of a random"
-        " trace (not with --check)",
-    )
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("adversary", help="worst-case schedules")
     common(p, "-")
     p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument(
         "--k",
-        type=_parse_k_spec,
+        type=_k_spec,
         metavar="K|LO..HI[:STEP]",
         help=f"steady-cycle stage sweep (default {K_DEFAULT} step 10; with"
         " --check at least three values; not with --m)",

@@ -6,10 +6,10 @@ potential function:
 
     phi = sum over nodes of (degree - rank)  +  1 per root  +  2 per marked node
 
-The heap code maintains ``phi`` incrementally as it mutates nodes; the pure
-:func:`compute_potential` traversal is the independent cross-check.  The
-invariant checks themselves are :func:`fibcascade.oracle.run_checks`; this
-module holds the rank bounds they assert (:data:`RANK_BOUNDS`).
+The heap code maintains ``phi`` incrementally as it mutates nodes.  The
+invariant checks, the potential's among them, are
+:func:`fibcascade.oracle.run_checks`; this module holds the rank bounds
+they assert (:data:`RANK_BOUNDS`).
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ def fib(k: int) -> int:
     return _FIBS[k]
 
 
-def lucas(k: int) -> int:
-    """L_k = F_{k-1} + F_{k+1} (L_0 = 2)."""
-    if k == 0:
-        return 2
-    return fib(k - 1) + fib(k + 1)
-
-
 def fit_exponent(points: Iterable[tuple[float, float]]) -> float:
     """Least-squares slope of log(cost) against log(n).
 
@@ -85,17 +78,6 @@ def fit_exponent(points: Iterable[tuple[float, float]]) -> float:
         raise ValueError("fit requires at least two distinct n values")
     sxy = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
     return sxy / sxx
-
-
-def fib_dominates_phi_power(k: int) -> bool:
-    """Exact-arithmetic check that F_{k+2} >= phi**k.
-
-    phi**k equals (L_k + F_k*sqrt(5)) / 2, so the claim is equivalent to
-    d = 2*F_{k+2} - L_k being nonnegative with d*d >= 5*F_k*F_k; both sides
-    are plain integers, so no floating point is involved.
-    """
-    d = 2 * fib(k + 2) - lucas(k)
-    return d >= 0 and d * d >= 5 * fib(k) * fib(k)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +159,6 @@ class Telemetry:
     def counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
-    @property
-    def total_links(self) -> int:
-        return self.fair_links + self.naive_links
-
     def op_begin(self, kind: str, n_before: int) -> None:
         """Open an operation's record; called only under a record sink."""
         self._op_open = (kind, n_before, _snapshot(self))
@@ -211,19 +189,6 @@ class Telemetry:
 # pure structural helpers (observers only: no counter is ever touched here)
 
 
-def iter_subtree(root) -> Iterator:
-    """All nodes of the tree rooted at ``root``, iteratively (trees can be
-    deep paths, so no recursion)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        child = node.child
-        while child is not None:
-            stack.append(child)
-            child = child.after
-
-
 def iter_children(node) -> Iterator:
     child = node.child
     while child is not None:
@@ -239,20 +204,6 @@ def degree(node) -> int:
         d += 1
         child = child.after
     return d
-
-
-def compute_potential(roots: Iterable) -> int:
-    """Potential by full traversal; the oracle for the incremental ``phi``."""
-    from .core import MARKED
-
-    phi = 0
-    for root in roots:
-        phi += 1  # each root contributes one
-        for node in iter_subtree(root):
-            phi += degree(node) - node.rank
-            if node.state == MARKED:
-                phi += 2
-    return phi
 
 
 # ---------------------------------------------------------------------------

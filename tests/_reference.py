@@ -1,18 +1,59 @@
 """The reference that ``oracle.run_checks`` is tested against: standalone
-checkers, one heap and one clause at a time, each with its own traversal."""
+checkers, one heap and one clause at a time, each with its own traversal;
+and the exact Fibonacci-versus-golden-ratio arithmetic of criterion 9."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 from fibcascade import Policy
-from fibcascade.instrumentation import (
-    RANK_BOUNDS,
-    compute_potential,
-    fib,
-    iter_subtree,
-)
+from fibcascade.core import MARKED
+from fibcascade.instrumentation import RANK_BOUNDS, degree, fib
+
+
+def lucas(k: int) -> int:
+    """L_k = F_{k-1} + F_{k+1} (L_0 = 2)."""
+    if k == 0:
+        return 2
+    return fib(k - 1) + fib(k + 1)
+
+
+def fib_dominates_phi_power(k: int) -> bool:
+    """Exact-arithmetic check that F_{k+2} >= phi**k.
+
+    phi**k equals (L_k + F_k*sqrt(5)) / 2, so the claim is equivalent to
+    d = 2*F_{k+2} - L_k being nonnegative with d*d >= 5*F_k*F_k; both sides
+    are plain integers, so no floating point is involved.
+    """
+    d = 2 * fib(k + 2) - lucas(k)
+    return d >= 0 and d * d >= 5 * fib(k) * fib(k)
+
+
+def iter_subtree(root) -> Iterator:
+    """All nodes of the tree rooted at ``root``, iteratively (trees can be
+    deep paths, so no recursion)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        child = node.child
+        while child is not None:
+            stack.append(child)
+            child = child.after
+
+
+def compute_potential(roots: Iterable) -> int:
+    """Potential by full traversal; the reference for the incremental ``phi``."""
+    phi = 0
+    for root in roots:
+        phi += 1  # each root contributes one
+        for node in iter_subtree(root):
+            phi += degree(node) - node.rank
+            if node.state == MARKED:
+                phi += 2
+    return phi
 
 
 def subtree_size(root) -> int:

@@ -1,10 +1,11 @@
 """Hand-wiring helpers: build exact tree shapes without going through the
 public operations, so tests can start from a known arrangement."""
 
-from fibcascade import compute_potential
 from fibcascade.core import MARKED, UNMARKED, dec_rank_floor, set_state
 from fibcascade.instrumentation import iter_children
 from fibcascade.policies import _cut_and_reroot, _dk_increasing_rank
+
+from _reference import compute_potential
 
 
 def wire(parent, *children):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from fibcascade import Policy, fib_dominates_phi_power
+from fibcascade import Policy
 from fibcascade.adversary import (
     AdversaryBuilder,
     replay_ops,
@@ -21,7 +21,11 @@ from fibcascade.cli import dijkstra_policy, dijkstra_reference, gen_graph
 from fibcascade.instrumentation import AmortizedAuditor, fit_exponent
 from fibcascade.oracle import gen_trace, replay_differential
 
-from _reference import active_children_violations, rank_bound_violations
+from _reference import (
+    active_children_violations,
+    fib_dominates_phi_power,
+    rank_bound_violations,
+)
 
 ALL_TAGS = tuple(p.value for p in Policy)
 

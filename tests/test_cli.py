@@ -2,25 +2,26 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 import fibcascade.cli
 import fibcascade.instrumentation
 import fibcascade.policies
-from fibcascade import Policy
+from fibcascade import Heap, Policy
 from fibcascade.cli import (
-    RESULT_FIELDS,
     _parse_k_spec,
     _parse_policies,
+    build_parser,
     gen_graph,
     main,
 )
-from fibcascade.oracle import replay_ops
 
 from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
 
@@ -37,9 +38,6 @@ NEGATIVE_COUNTS = [
     ("dijkstra", "--vertices", "10", "--edges", "-5"),
     ("verify", "--traces", "-1"),
     ("verify", "--ops", "-3"),
-    ("bench", "--ops", "-3"),
-    ("bench", "--sizes", "-5"),
-    ("bench", "--sizes", "4,-5"),
     ("adversary", "--rounds", "-1"),
     ("adversary", "--m", "-10"),
 ]
@@ -50,10 +48,23 @@ ZERO_COUNTS = [
     ("adversary", "--policy", "simple", "--k", "10", "--rounds", "0"),
 ]
 
-# flags that do not combine: the drain workloads run no checks, and a whole
-# --m schedule takes no stage sweep or round count
+# count flags given a value that is no integer (the flag is second to last)
+NON_NUMERIC_COUNTS = [
+    ("verify", "--traces", "ten"),
+    ("verify", "--ops", "2.5"),
+    ("dijkstra", "--edges", "1e3"),
+]
+
+# stage sweeps that are no range of stages: descending, zero, not a number
+BAD_K_SPECS = [
+    ("adversary", "--k", "10..5"),
+    ("adversary", "--k", "0"),
+    ("adversary", "--k", "10..x"),
+]
+
+# flags that do not combine: a whole --m schedule takes no stage sweep or
+# round count
 EXCLUSIVE_FLAGS = [
-    ("bench", "--policy", "simple", "--sizes", "200", "--check"),
     ("adversary", "--m", "2000", "--k", "10..20"),
     ("adversary", "--m", "2000", "--rounds", "3"),
 ]
@@ -64,8 +75,9 @@ EXCLUSIVE_FLAGS = [
     [
         (),
         ("frobnicate",),
+        ("bench", "--ops", "200"),
         ("verify", "--policy", "bogus"),
-        ("bench", "--format", "xml"),
+        ("dijkstra", "--format", "xml"),
         ("adversary", "--policy", "classic"),  # schedule needs exact shapes
         ("adversary", "--m", "3000", "--policy", "simple"),  # non-cascading only
         ("replay", "--policy", "bogus", "t.trace"),
@@ -73,6 +85,7 @@ EXCLUSIVE_FLAGS = [
         ("dijkstra", "--vertices", "1"),
         *NEGATIVE_COUNTS,
         *ZERO_COUNTS,
+        *BAD_K_SPECS,
         ("verify", "--check"),  # verify always runs the full battery
         ("adversary", "--m", "0"),  # a schedule needs at least 12 operations
         ("adversary", "--m", "11"),
@@ -81,6 +94,7 @@ EXCLUSIVE_FLAGS = [
         ("adversary", "--m", "100000", "--m", "100001", "--check"),
         ("adversary", "--k", "10..20:10", "--rounds", "2", "--check"),
         *EXCLUSIVE_FLAGS,
+        *NON_NUMERIC_COUNTS,
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -94,7 +108,7 @@ def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", NEGATIVE_COUNTS + ZERO_COUNTS)
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS + ZERO_COUNTS + NON_NUMERIC_COUNTS)
 def test_negative_counts_name_their_flag(argv, capsys):
     want = "a positive" if argv in ZERO_COUNTS else "a nonnegative"
     with pytest.raises(SystemExit):
@@ -102,6 +116,15 @@ def test_negative_counts_name_their_flag(argv, capsys):
     assert f"argument {argv[-2]}: expected {want} integer" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize("argv", BAD_K_SPECS)
+def test_bad_k_specs_say_what_is_allowed(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --k: expected" in message and "LO..HI" in message
 
 
 @pytest.mark.parametrize(
@@ -136,6 +159,20 @@ def test_adversary_check_with_fewer_than_three_k_names_the_flag(capsys):
         run_cli("adversary", "--k", "10..20:10", "--rounds", "2", "--check")
     assert err.value.code == 2
     assert "--k" in capsys.readouterr().err
+
+
+def test_readme_cli_block_lists_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    documented = {
+        line.split()[1] for line in block.splitlines() if line.startswith("fibcascade ")
+    }
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert documented == set(subparsers.choices)
 
 
 def test_parse_policies_expands_lists_and_all():
@@ -212,6 +249,22 @@ def test_verify_generates_each_trace_once(monkeypatch, capsys):
     ]
 
 
+def test_verify_flags_a_comparison_that_makes_no_link(monkeypatch, capsys):
+    # claim (iii): on simple every comparison is kept as a link; a find-min
+    # that compares is a comparison no link accounts for
+    real = Heap.peek
+
+    def comparing_peek(self):
+        self.universe.telemetry.comparisons += 1
+        return real(self)
+
+    monkeypatch.setattr(Heap, "peek", comparing_peek)
+    code = run_cli("verify", "--policy", "simple", "--traces", "1", "--ops", "200")
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "find-min: comparisons 1 != links 0" in out and "[FAIL]" in out
+
+
 def test_verify_fault_injection_trips_the_audits(monkeypatch, capsys):
     monkeypatch.setattr(
         fibcascade.policies, "_toggle_walk", toggle_walk_without_unmark
@@ -219,71 +272,6 @@ def test_verify_fault_injection_trips_the_audits(monkeypatch, capsys):
     code = run_cli("verify", "--policy", "simple", "--traces", "2", "--ops", "400")
     assert code == 1
     assert "audit" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-def test_bench_csv_schema(tmp_path):
-    out = tmp_path / "rows.csv"
-    assert (
-        run_cli(
-            "bench", "--policy", "simple,classic", "--ops", "400",
-            "--out", str(out), "--check",
-        )
-        == 0
-    )
-    with out.open() as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows
-    assert list(rows[0]) == list(RESULT_FIELDS)
-    kinds = {row["op-kind"] for row in rows}
-    assert "all" in kinds and "delete-min" in kinds
-    policies = {row["policy"] for row in rows}
-    assert policies == {"simple", "classic"}
-    for row in rows:
-        int(row["fair_links"]); int(row["naive_links"])
-        int(row["comparisons"]); int(row["wall_time_ns"])
-        float(row["phi"])
-
-
-def test_bench_generates_its_trace_once(monkeypatch, capsys):
-    calls = _count_gen_trace(monkeypatch)
-    assert run_cli("bench", "--policy", "simple,classic", "--ops", "200") == 0
-    assert len(calls) == 1
-    capsys.readouterr()
-
-
-def test_bench_check_audits_the_active_children_ledger(monkeypatch, capsys):
-    # a ledger emptied after the replay must fail the check
-    def replay_and_forget(*args, **kwargs):
-        universe, heaps = replay_ops(*args, **kwargs)
-        universe.telemetry.active.clear()
-        return universe, heaps
-
-    monkeypatch.setattr(fibcascade.cli, "replay_ops", replay_and_forget)
-    code = run_cli("bench", "--policy", "simple", "--ops", "2000", "--check")
-    assert code == 1
-    out, err = capsys.readouterr()
-    assert "active-children" in out + err
-
-
-def test_bench_jsonl_schema(tmp_path):
-    out = tmp_path / "rows.jsonl"
-    assert (
-        run_cli(
-            "bench", "--policy", "simple", "--sizes", "64,128",
-            "--out", str(out), "--format", "jsonl",
-        )
-        == 0
-    )
-    lines = out.read_text().splitlines()
-    assert lines
-    for line in lines:
-        rec = json.loads(line)
-        assert list(rec) == list(RESULT_FIELDS)
-    sizes = {json.loads(line)["n"] for line in lines}
-    assert {64, 128} <= sizes
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +411,6 @@ def test_replay_reads_stdin(tmp_path, capsys, monkeypatch):
 
 # one small run of each row-writing path
 PINNED_RUNS = [
-    ("bench", "--policy", "simple,classic", "--ops", "300", "--seed", "1", "--check"),
-    ("bench", "--policy", "simple,classic", "--sizes", "50,100"),
     ("adversary", "--k", "10..30:10", "--rounds", "3"),
     ("adversary", "--k", "10..30:10", "--rounds", "3", "--policy", "simple"),
     ("adversary", "--m", "2000"),
@@ -460,5 +446,5 @@ def test_cli_rows_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update("\n".join(lines).encode() + b"\n")
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "a9deef4fed7ce7c383dba48e58a056f09edb3233ae27641141e7de1172390e60"
+        "9ec021e06b05819eacf0d68332950045a7664c72969c74e2f2ded09dcfc2b60d"
     )

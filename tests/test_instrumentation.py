@@ -13,11 +13,8 @@ from fibcascade import (
     SLACK,
     Universe,
     audit_violations,
-    compute_potential,
     fib,
-    fib_dominates_phi_power,
     log_phi,
-    lucas,
 )
 from fibcascade.instrumentation import (
     COUNTER_FIELDS,
@@ -28,6 +25,9 @@ from fibcascade.instrumentation import (
 )
 
 from _reference import (
+    compute_potential,
+    fib_dominates_phi_power,
+    lucas,
     potential_violations,
     rank_bound_violations,
     structure_violations,

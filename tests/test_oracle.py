@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import fibcascade.oracle
 import fibcascade.policies
 from fibcascade import POLICY_TAGS, Node, Policy
-from fibcascade.instrumentation import COUNTER_FIELDS, iter_subtree
+from fibcascade.instrumentation import COUNTER_FIELDS
 from fibcascade.oracle import (
     OracleHeap,
     TraceError,
@@ -26,7 +26,7 @@ from fibcascade.oracle import (
     run_checks,
 )
 
-from _reference import run_checks_per_heap
+from _reference import iter_subtree, run_checks_per_heap
 from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
 
 
