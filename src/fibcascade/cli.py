@@ -53,6 +53,7 @@ from .oracle import (
     parse_trace,
     replay_differential,
 )
+from .policies import RULES
 
 RESULT_FIELDS = (
     "policy",
@@ -226,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             trace_seed = args.seed + t
             ops = gen_trace(args.ops, trace_seed)
             for policy, tally in zip(policies, tallies):
-                auditor = _SimpleAuditor() if policy is Policy.SIMPLE else None
+                auditor = _SimpleAuditor() if RULES[policy].audited else None
                 records: list[OpRecord] = []
                 # records are built only for a row to write; without --out
                 # the auditor, if any, is the only sink
@@ -258,10 +259,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     tally.audits += auditor.violation_count
                     tally.first = tally.first or auditor.violations[0]
                 if args.out is not None:
-                    rows = _aggregate_rows(
-                        policy, f"fuzz-seed{trace_seed}", records, 0.0, wall
+                    total = _totals(records)
+                    workload = f"fuzz-seed{trace_seed}"
+                    tally.rows.append(
+                        _row(policy.value, workload, total.n_before, "all", total,
+                             wall, 0.0)
                     )
-                    tally.rows.append(rows[-1])  # the total
         for policy, tally in zip(policies, tallies):
             for row in tally.rows:
                 sink.write(row)
@@ -285,7 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _steady_rows(
-    ks: list[int], rounds: int, seed: int, policy: Policy, sink: RowSink
+    ks: list[int], rounds: int, policy: Policy, sink: RowSink
 ) -> list[tuple[float, float]]:
     """Build each k-stage schedule and run its rounds shape-verified; write
     one ``delete-min`` row per round, taken on ``simple`` from a replay of
@@ -293,7 +296,7 @@ def _steady_rows(
     replayed = policy is not Policy.NON_CASCADING
     points = []
     for k in ks:
-        builder = AdversaryBuilder(seed=seed, recording=replayed)
+        builder = AdversaryBuilder(recording=replayed)
         builder.build(k)
         t0 = time.perf_counter_ns()
         records = builder.run_rounds(rounds)
@@ -301,7 +304,7 @@ def _steady_rows(
         if replayed:
             records = []
             universe, _ = replay_ops(
-                builder.trace, policy=policy, seed=seed, record_sink=records.append
+                builder.trace, policy=policy, record_sink=records.append
             )
             records = [r for r in records if r.kind == "delete-min"][-rounds:]
         wall = time.perf_counter_ns() - t0
@@ -367,7 +370,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 ms = sorted({ms[0] // 10, 3 * ms[0] // 10, ms[0]})
             points = []
             for m in ms:
-                builder = run_lower_bound(m, seed=args.seed)
+                builder = run_lower_bound(m)
                 tele = builder.universe.telemetry
                 workload = f"lower-bound-m{m}"
                 size = len(builder.heap)
@@ -386,7 +389,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                     failed = True
                     _log(sink, f"FAIL: exponent {slope:.4f} < 1.25")
         else:
-            points = _steady_rows(args.k, args.rounds, args.seed, policy, sink)
+            points = _steady_rows(args.k, args.rounds, policy, sink)
             lo, hi = (0.45, 0.55) if policy is Policy.NON_CASCADING else (None, 0.1)
             if len(points) >= 3:
                 slope = fit_exponent(points)
@@ -517,7 +520,7 @@ def cmd_dijkstra(args: argparse.Namespace) -> int:
                 if stats["delete_calls"] > args.vertices:
                     problems.append("more delete-mins than vertices")
                 links = stats["fair_links"] + stats["naive_links"]
-                if policy is Policy.SIMPLE and stats["comparisons"] != links:
+                if RULES[policy].audited and stats["comparisons"] != links:
                     problems.append(
                         f"comparisons {stats['comparisons']} != links {links}"
                     )
@@ -562,6 +565,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     ops = parse_trace(text)
     sink = RowSink(args.out, args.format)
     try:
+        # records are built only for the rows --out writes
         records: list[OpRecord] = []
         t0 = time.perf_counter_ns()
         verdict = replay_differential(
@@ -570,12 +574,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
             seed=args.seed,
             strict_identity=args.strict,
             check_interval=25 if args.check else 0,
-            record_sink=records.append,
+            record_sink=None if args.out is None else records.append,
         )
         wall = time.perf_counter_ns() - t0
         name = "stdin" if args.trace == "-" else Path(args.trace).name
-        for row in _aggregate_rows(verdict.policy, f"replay-{name}", records, 0.0, wall):
-            sink.write(row)
+        if args.out is not None:
+            workload = f"replay-{name}"
+            for row in _aggregate_rows(verdict.policy, workload, records, 0.0, wall):
+                sink.write(row)
         if verdict.ok:
             _log(sink, f"replay {name}: {verdict.steps} ops ok ({verdict.policy})")
             return 0
@@ -590,12 +596,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # argument plumbing
 
 
-def _count(text: str) -> int:
-    """The argparse type of every count flag: a nonnegative integer."""
+def _count(text: str, expected: str = "a nonnegative integer") -> int:
+    """The argparse type of every count flag: a nonnegative integer; text
+    that is no integer is told the flag's own range, ``expected``."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
+        raise argparse.ArgumentTypeError(
+            f"expected {expected}, got {text!r}"
+        ) from None
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer, got {text!r}"
@@ -605,7 +614,7 @@ def _count(text: str) -> int:
 
 def _positive(text: str) -> int:
     """The argparse type of a count that must be at least one."""
-    value = _count(text)
+    value = _count(text, "a positive integer")
     if value == 0:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}"
@@ -626,7 +635,7 @@ def _k_spec(text: str) -> list[int]:
 
 def _schedule_ops(text: str) -> int:
     """The argparse type of ``adversary --m``: a schedule's operation count."""
-    value = _count(text)
+    value = _count(text, f"at least {MIN_M} operations")
     if value < MIN_M:
         raise argparse.ArgumentTypeError(
             f"expected at least {MIN_M} operations, got {text!r}"
@@ -648,13 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="TAG",
             help=f"policy tag or comma list ({', '.join(POLICY_TAGS)}, all)",
         )
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=default_out, metavar="PATH")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
     # verify always runs the full battery, so it alone takes no --check
     p = sub.add_parser("verify", help="differential fuzzing with audits")
     common(p, None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--traces", type=_count, default=100)
     p.add_argument("--ops", type=_count, default=1000)
     p.set_defaults(func=cmd_verify)
@@ -689,6 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dijkstra", help="shortest paths vs reference")
     common(p, "-")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument("--vertices", type=int, default=1000)
     p.add_argument("--edges", type=_count, default=10000)
@@ -696,6 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a recorded trace")
     common(p, None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument("trace", help="trace file path, or - for stdin")
     p.add_argument(

@@ -177,8 +177,9 @@ class Universe:
             policy = Policy.from_tag(policy)
         if name is None:
             name = f"h{len(self._heaps)}"
-        cls = ClassicHeap if policy is Policy.CLASSIC else Heap
-        heap = cls(self, policy, name)
+        from .policies import RULES
+
+        heap = RULES[policy].heap_class(self, policy, name)
         self._heaps.append(heap)
         tele = self.telemetry
         if tele.record_sink is not None:
@@ -224,15 +225,6 @@ def dec_rank_floor(node: Node, tele: Telemetry) -> None:
         tele.rank_clamps += 1
 
 
-#: The state a link's loser takes, (after a fair link, after a naive link),
-#: for the policies that set one; None leaves the loser's state alone.
-_LOSER_STATES = {
-    Policy.EAGER_MARKING: (MARKED, UNMARKED),
-    Policy.PASSIVE_CHILD: (UNMARKED, PASSIVE),
-    Policy.CLASSIC: (UNMARKED, None),
-}
-
-
 class Heap:
     """A mergeable heap bound to one policy and one universe.
 
@@ -257,16 +249,15 @@ class Heap:
     )
 
     def __init__(self, universe: Universe, policy: Policy, name: str) -> None:
-        from .policies import POLICY_DECREASE
+        from .policies import RULES
 
         self.universe = universe
         self.policy = policy
-        # bound once per heap: the policy's decrease-key walk, and the state
-        # a link loser takes (None: it keeps its state)
-        self._walk = POLICY_DECREASE[policy]
-        self._fair_loser_state, self._naive_loser_state = _LOSER_STATES.get(
-            policy, (None, None)
-        )
+        # bound once per heap from the policy's row: its decrease-key walk,
+        # and the state a link loser takes (None: it keeps its state)
+        rule = RULES[policy]
+        self._walk = rule.walk
+        self._fair_loser_state, self._naive_loser_state = rule.losers
         self.name = name
         self.root: Node | None = None
         self._size = 0

@@ -8,8 +8,8 @@ potential function:
 
 The heap code maintains ``phi`` incrementally as it mutates nodes.  The
 invariant checks, the potential's among them, are
-:func:`fibcascade.oracle.run_checks`; this module holds the rank bounds
-they assert (:data:`RANK_BOUNDS`).
+:func:`fibcascade.oracle.run_checks`; the rank bounds they assert of each
+policy are in its row of :data:`fibcascade.policies.RULES`.
 """
 
 from __future__ import annotations
@@ -204,27 +204,6 @@ def degree(node) -> int:
         d += 1
         child = child.after
     return d
-
-
-# ---------------------------------------------------------------------------
-# asserted rank bounds
-
-
-#: The asserted rank bound of each policy, by tag: the name of its report
-#: and the floor of a subtree's size by the rank of its root.  Fibonacci
-#: (size >= F_{rank+2}) for the policies that preserve the full analysis,
-#: power of two (size >= 2**rank) for the eager trio.  Randomized and
-#: non-cascading are absent: their bound is report-only, never asserted.
-RANK_BOUNDS: dict[str, tuple[str, Callable[[int], int]]] = {
-    **dict.fromkeys(
-        ("simple", "heap-order", "increasing-rank", "passive-child", "classic"),
-        ("rank-bound-fibonacci", lambda r: fib(r + 2)),
-    ),
-    **dict.fromkeys(
-        ("eager", "naive-increasing", "zero-rank"),
-        ("rank-bound-pow2", lambda r: 1 << r),
-    ),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from random import Random
 from typing import Any, Callable, Iterable, Iterator
 
 from .core import MARKED, POLICY_TAGS, Heap, HeapError, Node, Policy, Universe
-from .instrumentation import RANK_BOUNDS
+from .policies import RULES, Rule
 
 Op = tuple  # one parsed trace line: (verb, arg, ...)
 
@@ -369,27 +369,26 @@ class ReplayVerdict:
 
 
 def _walk_checks(
-    heap: Heap, floor: Callable[[int], int] | None, active: dict | None
+    heap: Heap, rule: Rule, active: dict | None
 ) -> tuple[list[str], list[str], list[str], int]:
     """One walk of a heap's trees for every asserted clause: the program's
     only copy of them.
 
     Returns, in walk order, the structure violations (pointer discipline,
     each root its own parent with no siblings, heap order, rank sanity and
-    degree >= rank), the nodes whose subtree is smaller than ``floor`` of
-    their rank (none without a floor), the nodes with fewer children active
-    in the ledger ``active`` than their rank (none without a ledger), and
-    the heap's share of the potential.  The degree >= rank clause is
-    skipped for ``randomized``: its coin may stop a walk before the cut
-    child's parent was decremented, so ranks above degrees are within that
-    rule's contract.  A node reached a second time is reported once, as
+    degree >= rank), the nodes whose subtree is smaller than the floor of
+    their rank that ``rule``, the heap's policy row, asserts (none without
+    a floor), the nodes with fewer children active in the ledger ``active``
+    than their rank (none without a ledger), and the heap's share of the
+    potential.  The degree >= rank clause is skipped where the row exempts
+    the policy from it.  A node reached a second time is reported once, as
     reachable twice, and not walked again.  A child chain longer than the
     universe has items must loop: its scan stops there, and the cut is
     reported ahead of the other structure violations, whose first five
     would otherwise be the loop's repeats.  So the walk ends on any
     pointer graph, a cycle of child or sibling links included.
     """
-    check_degree = heap.policy is not Policy.RANDOMIZED
+    check_degree, floor = rule.degree_bound, rule.floor
     most = heap.universe.item_count
     cut: list[str] = []
     bad: list[str] = []
@@ -472,26 +471,26 @@ def run_checks(universe: Universe) -> list[str]:
     """Asserted invariant checks of every live heap of ``universe``, one
     walk per heap; failures as messages.
 
-    Per heap, in order: structure, the asserted rank bound and, when the
-    universe keeps the ledger (``track_active``), the active-children
-    ledger on ``simple`` heaps; at most five messages of each.  Then, once,
-    as ``universe/potential``, the potential: the tracked phi against the
-    total of every heap's share, and never negative.  :func:`_walk_checks`
-    holds the clauses.
+    Per heap, in order: structure, the rank bound its policy's row asserts
+    and, when the universe keeps the ledger (``track_active``), the
+    active-children ledger on the audited policy's heaps; at most five
+    messages of each.  Then, once, as ``universe/potential``, the
+    potential: the tracked phi against the total of every heap's share,
+    and never negative.  :func:`_walk_checks` holds the clauses.
     """
     tele = universe.telemetry
     ledger = tele.active if tele.track_active else None
     out: list[str] = []
     phi = 0
     for heap in universe.live_heaps():
-        bound, floor = RANK_BOUNDS.get(heap.policy.value, (None, None))
-        active = ledger if heap.policy is Policy.SIMPLE else None
-        bad, short, idle, share = _walk_checks(heap, floor, active)
+        rule = RULES[heap.policy]
+        active = ledger if rule.audited else None
+        bad, short, idle, share = _walk_checks(heap, rule, active)
         phi += share
         if bad or short or idle:
             for check, found in (
                 ("structure", bad),
-                (bound, short),
+                (rule.bound, short),
                 ("active-children", idle),
             ):
                 out.extend(f"{heap.name}/{check}: {v}" for v in found[:5])
@@ -636,13 +635,14 @@ def replay_differential(
     :func:`run_checks`, looked up as this module's global on every call,
     every that-many steps, and once more at the end unless the last step was
     one of those; the universe then keeps the activity ledger, which those
-    checks read on ``simple`` heaps, unless ``policy`` names another one.
+    checks read on the audited policy's heaps, unless ``policy`` names a
+    policy that is not audited.
     The reference only observes what :func:`run_trace` yields.
     """
     if isinstance(policy, str):
         policy = Policy.from_tag(policy)
     tag = policy.value if policy is not None else "recorded"
-    ledger = check_interval > 0 and policy in (None, Policy.SIMPLE)
+    ledger = check_interval > 0 and (policy is None or RULES[policy].audited)
     universe = Universe(seed=seed, track_active=ledger)
     universe.telemetry.record_sink = record_sink
     heaps: dict[str, Heap] = {}

@@ -13,11 +13,14 @@ is its own parent.
 
 All rank decrements clamp at zero (and count the clamped attempts); the walk
 step counter feeds the per-operation time estimate.
+
+Each policy's heap class, walk, link losers' states and checked contract
+are its row of :data:`RULES`; other modules read the row, not the policy.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     MARKED,
@@ -30,6 +33,8 @@ from .core import (
     dec_rank_floor,
     set_state,
 )
+from .instrumentation import fib
+
 
 def _cut_and_reroot(heap: Heap, x: Node) -> None:
     heap._cut(x)
@@ -256,15 +261,39 @@ def _dk_classic(heap: ClassicHeap, x: Node) -> None:
         set_state(y, MARKED, tele)
 
 
-POLICY_DECREASE: dict[Policy, Callable[[Heap, Node], None]] = {
-    Policy.SIMPLE: _dk_simple,
-    Policy.HEAP_ORDER: _dk_heap_order,
-    Policy.INCREASING_RANK: _dk_increasing_rank,
-    Policy.PASSIVE_CHILD: _dk_passive_child,
-    Policy.EAGER_MARKING: _dk_eager,
-    Policy.NAIVE_INCREASING_RANK: _dk_naive_increasing,
-    Policy.ZERO_RANK: _dk_zero_rank,
-    Policy.RANDOMIZED: _dk_randomized,
-    Policy.NON_CASCADING: _dk_non_cascading,
-    Policy.CLASSIC: _dk_classic,
+class Rule(NamedTuple):
+    """One policy's row.  ``losers`` is the state a link's loser takes
+    (after a fair link, after a naive link; None keeps its state).
+    ``bound`` names the report of the asserted size floor and ``floor``
+    gives the least subtree size by the root's rank (None: no floor).  The
+    ``audited`` policy's heaps keep the activity ledger, its operations
+    pass the amortized audit, and it keeps every comparison as a link."""
+
+    walk: Callable[[Heap, Node], None]
+    bound: str | None = None
+    floor: Callable[[int], int] | None = None
+    losers: tuple[int | None, int | None] = (None, None)
+    heap_class: type[Heap] = Heap
+    degree_bound: bool = True
+    audited: bool = False
+
+
+# size >= F_{rank+2} where the full analysis holds, >= 2**rank for the eager trio
+_FIBONACCI = ("rank-bound-fibonacci", lambda r: fib(r + 2))
+_POW2 = ("rank-bound-pow2", lambda r: 1 << r)
+
+#: Every policy's rule, in :class:`Policy` order.  ``randomized`` is exempt
+#: from degree >= rank: its coin may stop a walk before the cut child's
+#: parent was decremented, so ranks above degrees are within its contract.
+RULES: dict[Policy, Rule] = {
+    Policy.SIMPLE: Rule(_dk_simple, *_FIBONACCI, audited=True),
+    Policy.HEAP_ORDER: Rule(_dk_heap_order, *_FIBONACCI),
+    Policy.INCREASING_RANK: Rule(_dk_increasing_rank, *_FIBONACCI),
+    Policy.PASSIVE_CHILD: Rule(_dk_passive_child, *_FIBONACCI, (UNMARKED, PASSIVE)),
+    Policy.EAGER_MARKING: Rule(_dk_eager, *_POW2, (MARKED, UNMARKED)),
+    Policy.NAIVE_INCREASING_RANK: Rule(_dk_naive_increasing, *_POW2),
+    Policy.ZERO_RANK: Rule(_dk_zero_rank, *_POW2),
+    Policy.RANDOMIZED: Rule(_dk_randomized, degree_bound=False),
+    Policy.NON_CASCADING: Rule(_dk_non_cascading),
+    Policy.CLASSIC: Rule(_dk_classic, *_FIBONACCI, (UNMARKED, None), ClassicHeap),
 }

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
-from fibcascade import Policy
 from fibcascade.core import MARKED
-from fibcascade.instrumentation import RANK_BOUNDS, degree, fib
+from fibcascade.instrumentation import degree, fib
+from fibcascade.policies import RULES
 
 
 def lucas(k: int) -> int:
@@ -91,11 +91,12 @@ def structure_violations(heap) -> CheckReport:
     """Pointer discipline (each root its own parent with no siblings), heap
     order, rank sanity, and degree >= rank.
 
-    The degree >= rank clause is skipped for the randomized policy: its coin
-    may stop a walk before the cut child's parent was decremented, so ranks
-    exceeding degrees are within that rule's contract.
+    The degree >= rank clause is skipped where the policy's row exempts it
+    (the randomized policy: its coin may stop a walk before the cut child's
+    parent was decremented, so ranks exceeding degrees are within that
+    rule's contract).
     """
-    check_degree = heap.policy is not Policy.RANDOMIZED
+    check_degree = RULES[heap.policy].degree_bound
     report = CheckReport("structure")
     seen = set()
     for root in heap.iter_roots():
@@ -137,16 +138,17 @@ def structure_violations(heap) -> CheckReport:
 
 
 def rank_bound_violations(heap) -> CheckReport:
-    """Subtree-size lower bounds implied by ranks, as :data:`RANK_BOUNDS`
-    asserts them; the Fibonacci bound, report-only, for the other policies.
+    """Subtree-size lower bounds implied by ranks, as the policy's row of
+    :data:`fibcascade.policies.RULES` asserts them; the Fibonacci bound,
+    report-only, for the policies without a floor.
     """
-    asserted = RANK_BOUNDS.get(heap.policy.value)
-    if asserted is None:
+    rule = RULES[heap.policy]
+    if rule.floor is None:
         report = CheckReport("rank-bound-report-only", asserted=False)
         bound = lambda r: fib(r + 2)
     else:
-        name, bound = asserted
-        report = CheckReport(name)
+        bound = rule.floor
+        report = CheckReport(rule.bound)
     for root in heap.iter_roots():
         sizes = subtree_sizes(root)
         for node, size in sizes.items():
@@ -211,7 +213,7 @@ def run_checks_per_heap(universe, include_active=False):
                 out.extend(
                     f"{heap.name}/{report.name}: {v}" for v in report.violations[:5]
                 )
-        if include_active and heap.policy is Policy.SIMPLE:
+        if include_active and RULES[heap.policy].audited:
             report = active_children_violations(heap, universe.telemetry.active)
             out.extend(
                 f"{heap.name}/{report.name}: {v}" for v in report.violations[:5]

@@ -56,7 +56,8 @@ def guarded_increasing_rank(heap, x):
     unless the cut child's rank is below its parent's.  Cutting a child of
     equal or higher rank then leaves the parent's rank unpaid, so random
     traffic soon grows trees too small for their ranks.  Tests install it
-    in ``POLICY_DECREASE`` as a source of undersized trees."""
+    as the walk of the policy's row in ``RULES`` as a source of undersized
+    trees."""
     if x is not heap.root and x.rank >= x.parent.rank:
         _cut_and_reroot(heap, x)
     else:

@@ -22,6 +22,7 @@ from fibcascade.cli import (
     gen_graph,
     main,
 )
+from fibcascade.policies import RULES
 
 from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
 
@@ -53,6 +54,13 @@ NON_NUMERIC_COUNTS = [
     ("verify", "--traces", "ten"),
     ("verify", "--ops", "2.5"),
     ("dijkstra", "--edges", "1e3"),
+]
+
+# flags with a range of their own, given a value that is no integer: the
+# message states that range (the flag is second to last)
+NON_NUMERIC_RANGED = [
+    ("adversary", "--k", "10", "--rounds", "x"),
+    ("adversary", "--m", "x"),
 ]
 
 # stage sweeps that are no range of stages: descending, zero, not a number
@@ -95,6 +103,8 @@ EXCLUSIVE_FLAGS = [
         ("adversary", "--k", "10..20:10", "--rounds", "2", "--check"),
         *EXCLUSIVE_FLAGS,
         *NON_NUMERIC_COUNTS,
+        *NON_NUMERIC_RANGED,
+        ("adversary", "--seed", "3"),  # the schedule draws no coin
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -114,6 +124,19 @@ def test_negative_counts_name_their_flag(argv, capsys):
     with pytest.raises(SystemExit):
         run_cli(*argv)
     assert f"argument {argv[-2]}: expected {want} integer" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    zip(NON_NUMERIC_RANGED, ["a positive integer", "at least 12 operations"]),
+)
+def test_non_numeric_values_state_the_flags_range(argv, want, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    assert f"argument {argv[-2]}: expected {want}, got 'x'" in (
         capsys.readouterr().err
     )
 
@@ -212,11 +235,31 @@ def test_verify_builds_no_records_without_out(monkeypatch, capsys):
     assert "[ok]" in capsys.readouterr().out
 
 
+def test_verify_builds_only_the_total_row(tmp_path, monkeypatch, capsys):
+    # verify writes one total row per trace and policy, and no row per op kind
+    def no_kind_rows(*args):
+        raise AssertionError("rows per op kind were built")
+
+    monkeypatch.setattr(fibcascade.cli, "_aggregate_rows", no_kind_rows)
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(
+        "verify", "--policy", "simple,classic", "--traces", "2", "--ops", "200",
+        "--out", "rows",
+    )
+    assert code == 0
+    capsys.readouterr()
+    with (tmp_path / "rows").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["policy"], row["op-kind"]) for row in rows] == [
+        ("simple", "all"), ("simple", "all"), ("classic", "all"), ("classic", "all"),
+    ]
+
+
 def test_verify_detects_the_undersized_trees(monkeypatch, capsys):
     monkeypatch.setitem(
-        fibcascade.policies.POLICY_DECREASE,
+        RULES,
         Policy.INCREASING_RANK,
-        guarded_increasing_rank,
+        RULES[Policy.INCREASING_RANK]._replace(walk=guarded_increasing_rank),
     )
     code = run_cli(
         "verify", "--policy", "increasing-rank", "--traces", "6", "--ops", "1000"
@@ -386,6 +429,18 @@ def test_replay_file_ok(tmp_path, capsys):
     path.write_text(TRACE)
     assert run_cli("replay", str(path), "--check", "--strict") == 0
     assert "ops ok" in capsys.readouterr().out
+
+
+def test_replay_builds_no_records_without_out(tmp_path, monkeypatch, capsys):
+    # with no row to write, a replay needs no sink
+    def no_records(*args):
+        raise AssertionError("an op record was built")
+
+    path = tmp_path / "t.trace"
+    path.write_text(TRACE)
+    monkeypatch.setattr(fibcascade.instrumentation, "OpRecord", no_records)
+    assert run_cli("replay", str(path), "--policy", "classic", "--check") == 0
+    assert "6 ops ok (classic)" in capsys.readouterr().out
 
 
 def test_replay_rejects_a_broken_trace(tmp_path, capsys):

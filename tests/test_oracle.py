@@ -25,6 +25,7 @@ from fibcascade.oracle import (
     replay_ops,
     run_checks,
 )
+from fibcascade.policies import RULES
 
 from _reference import iter_subtree, run_checks_per_heap
 from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
@@ -432,9 +433,9 @@ def test_periodic_checks_expose_the_rank_walk_defect(monkeypatch):
     # small for their ranks; the asserted size bound catches it under
     # random traffic
     monkeypatch.setitem(
-        fibcascade.policies.POLICY_DECREASE,
+        RULES,
         Policy.INCREASING_RANK,
-        guarded_increasing_rank,
+        RULES[Policy.INCREASING_RANK]._replace(walk=guarded_increasing_rank),
     )
     ops = gen_trace(1000, seed=0)
     verdict = replay_differential(
@@ -525,9 +526,9 @@ def test_run_checks_without_a_ledger_matches_the_checkers(tag):
 
 def test_run_checks_matches_the_checkers_on_undersized_trees(monkeypatch):
     monkeypatch.setitem(
-        fibcascade.policies.POLICY_DECREASE,
+        RULES,
         Policy.INCREASING_RANK,
-        guarded_increasing_rank,
+        RULES[Policy.INCREASING_RANK]._replace(walk=guarded_increasing_rank),
     )
     failing = 0
     for seed in range(2):
@@ -711,9 +712,9 @@ def test_failing_replay_verdicts_are_pinned(monkeypatch):
     ops = gen_trace(1000, seed=0)
     with monkeypatch.context() as patch:
         patch.setitem(
-            fibcascade.policies.POLICY_DECREASE,
+            RULES,
             Policy.INCREASING_RANK,
-            guarded_increasing_rank,
+            RULES[Policy.INCREASING_RANK]._replace(walk=guarded_increasing_rank),
         )
         verdict = replay_differential(
             ops, policy="increasing-rank", check_interval=25

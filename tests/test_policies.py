@@ -7,21 +7,70 @@ against values worked out by hand.
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from fibcascade import MARKED, PASSIVE, Policy, UNMARKED, Universe
+import fibcascade
+from fibcascade import MARKED, PASSIVE, POLICY_TAGS, Policy, UNMARKED, Universe
 from fibcascade.adversary import replay_ops
 from fibcascade.oracle import parse_trace
-from fibcascade.policies import POLICY_DECREASE
+from fibcascade.policies import RULES
 
 from _reference import rank_bound_violations
 from _shaping import adopt, assert_phi_consistent, counters_delta, wire
 
 
 def test_every_policy_has_a_decrease_rule():
-    assert set(POLICY_DECREASE) == set(Policy)
+    assert list(RULES) == list(Policy)
+    assert all(callable(rule.walk) for rule in RULES.values())
+
+
+def test_no_module_outside_the_table_names_a_policy():
+    # what a policy does and what is checked of it come from its row; these
+    # modules name a policy only in the enum, where the experiment does (the
+    # adversary's target and control) or in the trace tag gen_trace writes
+    exempt = {
+        "core.py": {"Policy"},
+        "instrumentation.py": set(),
+        "oracle.py": {"gen_trace"},
+        "cli.py": {"cmd_adversary", "_steady_rows"},
+    }
+    members = {p.name for p in Policy}
+    src = Path(fibcascade.__file__).parent
+    found = []
+    for module, skip in exempt.items():
+        for top in ast.parse((src / module).read_text()).body:
+            if getattr(top, "name", None) in skip:
+                continue
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "Policy"
+                    and node.attr in members
+                ) or (isinstance(node, ast.Constant) and node.value in POLICY_TAGS):
+                    found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_readme_policy_table_states_each_rows_checks():
+    # the last column: the asserted floor (or none), then the exemption from
+    # degree >= rank and the audited mark, where they apply
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Policies", 1)[1].split("\n\n", 2)[1]
+    cells = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in table.splitlines()[2:]
+    ]
+    assert [tag.strip("`") for tag, _, _ in cells] == [p.value for p in Policy]
+    for (tag, _, checks), rule in zip(cells, RULES.values()):
+        floor, *notes = checks.split("; ")
+        assert floor == ("none" if rule.bound is None else f"`{rule.bound}`"), tag
+        assert ("exempt from degree ≥ rank" in notes) != rule.degree_bound, tag
+        assert ("audited" in notes) == rule.audited, tag
 
 
 def test_simple_walk_unmarks_marked_and_stops_at_first_unmarked():
