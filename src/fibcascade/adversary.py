@@ -444,9 +444,7 @@ VERIFY_ROUNDS = 3  # steady rounds shape-verified at each end of a schedule
 MIN_M = 12  # the smallest operation count run_lower_bound takes
 
 
-def run_lower_bound(
-    m: int, seed: int = 0, recording: bool = False
-) -> AdversaryBuilder:
+def run_lower_bound(m: int, recording: bool = False) -> AdversaryBuilder:
     """The m-operation worst-case schedule: build the largest shape within
     m/3 operations, then alternate insert / delete-min for the rest; returns
     the builder, whose ``k``, ``op_count``, ``est_total`` and ``heap``
@@ -458,7 +456,7 @@ def run_lower_bound(
     """
     if m < MIN_M:
         raise ValueError("schedule too small to build anything")
-    builder = AdversaryBuilder(seed=seed, recording=recording)
+    builder = AdversaryBuilder(recording=recording)
     builder.build(max_k_within(m / 3))
     rounds = (m - builder.op_count) // 2
     builder.start_rounds()

@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, NoReturn
+from typing import Any, Callable, NoReturn
 
 from .adversary import (
     MIN_M,
@@ -596,30 +596,25 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # argument plumbing
 
 
-def _count(text: str, expected: str = "a nonnegative integer") -> int:
-    """The argparse type of every count flag: a nonnegative integer; text
-    that is no integer is told the flag's own range, ``expected``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected {expected}, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}"
-        )
-    return value
+def _at_least(least: int, expected: str) -> Callable[[str], int]:
+    """The argparse type of a count flag whose values start at ``least``:
+    text that is no integer, or an integer below ``least``, is told the
+    flag's range, ``expected``."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            pass
+        else:
+            if value >= least:
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return count
 
 
-def _positive(text: str) -> int:
-    """The argparse type of a count that must be at least one."""
-    value = _count(text, "a positive integer")
-    if value == 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        )
-    return value
+_nonnegative = _at_least(0, "a nonnegative integer")
 
 
 def _k_spec(text: str) -> list[int]:
@@ -631,16 +626,6 @@ def _k_spec(text: str) -> list[int]:
             "expected K, LO..HI or LO..HI:STEP with 1 <= K, 1 <= LO <= HI"
             f" and STEP >= 1, got {text!r}"
         ) from None
-
-
-def _schedule_ops(text: str) -> int:
-    """The argparse type of ``adversary --m``: a schedule's operation count."""
-    value = _count(text, f"at least {MIN_M} operations")
-    if value < MIN_M:
-        raise argparse.ArgumentTypeError(
-            f"expected at least {MIN_M} operations, got {text!r}"
-        )
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -664,8 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="differential fuzzing with audits")
     common(p, None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--traces", type=_count, default=100)
-    p.add_argument("--ops", type=_count, default=1000)
+    p.add_argument("--traces", type=_nonnegative, default=100)
+    p.add_argument("--ops", type=_nonnegative, default=1000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("adversary", help="worst-case schedules")
@@ -680,13 +665,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rounds",
-        type=_positive,
+        type=_at_least(1, "a positive integer"),
         help=f"steady rounds per stage (default {ROUNDS_DEFAULT}; not with --m)",
     )
     p.add_argument(
         "--m",
         action="append",
-        type=_schedule_ops,
+        type=_at_least(MIN_M, f"at least {MIN_M} operations"),
         metavar="OPS",
         help=f"run whole lower-bound schedules of this many operations, at"
         f" least {MIN_M} (repeatable; with --check give one value, which"
@@ -701,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument("--vertices", type=int, default=1000)
-    p.add_argument("--edges", type=_count, default=10000)
+    p.add_argument("--edges", type=_nonnegative, default=10000)
     p.set_defaults(func=cmd_dijkstra)
 
     p = sub.add_parser("replay", help="re-run a recorded trace")

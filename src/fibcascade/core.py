@@ -21,7 +21,6 @@ on).  This makes every run bit-for-bit deterministic.
 from __future__ import annotations
 
 import random
-import zlib
 from enum import Enum
 from typing import Any, Iterator
 
@@ -139,27 +138,18 @@ class Node:
         )
 
 
-def _mix_seeds(a: int, b: int) -> int:
-    """Deterministic combination of two coin seeds (used on meld)."""
-    return (
-        a * 0x9E3779B97F4A7C15 + b * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
-    ) % (1 << 63)
-
-
-def _seed_for_name(base_seed: int, name: str) -> int:
-    return _mix_seeds(base_seed, zlib.crc32(name.encode("utf-8")))
-
-
 class Universe:
     """Shared context for a family of heaps.
 
-    Holds the telemetry (counters and potential), the item id sequence, and
-    the consolidation registry, which is reused across delete-mins and must
-    be all-``None`` between operations.
+    Holds the telemetry (counters and potential), the item id sequence, the
+    coin the randomized walk flips (seeded by ``seed``, so a replay is
+    deterministic per trace and seed), and the consolidation registry,
+    which is reused across delete-mins and must be all-``None`` between
+    operations.
     """
 
     def __init__(self, seed: int = 0, track_active: bool = False) -> None:
-        self.seed = seed
+        self.coin = random.Random(seed)
         self.telemetry = Telemetry(track_active=track_active)
         self.registry: list[Node | None] = [None] * 8
         self.item_count = 0  # items made so far: the next item's uid
@@ -240,8 +230,6 @@ class Heap:
         "name",
         "root",
         "_size",
-        "coin_seed",
-        "_coin",
         "live",
         "_walk",
         "_fair_loser_state",
@@ -261,8 +249,6 @@ class Heap:
         self.name = name
         self.root: Node | None = None
         self._size = 0
-        self.coin_seed = _seed_for_name(universe.seed, name)
-        self._coin: random.Random | None = None
         self.live = True
 
     # -- introspection ------------------------------------------------------
@@ -281,11 +267,6 @@ class Heap:
     def peek(self) -> Node | None:
         """The minimum item, without counting an operation (for observers)."""
         return self.root
-
-    def coin(self) -> random.Random:
-        if self._coin is None:
-            self._coin = random.Random(self.coin_seed)
-        return self._coin
 
     def _check_live(self) -> None:
         if not self.live:
@@ -399,8 +380,6 @@ class Heap:
         self._size += other._size
         other._size = 0
         other.live = False
-        self.coin_seed = _mix_seeds(self.coin_seed, other.coin_seed)
-        self._coin = None
         if recording:
             tele.op_end()
         return self

@@ -380,15 +380,14 @@ def _walk_checks(
     their rank that ``rule``, the heap's policy row, asserts (none without
     a floor), the nodes with fewer children active in the ledger ``active``
     than their rank (none without a ledger), and the heap's share of the
-    potential.  The degree >= rank clause is skipped where the row exempts
-    the policy from it.  A node reached a second time is reported once, as
+    potential.  A node reached a second time is reported once, as
     reachable twice, and not walked again.  A child chain longer than the
     universe has items must loop: its scan stops there, and the cut is
     reported ahead of the other structure violations, whose first five
     would otherwise be the loop's repeats.  So the walk ends on any
     pointer graph, a cycle of child or sibling links included.
     """
-    check_degree, floor = rule.degree_bound, rule.floor
+    floor = rule.floor
     most = heap.universe.item_count
     cut: list[str] = []
     bad: list[str] = []
@@ -440,7 +439,7 @@ def _walk_checks(
                 d += 1
                 prev = child
                 child = child.after
-            if check_degree and d < rank:
+            if d < rank:
                 bad.append(f"node {node.uid}: degree {d} < rank {rank}")
             phi += d - rank
             if node.state == MARKED:

@@ -197,20 +197,21 @@ def _dk_zero_rank(heap: Heap, x: Node) -> None:
 
 
 def _dk_randomized(heap: Heap, x: Node) -> None:
-    """Decrement up the path, stopping at the root or on a coin flip.
+    """The non-cascading step, continued up the path on a coin flip.
 
-    The walk starts at the decreased node itself.  No coin is spent once the
-    root is reached.
+    Each step decrements the node that lost a child, starting at the
+    parent; the walk stops at the root, spending no coin there, or when the
+    universe's coin says stop, and otherwise moves one node up.
     """
     if x is heap.root:
         return
     tele = heap.universe.telemetry
-    coin = heap.coin()
+    coin = heap.universe.coin
     y = x
     while True:
+        y = y.parent
         tele.iterations += 1
         dec_rank_floor(y, tele)
-        y = y.parent
         if y is heap.root:
             break
         if coin.getrandbits(1):
@@ -274,7 +275,6 @@ class Rule(NamedTuple):
     floor: Callable[[int], int] | None = None
     losers: tuple[int | None, int | None] = (None, None)
     heap_class: type[Heap] = Heap
-    degree_bound: bool = True
     audited: bool = False
 
 
@@ -282,9 +282,7 @@ class Rule(NamedTuple):
 _FIBONACCI = ("rank-bound-fibonacci", lambda r: fib(r + 2))
 _POW2 = ("rank-bound-pow2", lambda r: 1 << r)
 
-#: Every policy's rule, in :class:`Policy` order.  ``randomized`` is exempt
-#: from degree >= rank: its coin may stop a walk before the cut child's
-#: parent was decremented, so ranks above degrees are within its contract.
+#: Every policy's rule, in :class:`Policy` order.
 RULES: dict[Policy, Rule] = {
     Policy.SIMPLE: Rule(_dk_simple, *_FIBONACCI, audited=True),
     Policy.HEAP_ORDER: Rule(_dk_heap_order, *_FIBONACCI),
@@ -293,7 +291,7 @@ RULES: dict[Policy, Rule] = {
     Policy.EAGER_MARKING: Rule(_dk_eager, *_POW2, (MARKED, UNMARKED)),
     Policy.NAIVE_INCREASING_RANK: Rule(_dk_naive_increasing, *_POW2),
     Policy.ZERO_RANK: Rule(_dk_zero_rank, *_POW2),
-    Policy.RANDOMIZED: Rule(_dk_randomized, degree_bound=False),
+    Policy.RANDOMIZED: Rule(_dk_randomized),
     Policy.NON_CASCADING: Rule(_dk_non_cascading),
     Policy.CLASSIC: Rule(_dk_classic, *_FIBONACCI, (UNMARKED, None), ClassicHeap),
 }

@@ -89,14 +89,7 @@ class CheckReport:
 
 def structure_violations(heap) -> CheckReport:
     """Pointer discipline (each root its own parent with no siblings), heap
-    order, rank sanity, and degree >= rank.
-
-    The degree >= rank clause is skipped where the policy's row exempts it
-    (the randomized policy: its coin may stop a walk before the cut child's
-    parent was decremented, so ranks exceeding degrees are within that
-    rule's contract).
-    """
-    check_degree = RULES[heap.policy].degree_bound
+    order, rank sanity, and degree >= rank."""
     report = CheckReport("structure")
     seen = set()
     for root in heap.iter_roots():
@@ -130,7 +123,7 @@ def structure_violations(heap) -> CheckReport:
                     )
                 prev = child
                 child = child.after
-            if check_degree and d < node.rank:
+            if d < node.rank:
                 report.violations.append(
                     f"node {node.uid}: degree {d} < rank {node.rank}"
                 )

@@ -243,7 +243,7 @@ def test_criterion_06_sequence_cost_growth(ksweep, report):
     main_points = []
     m_builders = []
     for m in M_VALUES:
-        builder = run_lower_bound(m, seed=0, recording=True)
+        builder = run_lower_bound(m, recording=True)
         main_points.append((m, builder.est_total))
         m_builders.append(builder)
     slope = fit_exponent(main_points)

@@ -207,7 +207,7 @@ def test_recorded_trace_rebuilds_the_same_state():
 
 def test_recorded_schedule_text_is_pinned():
     # the replayed schedules are recorded traces: they must not move by a byte
-    trace = run_lower_bound(3000, seed=0, recording=True).trace
+    trace = run_lower_bound(3000, recording=True).trace
     assert hashlib.sha256(format_trace(trace).encode()).hexdigest() == (
         "6ac888e06ca4d0d1c59d5e88b5cfd081793fe0c28fb8f4da49cb49745b50491f"
     )
@@ -250,7 +250,7 @@ def test_replay_on_op_callback_sees_every_step():
 
 def test_lower_bound_schedule_invariants():
     # every round's exact k fair links is asserted by steady_round itself
-    builder = run_lower_bound(2000, seed=0)
+    builder = run_lower_bound(2000)
     k = builder.k
     assert k == max_k_within(2000 / 3)
     rounds = (2000 - build_ops_needed(k)) // 2

@@ -34,13 +34,12 @@ def run_cli(*argv):
 # ---------------------------------------------------------------------------
 # usage errors
 
-# every count flag, given a negative value (the flag is second to last)
+# every nonnegative count flag, given a negative value (the flag is second
+# to last)
 NEGATIVE_COUNTS = [
     ("dijkstra", "--vertices", "10", "--edges", "-5"),
     ("verify", "--traces", "-1"),
     ("verify", "--ops", "-3"),
-    ("adversary", "--rounds", "-1"),
-    ("adversary", "--m", "-10"),
 ]
 
 # counts that must be positive, given zero (the flag is second to last)
@@ -61,6 +60,12 @@ NON_NUMERIC_COUNTS = [
 NON_NUMERIC_RANGED = [
     ("adversary", "--k", "10", "--rounds", "x"),
     ("adversary", "--m", "x"),
+]
+
+# the same flags given a negative value: the message states the same range
+NEGATIVE_RANGED = [
+    ("adversary", "--rounds", "-1"),
+    ("adversary", "--m", "-10"),
 ]
 
 # stage sweeps that are no range of stages: descending, zero, not a number
@@ -92,6 +97,7 @@ EXCLUSIVE_FLAGS = [
         ("replay", "--policy", "simple,classic", "t.trace"),
         ("dijkstra", "--vertices", "1"),
         *NEGATIVE_COUNTS,
+        *NEGATIVE_RANGED,
         *ZERO_COUNTS,
         *BAD_K_SPECS,
         ("verify", "--check"),  # verify always runs the full battery
@@ -130,13 +136,17 @@ def test_negative_counts_name_their_flag(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv, want",
-    zip(NON_NUMERIC_RANGED, ["a positive integer", "at least 12 operations"]),
+    zip(
+        NON_NUMERIC_RANGED + NEGATIVE_RANGED,
+        ["a positive integer", "at least 12 operations"] * 2,
+    ),
 )
 def test_non_numeric_values_state_the_flags_range(argv, want, capsys):
+    # and so do negative ones: a flag states one range for every bad value
     with pytest.raises(SystemExit) as err:
         run_cli(*argv)
     assert err.value.code == 2
-    assert f"argument {argv[-2]}: expected {want}, got 'x'" in (
+    assert f"argument {argv[-2]}: expected {want}, got {argv[-1]!r}" in (
         capsys.readouterr().err
     )
 
@@ -501,5 +511,5 @@ def test_cli_rows_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update("\n".join(lines).encode() + b"\n")
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "9ec021e06b05819eacf0d68332950045a7664c72969c74e2f2ded09dcfc2b60d"
+        "fbdfd32eb43e13cad9ed3a40f951a8763e16c44dd285824583728a75886be831"
     )

@@ -21,8 +21,10 @@ from fibcascade.instrumentation import (
     AmortizedAuditor,
     OpRecord,
     Telemetry,
+    degree,
     fit_exponent,
 )
+from fibcascade.oracle import run_checks
 
 from _reference import (
     compute_potential,
@@ -286,18 +288,16 @@ def test_rank_bound_is_report_only_for_non_cascading():
     assert not report.asserted
 
 
-def test_structure_check_skips_degree_rank_for_randomized_only():
-    u = Universe()
-    h = u.make_heap(Policy.RANDOMIZED)
-    for k in range(10):
-        h.insert(u.make_item(k))
-    h.delete_min()
-    h.root.child.rank += 3  # rank above degree: tolerated here...
-    u.telemetry.phi -= 3  # keep the potential ledger consistent
-    assert structure_violations(h).ok
-    h2 = u.make_heap(Policy.SIMPLE)
-    for k in range(10):
-        h2.insert(u.make_item(k))
-    h2.delete_min()
-    h2.root.child.rank += 3  # ...but never for the sound policies
-    assert not structure_violations(h2).ok
+def test_structure_check_reports_rank_above_degree_on_every_policy():
+    # one contract: no policy's row exempts it from degree >= rank
+    for policy in Policy:
+        u = Universe()
+        h = u.make_heap(policy)
+        for k in range(10):
+            h.insert(u.make_item(k))
+        h.delete_min()
+        node = next(r for r in h.iter_roots() if r.child is not None).child
+        node.rank = degree(node) + 1
+        want = f"node {node.uid}: degree {node.rank - 1} < rank {node.rank}"
+        assert want in structure_violations(h).violations, policy
+        assert f"{h.name}/structure: {want}" in run_checks(u), policy

@@ -16,7 +16,7 @@ import pytest
 import fibcascade
 from fibcascade import MARKED, PASSIVE, POLICY_TAGS, Policy, UNMARKED, Universe
 from fibcascade.adversary import replay_ops
-from fibcascade.oracle import parse_trace
+from fibcascade.oracle import gen_trace, parse_trace, replay_differential
 from fibcascade.policies import RULES
 
 from _reference import rank_bound_violations
@@ -57,8 +57,8 @@ def test_no_module_outside_the_table_names_a_policy():
 
 
 def test_readme_policy_table_states_each_rows_checks():
-    # the last column: the asserted floor (or none), then the exemption from
-    # degree >= rank and the audited mark, where they apply
+    # the last column: the asserted floor (or none), then the audited mark
+    # where it applies; every row asserts degree >= rank, so none is exempt
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("## Policies", 1)[1].split("\n\n", 2)[1]
     cells = [
@@ -69,7 +69,7 @@ def test_readme_policy_table_states_each_rows_checks():
     for (tag, _, checks), rule in zip(cells, RULES.values()):
         floor, *notes = checks.split("; ")
         assert floor == ("none" if rule.bound is None else f"`{rule.bound}`"), tag
-        assert ("exempt from degree ≥ rank" in notes) != rule.degree_bound, tag
+        assert "exempt" not in checks, tag
         assert ("audited" in notes) == rule.audited, tag
 
 
@@ -427,14 +427,15 @@ def test_randomized_walk_first_heads_stops_after_one_step():
     stop_seed = next(
         s for s in range(100) if random.Random(s).getrandbits(1) == 1
     )
-    u = Universe()
+    u = Universe(seed=stop_seed)
     h = u.make_heap(Policy.RANDOMIZED)
-    h.coin_seed = stop_seed
     rt, g, p, x = (u.make_item(k) for k in (0, 1, 2, 3))
     wire(rt, g)
     wire(g, p)
     wire(p, x)
     x.rank = 2
+    p.rank = 1
+    g.rank = 1
     h.root = rt
     adopt(u, h, [rt, g, p, x])
     base = u.telemetry.counters()
@@ -443,8 +444,8 @@ def test_randomized_walk_first_heads_stops_after_one_step():
 
     delta = counters_delta(u, base)
     assert delta["iterations"] == 1
-    assert x.rank == 1  # the walk starts at x itself
-    assert p.rank == 0
+    assert p.rank == 0  # the walk starts at the parent
+    assert x.rank == 2 and g.rank == 1
     assert_phi_consistent(u)
 
 
@@ -463,6 +464,20 @@ def test_randomized_same_seed_same_walks():
 
     assert campaign(11) == campaign(11)
     assert campaign(11) != campaign(12)
+
+
+@pytest.mark.parametrize("trace_seed, seed", [(31, 31), (41, 0)])
+def test_randomized_checked_replays_keep_phi_nonnegative(trace_seed, seed):
+    # a walk that started at the cut node itself failed these at steps 124
+    # and 74: its parent could keep its rank, and phi went negative
+    verdict = replay_differential(
+        gen_trace(1000, seed=trace_seed),
+        policy="randomized",
+        seed=seed,
+        strict_identity=True,
+        check_interval=25,
+    )
+    assert verdict.ok, (verdict.step_index, verdict.check_failures)
 
 
 def test_non_cascading_decrements_only_the_parent():
