@@ -685,7 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "-")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true", help="enable the invariant suite")
-    p.add_argument("--vertices", type=int, default=1000)
+    p.add_argument(
+        "--vertices", type=_at_least(2, "at least 2 vertices"), default=1000
+    )
     p.add_argument("--edges", type=_nonnegative, default=10000)
     p.set_defaults(func=cmd_dijkstra)
 

@@ -102,6 +102,9 @@ class Node:
     walks read it), and ``None`` for an item in no heap, so a removed item
     holds no reference to itself and is freed by reference count.  ``live`` turns
     False when the item is removed, making dangling use a detectable error.
+    ``active`` is the activity ledger: True while the node is a child that
+    arrived by a fair link and has not since been unmarked or naive-linked.
+    Only the checks read it; it never influences heap behavior.
     """
 
     __slots__ = (
@@ -116,6 +119,7 @@ class Node:
         "uid",
         "live",
         "in_heap",
+        "active",
     )
 
     def __init__(self, key: Any, info: Any, uid: int) -> None:
@@ -130,6 +134,7 @@ class Node:
         self.uid = uid
         self.live = True
         self.in_heap = False
+        self.active = False
 
     def __repr__(self) -> str:
         return (
@@ -148,9 +153,9 @@ class Universe:
     operations.
     """
 
-    def __init__(self, seed: int = 0, track_active: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.coin = random.Random(seed)
-        self.telemetry = Telemetry(track_active=track_active)
+        self.telemetry = Telemetry()
         self.registry: list[Node | None] = [None] * 8
         self.item_count = 0  # items made so far: the next item's uid
         self._heaps: list[Heap] = []
@@ -191,15 +196,15 @@ class Universe:
 def set_state(node: Node, new_state: int, tele: Telemetry) -> None:
     """Transition a node's state, keeping counters, phi, and the activity
     ledger consistent.  Transitions into/out of the marked state move phi by
-    +/-2; a child leaving the marked state also leaves the active set."""
+    +/-2; a child leaving the marked state clears its ``active`` flag."""
     old = node.state
     if old == new_state:
         return
     if old == MARKED:
         tele.unmarkings += 1
         tele.phi -= 2
-        if tele.track_active and node.parent is not node:
-            tele.active[node] = False
+        if node.parent is not node:
+            node.active = False
     if new_state == MARKED:
         tele.markings += 1
         tele.phi += 2
@@ -299,8 +304,7 @@ class Heap:
         state = self._naive_loser_state
         if state is not None:
             set_state(loser, state, tele)
-        if tele.track_active:
-            tele.active[loser] = False
+        loser.active = False
         return winner
 
     def _cut(self, x: Node) -> None:
@@ -322,8 +326,6 @@ class Heap:
         """Remove a childless root from the universe and settle its phi."""
         tele = self.universe.telemetry
         tele.phi += node.rank - 1 - (2 if node.state == MARKED else 0)
-        if tele.track_active:
-            tele.active.pop(node, None)
         node.live = False
         node.in_heap = False
         node.child = None
@@ -487,7 +489,6 @@ class Heap:
         A = self.universe.registry
         tele = self.universe.telemetry
         state = self._fair_loser_state
-        active = tele.active if tele.track_active else None
         scanned = 0
         max_rank = 0
         while y is not None:
@@ -518,8 +519,7 @@ class Heap:
                 # a loser already in the policy's state needs no transition
                 if state is not None and occupant.state != state:
                     set_state(occupant, state, tele)
-                if active is not None:
-                    active[occupant] = True
+                occupant.active = True
             y.rank = r
             A[r] = y
             if r > max_rank:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _LOG_PHI = math.log(PHI)
@@ -131,27 +131,17 @@ class Telemetry:
     operations that begin while a sink is attached: each heap operation
     reads ``record_sink`` once and calls :meth:`op_begin` and
     :meth:`op_end` only when it is set, so without a sink the counters cost
-    only their increments.  ``active`` is the shadow activity ledger: it
-    marks children that arrived via a fair link and have not since been
-    unmarked or cut loose; it exists purely for checking and never
-    influences heap behavior.
+    only their increments.  It keeps nothing per node: the activity ledger
+    the checks read is each node's ``active`` flag.
     """
 
-    __slots__ = COUNTER_FIELDS + (
-        "phi",
-        "record_sink",
-        "active",
-        "track_active",
-        "_op_open",
-    )
+    __slots__ = COUNTER_FIELDS + ("phi", "record_sink", "_op_open")
 
-    def __init__(self, track_active: bool = False) -> None:
+    def __init__(self) -> None:
         for name in COUNTER_FIELDS:
             setattr(self, name, 0)
         self.phi = 0
         self.record_sink: Callable[[OpRecord], None] | None = None
-        self.track_active = track_active
-        self.active: dict[Any, bool] = {}
         # kind, size before and a snapshot of the counters and phi: taken by
         # op_begin, read by the op_end that hands out the operation's record
         self._op_open: tuple | None = None

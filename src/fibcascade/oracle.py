@@ -31,6 +31,7 @@ is only sound when all keys are unique.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Iterable, Iterator
@@ -156,6 +157,8 @@ _VERBS = {
 }
 
 _INT_FIELDS = {("item", 2), ("decreasekey", 2), ("insert", 3)}
+# ASCII signed decimals: bare int() would also take 1_000 and non-ASCII digits
+_DECIMAL = re.compile(r"[+-]?[0-9]+").fullmatch
 
 
 def parse_trace(text: str) -> list[Op]:
@@ -178,13 +181,12 @@ def parse_trace(text: str) -> list[Op]:
         op: list[Any] = [verb]
         for pos, tok in enumerate(parts[1:], start=1):
             if (verb, pos) in _INT_FIELDS:
-                try:
-                    op.append(int(tok))
-                except ValueError:
+                if not _DECIMAL(tok):
                     raise TraceError(
                         f"line {lineno}: {verb} argument {pos} must be an"
                         f" integer, got {tok!r}"
-                    ) from None
+                    )
+                op.append(int(tok))
             else:
                 op.append(tok)
         if verb == "newheap" and op[2] not in POLICY_TAGS:
@@ -260,6 +262,8 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
     """
     if n_ops < 0:
         raise TraceError("n_ops must be nonnegative")
+    if n_ops == 0:
+        return []
     rng = Random(seed)
     verbs = sorted(TRACE_WEIGHTS)
     weights = [TRACE_WEIGHTS[v] for v in verbs]
@@ -369,7 +373,7 @@ class ReplayVerdict:
 
 
 def _walk_checks(
-    heap: Heap, rule: Rule, active: dict | None
+    heap: Heap, rule: Rule
 ) -> tuple[list[str], list[str], list[str], int]:
     """One walk of a heap's trees for every asserted clause: the program's
     only copy of them.
@@ -378,9 +382,9 @@ def _walk_checks(
     each root its own parent with no siblings, heap order, rank sanity and
     degree >= rank), the nodes whose subtree is smaller than the floor of
     their rank that ``rule``, the heap's policy row, asserts (none without
-    a floor), the nodes with fewer children active in the ledger ``active``
-    than their rank (none without a ledger), and the heap's share of the
-    potential.  A node reached a second time is reported once, as
+    a floor), the nodes with fewer ``active`` children than their rank
+    (asserted only when ``rule`` is ``audited``), and the heap's share of
+    the potential.  A node reached a second time is reported once, as
     reachable twice, and not walked again.  A child chain longer than the
     universe has items must loop: its scan stops there, and the cut is
     reported ahead of the other structure violations, whose first five
@@ -388,6 +392,7 @@ def _walk_checks(
     pointer graph, a cycle of child or sibling links included.
     """
     floor = rule.floor
+    audited = rule.audited
     most = heap.universe.item_count
     cut: list[str] = []
     bad: list[str] = []
@@ -434,7 +439,7 @@ def _walk_checks(
                     bad.append(
                         f"node {child.uid}: key {child.key!r} below parent's {key!r}"
                     )
-                if active is not None and active.get(child, False):
+                if audited and child.active:
                     live += 1
                 d += 1
                 prev = child
@@ -444,7 +449,7 @@ def _walk_checks(
             phi += d - rank
             if node.state == MARKED:
                 phi += 2
-            if active is not None and live < rank:
+            if audited and live < rank:
                 idle.append(f"node {node.uid}: {live} active children < rank {rank}")
         if floor is not None:
             # each subtree is a run of the walk, which visits a node's first
@@ -471,20 +476,17 @@ def run_checks(universe: Universe) -> list[str]:
     walk per heap; failures as messages.
 
     Per heap, in order: structure, the rank bound its policy's row asserts
-    and, when the universe keeps the ledger (``track_active``), the
-    active-children ledger on the audited policy's heaps; at most five
-    messages of each.  Then, once, as ``universe/potential``, the
+    and, on the audited policy's heaps, the active-children ledger; at most
+    five messages of each.  Then, once, as ``universe/potential``, the
     potential: the tracked phi against the total of every heap's share,
     and never negative.  :func:`_walk_checks` holds the clauses.
     """
     tele = universe.telemetry
-    ledger = tele.active if tele.track_active else None
     out: list[str] = []
     phi = 0
     for heap in universe.live_heaps():
         rule = RULES[heap.policy]
-        active = ledger if rule.audited else None
-        bad, short, idle, share = _walk_checks(heap, rule, active)
+        bad, short, idle, share = _walk_checks(heap, rule)
         phi += share
         if bad or short or idle:
             for check, found in (
@@ -596,7 +598,6 @@ def replay_ops(
     policy: Policy | str | None = None,
     seed: int = 0,
     record_sink: Callable | None = None,
-    track_active: bool = False,
     on_op: Callable | None = None,
 ) -> tuple[Universe, dict[str, Heap]]:
     """Execute a trace (no reference mirror) and hand back the end state.
@@ -606,7 +607,7 @@ def replay_ops(
     is called as ``on_op(index, universe, heaps)`` after every operation,
     for callers that want to inspect intermediate states.
     """
-    universe = Universe(seed=seed, track_active=track_active)
+    universe = Universe(seed=seed)
     universe.telemetry.record_sink = record_sink
     heaps: dict[str, Heap] = {}
     for index, _, _, _ in run_trace(ops, universe, heaps, policy):
@@ -633,16 +634,13 @@ def replay_differential(
     what a find-min returns.  ``check_interval`` > 0 additionally runs
     :func:`run_checks`, looked up as this module's global on every call,
     every that-many steps, and once more at the end unless the last step was
-    one of those; the universe then keeps the activity ledger, which those
-    checks read on the audited policy's heaps, unless ``policy`` names a
-    policy that is not audited.
-    The reference only observes what :func:`run_trace` yields.
+    one of those.  The reference only observes what :func:`run_trace`
+    yields.
     """
     if isinstance(policy, str):
         policy = Policy.from_tag(policy)
     tag = policy.value if policy is not None else "recorded"
-    ledger = check_interval > 0 and (policy is None or RULES[policy].audited)
-    universe = Universe(seed=seed, track_active=ledger)
+    universe = Universe(seed=seed)
     universe.telemetry.record_sink = record_sink
     heaps: dict[str, Heap] = {}
     mirrors: dict[str, OracleHeap] = {}

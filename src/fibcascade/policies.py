@@ -267,8 +267,9 @@ class Rule(NamedTuple):
     (after a fair link, after a naive link; None keeps its state).
     ``bound`` names the report of the asserted size floor and ``floor``
     gives the least subtree size by the root's rank (None: no floor).  The
-    ``audited`` policy's heaps keep the activity ledger, its operations
-    pass the amortized audit, and it keeps every comparison as a link."""
+    ``audited`` policy's heaps are checked against the activity ledger that
+    every node keeps, its operations pass the amortized audit, and it keeps
+    every comparison as a link."""
 
     walk: Callable[[Heap, Node], None]
     bound: str | None = None

@@ -153,11 +153,11 @@ def rank_bound_violations(heap) -> CheckReport:
     return report
 
 
-def active_children_violations(heap, active: dict) -> CheckReport:
+def active_children_violations(heap) -> CheckReport:
     """Every node must have at least ``rank`` active children.
 
-    ``active`` is the telemetry shadow ledger (fair-linked and not since
-    unmarked). Only meaningful for the policies that keep the classic
+    A child is active while its ``active`` flag, the activity ledger, is
+    set (fair-linked and not since unmarked). Only meaningful for the policies that keep the classic
     correspondence; the caller decides whether the verdict is asserted.
     """
     report = CheckReport("active-children")
@@ -166,7 +166,7 @@ def active_children_violations(heap, active: dict) -> CheckReport:
             live = 0
             child = node.child
             while child is not None:
-                if active.get(child, False):
+                if child.active:
                     live += 1
                 child = child.after
             if live < node.rank:
@@ -195,7 +195,7 @@ def potential_violations(heap) -> CheckReport:
     return report
 
 
-def run_checks_per_heap(universe, include_active=False):
+def run_checks_per_heap(universe):
     """``oracle.run_checks`` as the standalone checkers give it: each live
     heap on its own, then the potential of the whole universe once."""
     out = []
@@ -206,8 +206,8 @@ def run_checks_per_heap(universe, include_active=False):
                 out.extend(
                     f"{heap.name}/{report.name}: {v}" for v in report.violations[:5]
                 )
-        if include_active and RULES[heap.policy].audited:
-            report = active_children_violations(heap, universe.telemetry.active)
+        if RULES[heap.policy].audited:
+            report = active_children_violations(heap)
             out.extend(
                 f"{heap.name}/{report.name}: {v}" for v in report.violations[:5]
             )

@@ -162,14 +162,12 @@ def test_criterion_03_active_children_cover_rank(report):
             nonlocal states, bad, first
             for heap in heaps.values():
                 states += 1
-                report = active_children_violations(
-                    heap, universe.telemetry.active
-                )
+                report = active_children_violations(heap)
                 if not report.ok:
                     bad += 1
                     first = first or report.violations[0]
 
-        replay_ops(ops, policy="simple", on_op=watch, track_active=True)
+        replay_ops(ops, policy="simple", on_op=watch)
     ok = bad == 0
     report(
         3,

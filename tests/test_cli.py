@@ -111,6 +111,7 @@ EXCLUSIVE_FLAGS = [
         *NON_NUMERIC_COUNTS,
         *NON_NUMERIC_RANGED,
         ("adversary", "--seed", "3"),  # the schedule draws no coin
+        ("dijkstra", "--vertices", "x"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -147,6 +148,26 @@ def test_non_numeric_values_state_the_flags_range(argv, want, capsys):
         run_cli(*argv)
     assert err.value.code == 2
     assert f"argument {argv[-2]}: expected {want}, got {argv[-1]!r}" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("value", ["x", "1"])
+def test_vertices_states_its_range(value, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("dijkstra", "--vertices", value)
+    assert err.value.code == 2
+    assert (
+        f"argument --vertices: expected at least 2 vertices, got {value!r}"
+        in capsys.readouterr().err
+    )
+
+
+def test_too_many_edges_is_the_graphs_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("dijkstra", "--vertices", "3", "--edges", "7")
+    assert err.value.code == 2
+    assert "--vertices 3 --edges 7: impossible graph dimensions" in (
         capsys.readouterr().err
     )
 

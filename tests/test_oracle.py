@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import fibcascade.oracle
 import fibcascade.policies
 from fibcascade import POLICY_TAGS, Node, Policy
-from fibcascade.instrumentation import COUNTER_FIELDS
+from fibcascade.instrumentation import COUNTER_FIELDS, iter_children
 from fibcascade.oracle import (
     OracleHeap,
     TraceError,
@@ -75,6 +75,9 @@ def test_parse_skips_comments_and_blank_lines():
         ("item x0 twelve", "must be an integer"),
         ("insert h0 x0 1.5", "must be an integer"),
         ("newheap h0 bogus", "unknown policy"),
+        # keys are ASCII signed decimals, not everything int() accepts
+        ("item x0 1_000", "must be an integer"),
+        ("decreasekey x0 \uff15", "must be an integer"),
     ],
 )
 def test_parse_rejections(line, fragment):
@@ -112,13 +115,20 @@ def test_gen_trace_seeds_differ():
     assert a != b
 
 
+def test_gen_trace_emits_as_many_ops_as_asked():
+    for seed in range(3):
+        for n_ops in range(4):
+            assert len(gen_trace(n_ops, seed=seed)) == n_ops
+
+
 def test_profile_validation():
     with pytest.raises(TraceError):
         gen_trace(-1)
 
 
 def test_gen_trace_output_is_pinned():
-    # the acceptance corpora are generated traces: they must not move by a byte
+    # the acceptance corpora are generated traces: they must not move by a
+    # byte (a zero-op trace is empty)
     digest = hashlib.sha256()
     for seed in range(8):
         for n_ops in (0, 1, 51, 1000):
@@ -126,7 +136,7 @@ def test_gen_trace_output_is_pinned():
                 ops = gen_trace(n_ops, seed=seed, max_heaps=max_heaps)
                 digest.update(format_trace(ops).encode())
     assert digest.hexdigest() == (
-        "f83b812a5106f15c3b0c523481f8f100c45b21121889cee5a4007607a1fa1321"
+        "3b806dc1061ca45c8b261afc0fa1cff8bdae090474ccdbca0aa5f5ee1244e8cc"
     )
 
 
@@ -465,14 +475,35 @@ def test_final_check_runs_only_after_an_unchecked_step(monkeypatch):
 def test_run_checks_clean_heap_with_and_without_active_tracking():
     from fibcascade import Universe
 
-    for track_active in (False, True):
-        u = Universe(track_active=track_active)
-        h = u.make_heap(Policy.SIMPLE)
-        for k in range(30):
-            h.insert(u.make_item(k))
-        for _ in range(6):
-            h.delete_min()
-        assert run_checks(u) == []
+    u = Universe()
+    h = u.make_heap(Policy.SIMPLE)
+    for k in range(30):
+        h.insert(u.make_item(k))
+    for _ in range(6):
+        h.delete_min()
+    assert run_checks(u) == []
+
+
+def test_run_checks_asserts_the_ledger_in_a_plain_universe():
+    from fibcascade import Universe
+
+    u = Universe()
+    h = u.make_heap("simple", "h0")
+    for k in range(20):
+        h.insert(u.make_item(k))
+    h.delete_min()
+    while h.root.rank == 0:
+        h.delete_min()
+    assert run_checks(u) == []
+    root = h.root
+    fair = [child for child in iter_children(root) if child.active]
+    assert len(fair) == root.rank  # without decrease-keys, one per fair link
+    fair[0].active = False
+    want = [
+        f"h0/active-children: node {root.uid}: {root.rank - 1} active"
+        f" children < rank {root.rank}"
+    ]
+    assert run_checks(u) == run_checks_per_heap(u) == want
 
 
 def test_run_checks_reports_the_universe_potential_once():
@@ -492,20 +523,19 @@ def test_run_checks_reports_the_universe_potential_once():
     ]
 
 
-def _compare_checks(ops, policy, every, track_active=True):
+def _compare_checks(ops, policy, every):
     """Replay ``ops`` and, after every ``every``-th op, require run_checks to
-    give the standalone checkers' messages, the ledger's exactly when the
-    universe keeps one; return how many states failed."""
+    give the standalone checkers' messages; return how many states failed."""
     failing = 0
 
     def compare(i, universe, heaps):
         nonlocal failing
         if i % every == 0:
-            want = run_checks_per_heap(universe, include_active=track_active)
+            want = run_checks_per_heap(universe)
             assert run_checks(universe) == want, (policy, i)
             failing += bool(want)
 
-    replay_ops(ops, policy=policy, track_active=track_active, on_op=compare)
+    replay_ops(ops, policy=policy, on_op=compare)
     return failing
 
 
@@ -515,13 +545,6 @@ def test_run_checks_matches_the_checkers_on_generated_states(tag):
         ops = gen_trace(300, seed=seed, max_heaps=6)
         assert any(op[0] == "meld" for op in ops)
         assert _compare_checks(ops, tag, every=3) == 0
-
-
-@pytest.mark.parametrize("tag", POLICY_TAGS)
-def test_run_checks_without_a_ledger_matches_the_checkers(tag):
-    for seed in range(2):
-        ops = gen_trace(300, seed=seed, max_heaps=6)
-        assert _compare_checks(ops, tag, every=3, track_active=False) == 0
 
 
 def test_run_checks_matches_the_checkers_on_undersized_trees(monkeypatch):
@@ -562,6 +585,13 @@ def _raise_every_rank(universe, heap):
             node.rank += 2
 
 
+def _clear_every_active_flag(universe):
+    for heap in universe.live_heaps():
+        for root in heap.iter_roots():
+            for node in iter_subtree(root):
+                node.active = False
+
+
 CORRUPTIONS = {
     "rank": lambda u, h: setattr(_inner_node(h), "rank", _inner_node(h).rank + 3),
     "every-rank": _raise_every_rank,
@@ -573,7 +603,7 @@ CORRUPTIONS = {
     "back-link": lambda u, h: setattr(_inner_node(h).child.after, "before", None),
     "phi": lambda u, h: setattr(u.telemetry, "phi", u.telemetry.phi + 3),
     "negative-phi": lambda u, h: setattr(u.telemetry, "phi", -1),
-    "active": lambda u, h: u.telemetry.active.clear(),
+    "active": lambda u, h: _clear_every_active_flag(u),
 }
 
 
@@ -582,19 +612,18 @@ CORRUPTIONS = {
 def test_run_checks_matches_the_checkers_on_corrupted_heaps(tag, corruption):
     from fibcascade import Universe
 
-    for track_active in (False, True):
-        u = Universe(track_active=track_active)
-        heaps = {}
-        for name in ("simple", "classic", "eager", "randomized"):
-            h = heaps[name] = u.make_heap(name, name)
-            for k in range(60):
-                h.insert(u.make_item(k * 17 % 61))
-            for _ in range(6):
-                h.delete_min()
-        assert run_checks(u) == []
-        CORRUPTIONS[corruption](u, heaps[tag])
-        want = run_checks_per_heap(u, include_active=track_active)
-        assert run_checks(u) == want
+    u = Universe()
+    heaps = {}
+    for name in ("simple", "classic", "eager", "randomized"):
+        h = heaps[name] = u.make_heap(name, name)
+        for k in range(60):
+            h.insert(u.make_item(k * 17 % 61))
+        for _ in range(6):
+            h.delete_min()
+    assert run_checks(u) == []
+    CORRUPTIONS[corruption](u, heaps[tag])
+    want = run_checks_per_heap(u)
+    assert run_checks(u) == want
     assert want
 
 
@@ -602,7 +631,7 @@ def test_run_checks_matches_the_checkers_on_corrupted_heaps(tag, corruption):
 def test_run_checks_reports_a_root_with_a_sibling(tag):
     from fibcascade import Universe
 
-    u = Universe(track_active=True)
+    u = Universe()
     h = u.make_heap(tag, "h0")
     for k in range(20):
         h.insert(u.make_item(k))
@@ -611,13 +640,13 @@ def test_run_checks_reports_a_root_with_a_sibling(tag):
     root = next(h.iter_roots())
     root.after = u.make_item(99)  # a root's siblings are never walked
     want = [f"h0/structure: node {root.uid}: root has a sibling link"]
-    assert run_checks(u) == run_checks_per_heap(u, include_active=True) == want
+    assert run_checks(u) == run_checks_per_heap(u) == want
 
 
 def test_run_checks_reports_a_node_reached_twice_once():
     from fibcascade import Universe
 
-    u = Universe(track_active=True)
+    u = Universe()
     h = u.make_heap("classic", "h0")
     for k in range(20):
         h.insert(u.make_item(k))
@@ -632,7 +661,7 @@ def test_run_checks_reports_a_node_reached_twice_once():
 def test_run_checks_ends_on_a_pointer_cycle():
     from fibcascade import Universe
 
-    u = Universe(track_active=True)
+    u = Universe()
     h = u.make_heap("simple", "h0")
     for k in range(20):
         h.insert(u.make_item(k))
@@ -646,7 +675,7 @@ def test_run_checks_ends_on_a_sibling_cycle():
     # only run_checks: the reference walkers would follow the loop for ever
     from fibcascade import Universe
 
-    u = Universe(track_active=True)
+    u = Universe()
     h = u.make_heap("simple", "h0")
     for k in range(20):
         h.insert(u.make_item(k))
@@ -659,34 +688,6 @@ def test_run_checks_ends_on_a_sibling_cycle():
         *[f"h0/structure: node {first.uid}: broken sibling back-link"] * 4,
         "universe/potential: incremental phi 3 != recomputed 21",
     ]
-
-
-@pytest.mark.parametrize(
-    "policy, interval, kept",
-    [
-        ("classic", 25, False),
-        ("non-cascading", 25, False),
-        ("simple", 25, True),
-        (None, 25, True),
-        ("simple", 0, False),
-    ],
-)
-def test_a_replay_keeps_the_ledger_only_where_checks_read_it(
-    monkeypatch, policy, interval, kept
-):
-    made = []
-    real = fibcascade.oracle.Universe
-
-    def spy(*args, **kwargs):
-        universe = real(*args, **kwargs)
-        made.append(universe.telemetry.track_active)
-        return universe
-
-    monkeypatch.setattr(fibcascade.oracle, "Universe", spy)
-    verdict = replay_differential(
-        gen_trace(200, seed=3), policy=policy, check_interval=interval
-    )
-    assert verdict.ok and made == [kept]
 
 
 def test_the_traced_benchmark_sees_the_mirror_and_the_checks(monkeypatch):
