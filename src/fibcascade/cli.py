@@ -48,6 +48,7 @@ from .adversary import (
 from .core import POLICY_TAGS, HeapError, Policy, Universe
 from .instrumentation import AmortizedAuditor, OpRecord, fit_exponent
 from .oracle import (
+    _DECIMAL,
     TraceError,
     gen_trace,
     parse_trace,
@@ -149,17 +150,25 @@ def _parse_policies(values: list[str] | None, default: list[str]) -> list[Policy
     return out
 
 
+def _int(text: str) -> int:
+    """``int(text)`` for ASCII signed decimals only; bare ``int()`` would
+    also take ``1_0`` and non-ASCII digits.  Raises ValueError otherwise."""
+    if not _DECIMAL(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_k_spec(spec: str) -> list[int]:
     """"25" -> [25]; "10..100" -> 10,20,...,100; "10..50:5" -> step 5."""
     step = 10
     if ":" in spec:
         spec, step_text = spec.split(":", 1)
-        step = int(step_text)
+        step = _int(step_text)
     if ".." in spec:
         lo_text, hi_text = spec.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _int(lo_text), _int(hi_text)
     else:
-        lo = hi = int(spec)
+        lo = hi = _int(spec)
     if lo < 1 or hi < lo or step < 1:
         raise ValueError(f"bad k range {spec!r}")
     return list(range(lo, hi + 1, step))
@@ -603,7 +612,7 @@ def _at_least(least: int, expected: str) -> Callable[[str], int]:
 
     def count(text: str) -> int:
         try:
-            value = int(text)
+            value = _int(text)
         except ValueError:
             pass
         else:
@@ -615,6 +624,14 @@ def _at_least(least: int, expected: str) -> Callable[[str], int]:
 
 
 _nonnegative = _at_least(0, "a nonnegative integer")
+
+
+def _seed(text: str) -> int:
+    """The argparse type of ``--seed``: any integer, negative ones too."""
+    try:
+        return _int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _k_spec(text: str) -> list[int]:
@@ -648,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     # verify always runs the full battery, so it alone takes no --check
     p = sub.add_parser("verify", help="differential fuzzing with audits")
     common(p, None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--traces", type=_nonnegative, default=100)
     p.add_argument("--ops", type=_nonnegative, default=1000)
     p.set_defaults(func=cmd_verify)
@@ -683,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dijkstra", help="shortest paths vs reference")
     common(p, "-")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument(
         "--vertices", type=_at_least(2, "at least 2 vertices"), default=1000
@@ -693,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a recorded trace")
     common(p, None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--check", action="store_true", help="enable the invariant suite")
     p.add_argument("trace", help="trace file path, or - for stdin")
     p.add_argument(

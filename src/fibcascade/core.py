@@ -7,9 +7,11 @@ combined by *naive* links that ignore ranks; delete-min's registry pass
 that bump the winner's rank.  That pass is the only place fair links happen
 and ranks grow; it walks the sibling chain of the deleted root's children
 (for :class:`ClassicHeap`, the other roots threaded ahead of them) once,
-following ``after`` itself, and resets only its survivors to roots.  What
-happens to ranks when a node loses a child is the pluggable part: each
-:class:`Policy` names one rank-maintenance rule, implemented in
+following ``after`` itself, and leaves its survivors in their registry
+slots; each heap's delete-min empties the registry in one ascending sweep
+that does its root pass there, resetting only the nodes that end up as
+roots.  What happens to ranks when a node loses a child is the pluggable
+part: each :class:`Policy` names one rank-maintenance rule, implemented in
 :mod:`fibcascade.policies`.
 
 Ties: ``link(x, y)`` compares with a strict ``x.key > y.key``, so the first
@@ -284,7 +286,9 @@ class Heap:
 
         A naive link leaves all ranks alone and costs no potential at all;
         the loser's state is adjusted where the policy calls for it.  Fair
-        links happen only in :meth:`_fill_registry`.
+        links happen only in :meth:`_fill_registry`.  This is the link of
+        insert, meld and decrease-key; delete-min's root pass
+        (:meth:`_remove_min`) writes the same splice inline.
         """
         tele = self.universe.telemetry
         tele.comparisons += 1
@@ -453,47 +457,73 @@ class Heap:
         other.root = None
 
     def _remove_min(self) -> Node:
-        """Fair-link the root's children through the registry, then
-        naive-link the survivors over ascending ranks, the accumulated root
-        being the first link argument."""
+        """Fair-link the root's children through the registry, then empty
+        the registry in one ascending sweep that naive-links its survivors,
+        the accumulated root being the first link argument.  The sweep
+        writes :meth:`_link`'s splice inline, resets only the final root to
+        a root and settles its counters once, after the sweep."""
         h = self.root
         assert h is not None
+        A = self.universe.registry
+        tele = self.universe.telemetry
+        state = self._naive_loser_state
         root: Node | None = None
-        for occupant in self._fill_registry(h.child):
+        links = 0
+        for i in range(self._fill_registry(h.child) + 1):
+            y = A[i]
+            if y is None:
+                continue
+            A[i] = None
             if root is None:
-                root = occupant
-            else:
-                root = self._link(root, occupant)
+                root = y
+                continue
+            links += 1
+            if root.key > y.key:
+                root, y = y, root
+            # splice the loser in as the winner's first child
+            y.parent = root
+            z = root.child
+            y.before = None
+            y.after = z
+            if z is not None:
+                z.before = y
+            root.child = y
+            if state is not None and y.state != state:
+                set_state(y, state, tele)
+            y.active = False
+        tele.comparisons += links
+        tele.naive_links += links
+        if root is not None:
+            root.parent = root
+            root.before = None
+            root.after = None
         self.root = root
         self._destroy(h)
         return h
 
-    def _fill_registry(self, y: Node | None) -> list[Node]:
+    def _fill_registry(self, y: Node | None) -> int:
         """Fair-link equal-rank roots through the registry, scanning the
-        sibling chain that starts at ``y`` first to last; return the
-        survivors, each made a root, in ascending rank order and leave the
-        registry clear.
+        sibling chain that starts at ``y`` first to last; leave each
+        survivor in the registry slot of its rank and return the highest
+        occupied rank (0 when the chain is empty).
 
         Each node's ``after`` is read before the node can be linked, so the
         chain is walked once and needs no detaching first: a loser's three
-        pointers are rewritten by its link, and only the survivors (about
-        log n of them) are reset to roots after the scan.  A fair link
-        splices as :meth:`_link` does and bumps the winner's rank (phi -1
-        via the rank change; the loser's root bonus moves to the winner's
-        new child slot, net zero).  The registry slot is cleared at the
-        winner's pre-bump rank, and the scanned (or accumulated) node is
-        always the first link argument.  Every fair link removes one tree,
-        so the links are the roots scanned minus the survivors, and the
-        counters and phi are settled once, after the scan.
+        pointers are rewritten by its link, and a survivor's are left stale
+        for the caller's sweep.  A fair link splices as :meth:`_link` does
+        and bumps the winner's rank (phi -1 via the rank change; the loser's
+        root bonus moves to the winner's new child slot, net zero).  The
+        registry slot is cleared at the winner's pre-bump rank, and the
+        scanned (or accumulated) node is always the first link argument.
+        The counters and phi are settled once, after the scan.
         """
         A = self.universe.registry
         tele = self.universe.telemetry
         state = self._fair_loser_state
-        scanned = 0
+        links = 0
         max_rank = 0
         while y is not None:
             after = y.after
-            scanned += 1
             r = y.rank
             while True:
                 try:
@@ -504,6 +534,7 @@ class Heap:
                 if occupant is None:
                     break
                 A[r] = None
+                links += 1
                 if y.key > occupant.key:
                     y.rank = r  # the scanned node loses with its rank so far
                     y, occupant = occupant, y
@@ -525,20 +556,10 @@ class Heap:
             if r > max_rank:
                 max_rank = r
             y = after
-        survivors: list[Node] = []
-        for i in range(max_rank + 1):
-            occupant = A[i]
-            if occupant is not None:
-                A[i] = None
-                occupant.parent = occupant
-                occupant.before = None
-                occupant.after = None
-                survivors.append(occupant)
-        links = scanned - len(survivors)
         tele.comparisons += links
         tele.fair_links += links
         tele.phi -= links
-        return survivors
+        return max_rank
 
 
 class ClassicHeap(Heap):
@@ -585,9 +606,14 @@ class ClassicHeap(Heap):
 
     def _remove_min(self) -> Node:
         """Thread the other roots, in list order, ahead of the minimum's
-        children through ``after`` and fair-link the whole chain; only the
-        survivors need unmarking (roots are never marked), as the fair-loser
-        rule unmarks every loser."""
+        children through ``after`` and fair-link the whole chain; then empty
+        the registry in one ascending sweep that relists the survivors by
+        increasing rank, resets each to a root and picks the minimum (one
+        counted comparison per survivor after the first, the first minimum
+        winning ties).  Only the survivors need unmarking (roots are never
+        marked), as the fair-loser rule unmarks every loser; a survivor is
+        made a root before it is unmarked, so it keeps its ``active`` flag.
+        """
         tele = self.universe.telemetry
         m = self.min_node
         assert m is not None
@@ -596,10 +622,25 @@ class ClassicHeap(Heap):
             if y is not m:
                 y.after = first
                 first = y
-        self.roots = self._fill_registry(first)
-        self.min_node = None
-        for y in self.roots:
-            set_state(y, UNMARKED, tele)
-            self._offer_min(y)
+        A = self.universe.registry
+        roots: list[Node] = []
+        low: Node | None = None
+        for i in range(self._fill_registry(first) + 1):
+            y = A[i]
+            if y is None:
+                continue
+            A[i] = None
+            y.parent = y
+            y.before = None
+            y.after = None
+            if y.state != UNMARKED:
+                set_state(y, UNMARKED, tele)
+            if low is None or y.key < low.key:
+                low = y
+            roots.append(y)
+        if roots:
+            tele.comparisons += len(roots) - 1
+        self.roots = roots
+        self.min_node = low
         self._destroy(m)
         return m

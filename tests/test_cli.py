@@ -75,6 +75,19 @@ BAD_K_SPECS = [
     ("adversary", "--k", "10..x"),
 ]
 
+# integer flags given text that bare int() takes but that is no ASCII
+# decimal: an underscore, full-width and Arabic-Indic digits
+NON_ASCII_DECIMALS = [
+    ("verify", "--ops", "1_0"),
+    ("verify", "--traces", "\uff12"),
+    ("verify", "--seed", "\uff13"),
+    ("dijkstra", "--seed", "1_0"),
+    ("replay", "--seed", "\u0663", "t.trace"),
+    ("adversary", "--k", "1_0"),
+    ("adversary", "--k", "1_0..2_0:1_0"),
+    ("adversary", "--m", "100_000"),
+]
+
 # flags that do not combine: a whole --m schedule takes no stage sweep or
 # round count
 EXCLUSIVE_FLAGS = [
@@ -112,6 +125,7 @@ EXCLUSIVE_FLAGS = [
         *NON_NUMERIC_RANGED,
         ("adversary", "--seed", "3"),  # the schedule draws no coin
         ("dijkstra", "--vertices", "x"),
+        *NON_ASCII_DECIMALS,
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -170,6 +184,30 @@ def test_too_many_edges_is_the_graphs_usage_error(capsys):
     assert "--vertices 3 --edges 7: impossible graph dimensions" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("verify", "--ops", "1_0"), "--ops: expected a nonnegative integer"),
+        (("verify", "--seed", "\uff13"), "--seed: expected an integer"),
+        (("adversary", "--m", "100_000"), "--m: expected at least 12 operations"),
+        (("adversary", "--k", "1_0..2_0:1_0"), "--k: expected K, LO..HI"),
+    ],
+    ids=["count", "seed", "ranged-count", "k-spec"],
+)
+def test_integer_flags_take_only_ascii_decimals(argv, want, capsys):
+    # one message per kind of flag: count, seed, ranged count, stage sweep
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"argument {want}" in message and repr(argv[-1]) in message
+
+
+@pytest.mark.parametrize("value", ["-3", "+3", "0"])
+def test_seed_takes_signed_ascii_decimals(value):
+    assert build_parser().parse_args(["verify", "--seed", value]).seed == int(value)
 
 
 @pytest.mark.parametrize("argv", BAD_K_SPECS)

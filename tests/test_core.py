@@ -160,14 +160,19 @@ def test_delete_min_returns_nodes_in_key_order():
     assert u.registry_is_clear()
 
 
-def test_registry_is_clear_between_operations():
+@pytest.mark.parametrize("policy", ["simple", "classic"])
+def test_registry_is_clear_between_operations(policy):
+    # each class's delete-min empties the registry and makes its roots itself
     u = Universe()
-    h = u.make_heap(Policy.SIMPLE)
+    h = u.make_heap(policy)
     for k in range(64):
         h.insert(u.make_item(k ^ 21))
     for _ in range(64):
         h.delete_min()
         assert u.registry_is_clear()
+        for root in h.iter_roots():
+            assert root.parent is root
+            assert root.before is None and root.after is None
 
 
 def test_meld_keeps_the_smaller_root_and_consumes_the_other():
