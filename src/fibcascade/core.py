@@ -163,7 +163,7 @@ class Universe:
         self._heaps: list[Heap] = []
 
     def make_item(self, key: Any, info: Any = None) -> Node:
-        if key is BOTTOM or isinstance(key, _Bottom):
+        if isinstance(key, _Bottom):
             raise HeapError("the reserved bottom key cannot be used for items")
         node = Node(key, info, self.item_count)
         self.item_count += 1
@@ -391,7 +391,10 @@ class Heap:
         return self
 
     def decrease_key(self, x: Node, new_key: Any) -> None:
-        if new_key is BOTTOM or isinstance(new_key, _Bottom):
+        """Lower item x's key to ``new_key``.  x must be an item of this
+        heap; that is not checked, as the check would climb to the root on
+        every call (:func:`fibcascade.oracle.run_trace` checks ownership)."""
+        if isinstance(new_key, _Bottom):
             raise HeapError("the reserved bottom key cannot be assigned directly")
         self._decrease_key(x, new_key)
 
@@ -430,10 +433,8 @@ class Heap:
 
     def delete(self, x: Node) -> Node:
         """Remove item x: an internal decrease to the bottom key, then a
-        delete-min; telemetry sees the two constituent operations."""
-        self._check_live()
-        if not x.live:
-            raise PreconditionError(f"item {x.uid} was already removed")
+        delete-min; telemetry sees the two constituent operations.  x must
+        be an item of this heap, unchecked as in :meth:`decrease_key`."""
         self._decrease_key(x, BOTTOM)
         removed = self.delete_min()
         if removed is not x:  # pragma: no cover - structural impossibility
@@ -567,31 +568,28 @@ class ClassicHeap(Heap):
 
     Insert and meld append to the root list; delete-min fair-links the whole
     list (never a naive link), relists the survivors by increasing rank and
-    recomputes the minimum pointer with counted comparisons.
+    recomputes the minimum with counted comparisons.  The minimum lives in
+    ``root``, as the single tree's root does; ``roots`` lists every root.
     """
 
-    __slots__ = ("roots", "min_node")
+    __slots__ = ("roots",)
 
     def __init__(self, universe: Universe, policy: Policy, name: str) -> None:
         super().__init__(universe, policy, name)
         self.roots: list[Node] = []
-        self.min_node: Node | None = None
 
     def iter_roots(self) -> Iterator[Node]:
         return iter(self.roots)
 
-    def peek(self) -> Node | None:
-        return self.min_node
-
     def _offer_min(self, x: Node) -> None:
         """Make x the minimum if it beats the current one (one counted
         comparison, none when there is no minimum yet)."""
-        if self.min_node is None:
-            self.min_node = x
+        if self.root is None:
+            self.root = x
         else:
             self.universe.telemetry.comparisons += 1
-            if x.key < self.min_node.key:
-                self.min_node = x
+            if x.key < self.root.key:
+                self.root = x
 
     def _add_root(self, x: Node) -> None:
         self.roots.append(x)
@@ -600,9 +598,9 @@ class ClassicHeap(Heap):
     def _absorb(self, other: "ClassicHeap") -> None:
         self.roots.extend(other.roots)
         other.roots = []
-        if other.min_node is not None:
-            self._offer_min(other.min_node)
-        other.min_node = None
+        if other.root is not None:
+            self._offer_min(other.root)
+        other.root = None
 
     def _remove_min(self) -> Node:
         """Thread the other roots, in list order, ahead of the minimum's
@@ -615,7 +613,7 @@ class ClassicHeap(Heap):
         made a root before it is unmarked, so it keeps its ``active`` flag.
         """
         tele = self.universe.telemetry
-        m = self.min_node
+        m = self.root
         assert m is not None
         first = m.child
         for y in reversed(self.roots):
@@ -641,6 +639,6 @@ class ClassicHeap(Heap):
         if roots:
             tele.comparisons += len(roots) - 1
         self.roots = roots
-        self.min_node = low
+        self.root = low
         self._destroy(m)
         return m

@@ -380,16 +380,17 @@ def _walk_checks(
 
     Returns, in walk order, the structure violations (pointer discipline,
     each root its own parent with no siblings, heap order, rank sanity and
-    degree >= rank), the nodes whose subtree is smaller than the floor of
-    their rank that ``rule``, the heap's policy row, asserts (none without
-    a floor), the nodes with fewer ``active`` children than their rank
-    (asserted only when ``rule`` is ``audited``), and the heap's share of
-    the potential.  A node reached a second time is reported once, as
-    reachable twice, and not walked again.  A child chain longer than the
-    universe has items must loop: its scan stops there, and the cut is
-    reported ahead of the other structure violations, whose first five
-    would otherwise be the loop's repeats.  So the walk ends on any
-    pointer graph, a cycle of child or sibling links included.
+    degree >= rank; last, the heap's size against the nodes it reached),
+    the nodes whose subtree is smaller than the floor of their rank that
+    ``rule``, the heap's policy row, asserts (none without a floor), the
+    nodes with fewer ``active`` children than their rank (asserted only
+    when ``rule`` is ``audited``), and the heap's share of the potential.
+    A node reached a second time is reported once, as reachable twice, and
+    not walked again.  A child chain longer than the universe has items
+    must loop: its scan stops there, and the cut is reported ahead of the
+    other structure violations, whose first five would otherwise be the
+    loop's repeats.  So the walk ends on any pointer graph, a cycle of
+    child or sibling links included.
     """
     floor = rule.floor
     audited = rule.audited
@@ -466,6 +467,8 @@ def _walk_checks(
                         f"node {node.uid}: size {end - i} < bound {floor(rank)}"
                         f" for rank {rank}"
                     )
+    if len(seen) != len(heap):
+        bad.append(f"size {len(heap)} != {len(seen)} nodes reached")
     if cut:
         bad[:0] = cut
     return bad, short, idle, phi

@@ -1,21 +1,22 @@
 """The pluggable part of decrease-key: rank maintenance.
 
-Every policy here follows the same skeleton — optionally walk up from the
-decreased node fixing ranks and states, then cut the node and naive-link it
-back against the root (the cut node is the first link argument, so it wins
-ties).  What varies is the walk: when it starts, what it decrements, and how
-it decides to stop.
+Every single-tree policy's step is :func:`_one_cut` of its walk: repair
+ranks and states above the decreased node, then make the one cut and
+naive-link the node back against the root (as the first link argument, so
+it wins ties).  What varies is the walk: when it starts, what it decrements,
+and how it decides to stop.  ``heap-order`` is ``simple`` behind
+:func:`_guarded`; ``classic`` cascades its cuts in a step of its own.
 
-The walks terminate at the root without special-casing it: the policies that
-use node states pin the root's state beforehand so the stop test fires there,
-and the rank-comparison stops are self-satisfied at the root because a root
-is its own parent.
+The walks terminate at the root without special-casing it: the policies
+that use node states pin the root's state beforehand so the stop test fires
+there, and the rank-comparison stops are self-satisfied at the root because
+a root is its own parent.
 
 All rank decrements clamp at zero (and count the clamped attempts); the walk
 step counter feeds the per-operation time estimate.
 
-Each policy's heap class, walk, link losers' states and checked contract
-are its row of :data:`RULES`; other modules read the row, not the policy.
+Each policy's row of :data:`RULES` holds its heap class, decrease-key step,
+link losers' states and checked contract; other modules read only the row.
 """
 
 from __future__ import annotations
@@ -36,9 +37,33 @@ from .core import (
 from .instrumentation import fib
 
 
-def _cut_and_reroot(heap: Heap, x: Node) -> None:
-    heap._cut(x)
-    heap._add_root(x)
+Step = Callable[[Heap, Node], None]
+
+
+def _one_cut(repair: Step) -> Step:
+    """The single-tree decrease-key step: unless x is the root, ``repair``
+    the path above x, then cut x and link it back as the first argument."""
+
+    def step(heap: Heap, x: Node) -> None:
+        if x is heap.root:
+            return
+        repair(heap, x)
+        heap._cut(x)
+        heap._add_root(x)
+
+    return step
+
+
+def _guarded(step: Step) -> Step:
+    """``step`` only when heap order actually broke.  The guard comparison
+    is paid even at the root, its own parent, where it is always false."""
+
+    def guarded(heap: Heap, x: Node) -> None:
+        heap.universe.telemetry.comparisons += 1
+        if x.key < x.parent.key:
+            step(heap, x)
+
+    return guarded
 
 
 def _toggle_walk(heap: Heap, x: Node) -> None:
@@ -51,7 +76,6 @@ def _toggle_walk(heap: Heap, x: Node) -> None:
     makes it a guaranteed stopping point.
     """
     tele = heap.universe.telemetry
-    assert heap.root is not None
     set_state(heap.root, UNMARKED, tele)
     y = x
     while True:
@@ -65,38 +89,14 @@ def _toggle_walk(heap: Heap, x: Node) -> None:
             break
 
 
-def _dk_simple(heap: Heap, x: Node) -> None:
-    if x is heap.root:
-        return
-    _toggle_walk(heap, x)
-    _cut_and_reroot(heap, x)
-
-
-def _dk_heap_order(heap: Heap, x: Node) -> None:
-    """Like the plain policy, but only acts when heap order actually broke.
-
-    The guard comparison is paid even when x is the root (a root is its own
-    parent, so the guard is trivially false there).
-    """
-    tele = heap.universe.telemetry
-    tele.comparisons += 1
-    if not x.key < x.parent.key:
-        return
-    _toggle_walk(heap, x)
-    _cut_and_reroot(heap, x)
-
-
-def _dk_increasing_rank(heap: Heap, x: Node) -> None:
+def _increasing_rank(heap: Heap, x: Node) -> None:
     # The parent step is unconditional: losing any child, whatever its rank,
     # can leave the parent with fewer children than its rank promises, and
     # one decrement restores the promise.  Higher up, a node whose old rank
     # already reached its parent's rank cannot leave that parent short, so
     # the walk climbs only while ranks keep increasing, flipping states, and
     # stops at the first node it marks.
-    if x is heap.root:
-        return
     tele = heap.universe.telemetry
-    assert heap.root is not None
     set_state(heap.root, UNMARKED, tele)
     y = x
     while True:
@@ -112,10 +112,9 @@ def _dk_increasing_rank(heap: Heap, x: Node) -> None:
             break
         if k >= y.parent.rank:
             break
-    _cut_and_reroot(heap, x)
 
 
-def _dk_passive_child(heap: Heap, x: Node) -> None:
+def _passive_child(heap: Heap, x: Node) -> None:
     """Three-state variant: passive children do not count toward ranks.
 
     Cutting a passive child is free.  Cutting a counted child demotes the
@@ -123,10 +122,7 @@ def _dk_passive_child(heap: Heap, x: Node) -> None:
     parents stop counting them) until a node that can absorb the loss is
     found; that node is decremented and, if it was unmarked, marked.
     """
-    if x is heap.root:
-        return
     tele = heap.universe.telemetry
-    assert heap.root is not None
     set_state(heap.root, PASSIVE, tele)
     if x.state != PASSIVE:
         y = x.parent
@@ -139,17 +135,13 @@ def _dk_passive_child(heap: Heap, x: Node) -> None:
         dec_rank_floor(y, tele)
         if y.state == UNMARKED:
             set_state(y, MARKED, tele)
-    _cut_and_reroot(heap, x)
 
 
-def _dk_eager(heap: Heap, x: Node) -> None:
+def _eager(heap: Heap, x: Node) -> None:
     # Fairly linked children are born marked; the mark means "my parent's
     # rank still counts me".  The walk settles all outstanding marks on the
     # path before the cut, so no lazy debt is left behind.
-    if x is heap.root:
-        return
     tele = heap.universe.telemetry
-    assert heap.root is not None
     set_state(heap.root, UNMARKED, tele)
     y = x
     while y.state == MARKED:
@@ -157,12 +149,9 @@ def _dk_eager(heap: Heap, x: Node) -> None:
         set_state(y, UNMARKED, tele)
         y = y.parent
         dec_rank_floor(y, tele)
-    _cut_and_reroot(heap, x)
 
 
-def _dk_naive_increasing(heap: Heap, x: Node) -> None:
-    if x is heap.root:
-        return
+def _naive_increasing(heap: Heap, x: Node) -> None:
     # The increasing-rank walk without marks; its parent step is
     # unconditional for the same reason.
     tele = heap.universe.telemetry
@@ -176,12 +165,9 @@ def _dk_naive_increasing(heap: Heap, x: Node) -> None:
             break
         if k >= y.parent.rank:
             break
-    _cut_and_reroot(heap, x)
 
 
-def _dk_zero_rank(heap: Heap, x: Node) -> None:
-    if x is heap.root:
-        return
+def _zero_rank(heap: Heap, x: Node) -> None:
     tele = heap.universe.telemetry
     if x.parent.rank > 0:
         y = x
@@ -193,18 +179,15 @@ def _dk_zero_rank(heap: Heap, x: Node) -> None:
                 break
             if y.parent.rank == 0:
                 break
-    _cut_and_reroot(heap, x)
 
 
-def _dk_randomized(heap: Heap, x: Node) -> None:
+def _randomized(heap: Heap, x: Node) -> None:
     """The non-cascading step, continued up the path on a coin flip.
 
     Each step decrements the node that lost a child, starting at the
     parent; the walk stops at the root, spending no coin there, or when the
     universe's coin says stop, and otherwise moves one node up.
     """
-    if x is heap.root:
-        return
     tele = heap.universe.telemetry
     coin = heap.universe.coin
     y = x
@@ -216,20 +199,16 @@ def _dk_randomized(heap: Heap, x: Node) -> None:
             break
         if coin.getrandbits(1):
             break
-    _cut_and_reroot(heap, x)
 
 
-def _dk_non_cascading(heap: Heap, x: Node) -> None:
-    if x is heap.root:
-        return
+def _non_cascading(heap: Heap, x: Node) -> None:
     dec_rank_floor(x.parent, heap.universe.telemetry)
-    _cut_and_reroot(heap, x)
 
 
 def _dk_classic(heap: ClassicHeap, x: Node) -> None:
     """Multi-root variant with cascading cuts.
 
-    A root only refreshes the minimum pointer.  A non-root is cut when heap
+    A root only refreshes the minimum, ``root``.  A non-root is cut when heap
     order broke; its parent is cut in turn if already marked, and so on,
     with the first unmarked non-root ancestor picking up a mark.  Nodes are
     unmarked as they enter the root list.  Cascaded roots have been in the
@@ -237,7 +216,7 @@ def _dk_classic(heap: ClassicHeap, x: Node) -> None:
     """
     tele = heap.universe.telemetry
     if x.parent is x:
-        if x is not heap.min_node:
+        if x is not heap.root:
             heap._offer_min(x)
         return
     tele.comparisons += 1
@@ -263,7 +242,8 @@ def _dk_classic(heap: ClassicHeap, x: Node) -> None:
 
 
 class Rule(NamedTuple):
-    """One policy's row.  ``losers`` is the state a link's loser takes
+    """One policy's row.  ``walk`` is the whole decrease-key step, run
+    after the key is lowered.  ``losers`` is the state a link's loser takes
     (after a fair link, after a naive link; None keeps its state).
     ``bound`` names the report of the asserted size floor and ``floor``
     gives the least subtree size by the root's rank (None: no floor).  The
@@ -271,7 +251,7 @@ class Rule(NamedTuple):
     every node keeps, its operations pass the amortized audit, and it keeps
     every comparison as a link."""
 
-    walk: Callable[[Heap, Node], None]
+    walk: Step
     bound: str | None = None
     floor: Callable[[int], int] | None = None
     losers: tuple[int | None, int | None] = (None, None)
@@ -285,14 +265,16 @@ _POW2 = ("rank-bound-pow2", lambda r: 1 << r)
 
 #: Every policy's rule, in :class:`Policy` order.
 RULES: dict[Policy, Rule] = {
-    Policy.SIMPLE: Rule(_dk_simple, *_FIBONACCI, audited=True),
-    Policy.HEAP_ORDER: Rule(_dk_heap_order, *_FIBONACCI),
-    Policy.INCREASING_RANK: Rule(_dk_increasing_rank, *_FIBONACCI),
-    Policy.PASSIVE_CHILD: Rule(_dk_passive_child, *_FIBONACCI, (UNMARKED, PASSIVE)),
-    Policy.EAGER_MARKING: Rule(_dk_eager, *_POW2, (MARKED, UNMARKED)),
-    Policy.NAIVE_INCREASING_RANK: Rule(_dk_naive_increasing, *_POW2),
-    Policy.ZERO_RANK: Rule(_dk_zero_rank, *_POW2),
-    Policy.RANDOMIZED: Rule(_dk_randomized),
-    Policy.NON_CASCADING: Rule(_dk_non_cascading),
+    Policy.SIMPLE: Rule(_one_cut(_toggle_walk), *_FIBONACCI, audited=True),
+    Policy.HEAP_ORDER: Rule(_guarded(_one_cut(_toggle_walk)), *_FIBONACCI),
+    Policy.INCREASING_RANK: Rule(_one_cut(_increasing_rank), *_FIBONACCI),
+    Policy.PASSIVE_CHILD: Rule(
+        _one_cut(_passive_child), *_FIBONACCI, (UNMARKED, PASSIVE)
+    ),
+    Policy.EAGER_MARKING: Rule(_one_cut(_eager), *_POW2, (MARKED, UNMARKED)),
+    Policy.NAIVE_INCREASING_RANK: Rule(_one_cut(_naive_increasing), *_POW2),
+    Policy.ZERO_RANK: Rule(_one_cut(_zero_rank), *_POW2),
+    Policy.RANDOMIZED: Rule(_one_cut(_randomized)),
+    Policy.NON_CASCADING: Rule(_one_cut(_non_cascading)),
     Policy.CLASSIC: Rule(_dk_classic, *_FIBONACCI, (UNMARKED, None), ClassicHeap),
 }

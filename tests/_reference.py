@@ -89,7 +89,8 @@ class CheckReport:
 
 def structure_violations(heap) -> CheckReport:
     """Pointer discipline (each root its own parent with no siblings), heap
-    order, rank sanity, and degree >= rank."""
+    order, rank sanity, degree >= rank, and the size against the nodes
+    reached."""
     report = CheckReport("structure")
     seen = set()
     for root in heap.iter_roots():
@@ -127,6 +128,8 @@ def structure_violations(heap) -> CheckReport:
                 report.violations.append(
                     f"node {node.uid}: degree {d} < rank {node.rank}"
                 )
+    if len(seen) != len(heap):
+        report.violations.append(f"size {len(heap)} != {len(seen)} nodes reached")
     return report
 
 

@@ -3,7 +3,7 @@ public operations, so tests can start from a known arrangement."""
 
 from fibcascade.core import MARKED, UNMARKED, dec_rank_floor, set_state
 from fibcascade.instrumentation import iter_children
-from fibcascade.policies import _cut_and_reroot, _dk_increasing_rank
+from fibcascade.policies import _increasing_rank, _one_cut
 
 from _reference import compute_potential
 
@@ -51,17 +51,18 @@ def assert_phi_consistent(universe, label=""):
     )
 
 
-def guarded_increasing_rank(heap, x):
-    """The increasing-rank decrease-key with a rank guard in front: no walk
-    unless the cut child's rank is below its parent's.  Cutting a child of
-    equal or higher rank then leaves the parent's rank unpaid, so random
-    traffic soon grows trees too small for their ranks.  Tests install it
-    as the walk of the policy's row in ``RULES`` as a source of undersized
-    trees."""
-    if x is not heap.root and x.rank >= x.parent.rank:
-        _cut_and_reroot(heap, x)
-    else:
-        _dk_increasing_rank(heap, x)
+def _walk_below_parent_rank(heap, x):
+    # no walk unless the cut child's rank is below its parent's
+    if x.rank < x.parent.rank:
+        _increasing_rank(heap, x)
+
+
+#: The increasing-rank decrease-key with a rank guard in front of its walk.
+#: Cutting a child of equal or higher rank then leaves the parent's rank
+#: unpaid, so random traffic soon grows trees too small for their ranks.
+#: Tests install it as the walk of the policy's row in ``RULES`` as a source
+#: of undersized trees.
+guarded_increasing_rank = _one_cut(_walk_below_parent_rank)
 
 
 def toggle_walk_without_unmark(heap, x):

@@ -13,7 +13,6 @@ import pytest
 
 import fibcascade.cli
 import fibcascade.instrumentation
-import fibcascade.policies
 from fibcascade import Heap, Policy
 from fibcascade.cli import (
     _parse_k_spec,
@@ -22,7 +21,7 @@ from fibcascade.cli import (
     gen_graph,
     main,
 )
-from fibcascade.policies import RULES
+from fibcascade.policies import RULES, _one_cut
 
 from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
 
@@ -378,8 +377,10 @@ def test_verify_flags_a_comparison_that_makes_no_link(monkeypatch, capsys):
 
 
 def test_verify_fault_injection_trips_the_audits(monkeypatch, capsys):
-    monkeypatch.setattr(
-        fibcascade.policies, "_toggle_walk", toggle_walk_without_unmark
+    monkeypatch.setitem(
+        RULES,
+        Policy.SIMPLE,
+        RULES[Policy.SIMPLE]._replace(walk=_one_cut(toggle_walk_without_unmark)),
     )
     code = run_cli("verify", "--policy", "simple", "--traces", "2", "--ops", "400")
     assert code == 1

@@ -308,7 +308,7 @@ def test_classic_keeps_a_root_list_and_cuts_cascade():
     g.state = MARKED
     p.state = MARKED
     h.roots = [rt]
-    h.min_node = rt
+    h.root = rt
     adopt(u, h, [rt, g, p, x])
     base = u.telemetry.counters()
 
@@ -318,7 +318,7 @@ def test_classic_keeps_a_root_list_and_cuts_cascade():
     assert delta["cuts"] == 3  # x plus both marked ancestors
     assert [n.key for n in h.roots] == [0, 1, 2, 1]
     assert g.state == UNMARKED and p.state == UNMARKED
-    assert h.min_node is rt
+    assert h.root is rt
     assert_phi_consistent(u)
 
 

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibcascade.oracle
-import fibcascade.policies
 from fibcascade import POLICY_TAGS, Node, Policy
 from fibcascade.instrumentation import COUNTER_FIELDS, iter_children
 from fibcascade.oracle import (
@@ -25,7 +24,7 @@ from fibcascade.oracle import (
     replay_ops,
     run_checks,
 )
-from fibcascade.policies import RULES
+from fibcascade.policies import RULES, _guarded, _one_cut
 
 from _reference import iter_subtree, run_checks_per_heap
 from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
@@ -562,9 +561,11 @@ def test_run_checks_matches_the_checkers_on_undersized_trees(monkeypatch):
 
 @pytest.mark.parametrize("tag", ["simple", "heap-order"])
 def test_run_checks_matches_the_checkers_without_unmarking(monkeypatch, tag):
-    monkeypatch.setattr(
-        fibcascade.policies, "_toggle_walk", toggle_walk_without_unmark
-    )
+    step = _one_cut(toggle_walk_without_unmark)
+    if tag == "heap-order":
+        step = _guarded(step)
+    policy = Policy(tag)
+    monkeypatch.setitem(RULES, policy, RULES[policy]._replace(walk=step))
     for seed in range(2):
         ops = gen_trace(600, seed=seed, max_heaps=6)
         _compare_checks(ops, tag, every=3)
@@ -658,6 +659,33 @@ def test_run_checks_reports_a_node_reached_twice_once():
     ]
 
 
+def test_run_checks_reports_a_size_that_does_not_match_the_nodes():
+    # an item decreased or deleted through a heap it does not belong to
+    # moves between the heaps while their sizes stay put
+    from fibcascade import Universe
+
+    u = Universe()
+    h0, h1 = u.make_heap("simple"), u.make_heap("simple")
+    items = {}
+    for heap, keys in ((h0, (1, 2, 3)), (h1, (10, 20, 30))):
+        for k in keys:
+            items[k] = u.make_item(k)
+            heap.insert(items[k])
+    assert run_checks(u) == []
+    h0.decrease_key(items[30], 0)
+    want = [
+        "h0/structure: size 3 != 4 nodes reached",
+        "h1/structure: size 3 != 2 nodes reached",
+    ]
+    assert run_checks(u) == run_checks_per_heap(u) == want
+    h0.delete(items[20])
+    want = [
+        "h0/structure: size 2 != 4 nodes reached",
+        "h1/structure: size 3 != 1 nodes reached",
+    ]
+    assert run_checks(u) == run_checks_per_heap(u) == want
+
+
 def test_run_checks_ends_on_a_pointer_cycle():
     from fibcascade import Universe
 
@@ -727,8 +755,10 @@ def test_failing_replay_verdicts_are_pinned(monkeypatch):
     ]
     # marks the walk forgot to clear break the amortized audit, not the
     # invariants these checks assert
-    monkeypatch.setattr(
-        fibcascade.policies, "_toggle_walk", toggle_walk_without_unmark
+    monkeypatch.setitem(
+        RULES,
+        Policy.SIMPLE,
+        RULES[Policy.SIMPLE]._replace(walk=_one_cut(toggle_walk_without_unmark)),
     )
     verdict = replay_differential(ops, policy="simple", check_interval=25)
     assert verdict.step_index is None

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fibcascade
-from fibcascade import MARKED, PASSIVE, POLICY_TAGS, Policy, UNMARKED, Universe
+from fibcascade import MARKED, PASSIVE, POLICY_TAGS, Heap, Policy, UNMARKED, Universe
 from fibcascade.adversary import replay_ops
 from fibcascade.oracle import gen_trace, parse_trace, replay_differential
 from fibcascade.policies import RULES
@@ -26,6 +26,26 @@ from _shaping import adopt, assert_phi_consistent, counters_delta, wire
 def test_every_policy_has_a_decrease_rule():
     assert list(RULES) == list(Policy)
     assert all(callable(rule.walk) for rule in RULES.values())
+
+
+def test_single_tree_decrease_keys_cut_once():
+    # claim (ii): a decrease-key is one cut plus a cascade of rank changes;
+    # classic, the multi-root baseline, cascades its cuts instead
+    most = {}
+    for policy in RULES:
+        cuts = []
+
+        def sink(record):
+            if record.kind == "decrease-key":
+                cuts.append(record.cuts)
+
+        for seed in range(5):
+            replay_ops(gen_trace(1000, seed=seed), policy=policy, record_sink=sink)
+        most[policy] = max(cuts)
+    for policy, rule in RULES.items():
+        if rule.heap_class is Heap:
+            assert most[policy] <= 1, policy
+    assert most[Policy.CLASSIC] > 1
 
 
 def test_no_module_outside_the_table_names_a_policy():
