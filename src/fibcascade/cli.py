@@ -672,7 +672,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adversary", help="worst-case schedules")
     common(p, "-")
-    p.add_argument("--check", action="store_true", help="enable the invariant suite")
+    p.add_argument(
+        "--check",
+        action="store_true",
+        help="gate the fitted exponent (exit 1 when it is outside its band)",
+    )
     p.add_argument(
         "--k",
         type=_k_spec,
@@ -701,7 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dijkstra", help="shortest paths vs reference")
     common(p, "-")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--check", action="store_true", help="enable the invariant suite")
+    p.add_argument(
+        "--check",
+        action="store_true",
+        help="also check the call counts and, on the audited policy,"
+        " comparisons == links",
+    )
     p.add_argument(
         "--vertices", type=_at_least(2, "at least 2 vertices"), default=1000
     )
@@ -711,7 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run a recorded trace")
     common(p, None)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--check", action="store_true", help="enable the invariant suite")
+    p.add_argument(
+        "--check",
+        action="store_true",
+        help="run the invariant checks every 25 operations and at the end",
+    )
     p.add_argument("trace", help="trace file path, or - for stdin")
     p.add_argument(
         "--strict",

@@ -3,14 +3,17 @@
 Every single-tree policy's step is :func:`_one_cut` of its walk: repair
 ranks and states above the decreased node, then make the one cut and
 naive-link the node back against the root (as the first link argument, so
-it wins ties).  What varies is the walk: when it starts, what it decrements,
-and how it decides to stop.  ``heap-order`` is ``simple`` behind
-:func:`_guarded`; ``classic`` cascades its cuts in a step of its own.
+it wins ties).  Most walks are climbs, the paper's cascading rank changes:
+:func:`_climb` decrements each node that lost a child on the way up,
+:func:`_marking_climb` also flips marks, and such a row is only its stop
+rule (the table of rules follows the two climbs).  ``passive-child`` and
+``eager`` climb on tests of their own, ``non-cascading`` decrements the
+parent alone, ``heap-order`` is ``simple`` behind :func:`_guarded`, and
+``classic`` cuts and cascades in one loop.
 
-The walks terminate at the root without special-casing it: the policies
-that use node states pin the root's state beforehand so the stop test fires
-there, and the rank-comparison stops are self-satisfied at the root because
-a root is its own parent.
+A marking climb stops at the root because the root is unmarked up front;
+a mark-free climb tests for the root before its stop rule, so
+``randomized`` spends no coin there.
 
 All rank decrements clamp at zero (and count the clamped attempts); the walk
 step counter feeds the per-operation time estimate.
@@ -38,6 +41,9 @@ from .instrumentation import fib
 
 
 Step = Callable[[Heap, Node], None]
+#: A climb's stop rule: given the heap, the node just decremented and its
+#: rank before the decrement, whether the climb ends there.
+Stop = Callable[[Heap, Node, int], object]
 
 
 def _one_cut(repair: Step) -> Step:
@@ -66,52 +72,66 @@ def _guarded(step: Step) -> Step:
     return guarded
 
 
-def _toggle_walk(heap: Heap, x: Node) -> None:
-    """Shared cascade of the plain and heap-order policies.
+def _climb(stop: Stop) -> Step:
+    """The mark-free cascade: from x's parent up, decrement each node that
+    lost a child, until the root (tested first, so ``stop`` is never asked
+    there) or until ``stop`` says so."""
 
-    Each step decrements an ancestor's rank and flips its state; a node that
-    was already marked has now paid for two lost children, so it is reset and
-    the walk continues to charge its parent.  A freshly marked node absorbs
-    the half-loss and stops the walk.  The root is unmarked up front, which
-    makes it a guaranteed stopping point.
-    """
-    tele = heap.universe.telemetry
-    set_state(heap.root, UNMARKED, tele)
-    y = x
-    while True:
-        y = y.parent
-        tele.iterations += 1
-        dec_rank_floor(y, tele)
-        if y.state == MARKED:
+    def climb(heap: Heap, x: Node) -> None:
+        tele = heap.universe.telemetry
+        y = x
+        while True:
+            y = y.parent
+            tele.iterations += 1
+            k = y.rank
+            dec_rank_floor(y, tele)
+            if y is heap.root or stop(heap, y, k):
+                break
+
+    return climb
+
+
+def _marking_climb(stop: Stop) -> Step:
+    """The cascade with marks: from x's parent up, decrement each node that
+    lost a child.  An unmarked node takes a mark, absorbing the half-loss,
+    and ends the climb; a marked one has now paid for two lost children, so
+    it is unmarked and the climb goes on unless ``stop`` says so.  The root
+    is unmarked up front, which makes it a guaranteed stopping point."""
+
+    def climb(heap: Heap, x: Node) -> None:
+        tele = heap.universe.telemetry
+        set_state(heap.root, UNMARKED, tele)
+        y = x
+        while True:
+            y = y.parent
+            tele.iterations += 1
+            k = y.rank
+            dec_rank_floor(y, tele)
+            if y.state != MARKED:
+                set_state(y, MARKED, tele)
+                break
             set_state(y, UNMARKED, tele)
-        else:
-            set_state(y, MARKED, tele)
-            break
+            if stop(heap, y, k):
+                break
+
+    return climb
 
 
-def _increasing_rank(heap: Heap, x: Node) -> None:
-    # The parent step is unconditional: losing any child, whatever its rank,
-    # can leave the parent with fewer children than its rank promises, and
-    # one decrement restores the promise.  Higher up, a node whose old rank
-    # already reached its parent's rank cannot leave that parent short, so
-    # the walk climbs only while ranks keep increasing, flipping states, and
-    # stops at the first node it marks.
-    tele = heap.universe.telemetry
-    set_state(heap.root, UNMARKED, tele)
-    y = x
-    while True:
-        y = y.parent
-        tele.iterations += 1
-        if y.state == MARKED:
-            set_state(y, UNMARKED, tele)
-        else:
-            set_state(y, MARKED, tele)
-        k = y.rank
-        dec_rank_floor(y, tele)
-        if y.state == MARKED:
-            break
-        if k >= y.parent.rank:
-            break
+# The stop rules.  Losing any child can leave the parent short of what its
+# rank promises, so every climb takes its first step; higher up, a node whose
+# old rank reached its parent's rank cannot leave that parent short, so the
+# increasing-rank climbs go on only while ranks keep increasing.
+_toggle_walk = _marking_climb(lambda heap, y, k: False)
+_increasing_rank = _marking_climb(lambda heap, y, k: k >= y.parent.rank)
+_naive_increasing = _climb(lambda heap, y, k: k >= y.parent.rank)
+_zero_rank_climb = _climb(lambda heap, y, k: y.parent.rank == 0)
+# the non-cascading step, continued up the path on the universe's coin
+_randomized = _climb(lambda heap, y, k: heap.universe.coin.getrandbits(1))
+
+
+def _zero_rank(heap: Heap, x: Node) -> None:
+    if x.parent.rank > 0:
+        _zero_rank_climb(heap, x)
 
 
 def _passive_child(heap: Heap, x: Node) -> None:
@@ -151,56 +171,6 @@ def _eager(heap: Heap, x: Node) -> None:
         dec_rank_floor(y, tele)
 
 
-def _naive_increasing(heap: Heap, x: Node) -> None:
-    # The increasing-rank walk without marks; its parent step is
-    # unconditional for the same reason.
-    tele = heap.universe.telemetry
-    y = x
-    while True:
-        y = y.parent
-        tele.iterations += 1
-        k = y.rank
-        dec_rank_floor(y, tele)
-        if y is heap.root:
-            break
-        if k >= y.parent.rank:
-            break
-
-
-def _zero_rank(heap: Heap, x: Node) -> None:
-    tele = heap.universe.telemetry
-    if x.parent.rank > 0:
-        y = x
-        while True:
-            y = y.parent
-            tele.iterations += 1
-            dec_rank_floor(y, tele)
-            if y is heap.root:
-                break
-            if y.parent.rank == 0:
-                break
-
-
-def _randomized(heap: Heap, x: Node) -> None:
-    """The non-cascading step, continued up the path on a coin flip.
-
-    Each step decrements the node that lost a child, starting at the
-    parent; the walk stops at the root, spending no coin there, or when the
-    universe's coin says stop, and otherwise moves one node up.
-    """
-    tele = heap.universe.telemetry
-    coin = heap.universe.coin
-    y = x
-    while True:
-        y = y.parent
-        tele.iterations += 1
-        dec_rank_floor(y, tele)
-        if y is heap.root:
-            break
-        if coin.getrandbits(1):
-            break
-
-
 def _non_cascading(heap: Heap, x: Node) -> None:
     dec_rank_floor(x.parent, heap.universe.telemetry)
 
@@ -209,10 +179,11 @@ def _dk_classic(heap: ClassicHeap, x: Node) -> None:
     """Multi-root variant with cascading cuts.
 
     A root only refreshes the minimum, ``root``.  A non-root is cut when heap
-    order broke; its parent is cut in turn if already marked, and so on,
-    with the first unmarked non-root ancestor picking up a mark.  Nodes are
-    unmarked as they enter the root list.  Cascaded roots have been in the
-    heap all along, so only the decreased node can displace the minimum.
+    order broke, in one loop with its cascade: each pass cuts a node,
+    decrements its old parent and unmarks the node into the root list, and
+    the loop climbs while the old parent is a marked non-root; the first
+    unmarked non-root ancestor takes a mark.  Only x, offered after the
+    loop, can displace the minimum: cascaded roots were in the heap all along.
     """
     tele = heap.universe.telemetry
     if x.parent is x:
@@ -222,14 +193,8 @@ def _dk_classic(heap: ClassicHeap, x: Node) -> None:
     tele.comparisons += 1
     if not x.key < x.parent.key:
         return
-    parent = x.parent
-    heap._cut(x)
-    tele.iterations += 1
-    dec_rank_floor(parent, tele)
-    set_state(x, UNMARKED, tele)
-    heap._add_root(x)
-    y = parent
-    while y.parent is not y and y.state == MARKED:
+    y = x
+    while True:
         above = y.parent
         heap._cut(y)
         tele.iterations += 1
@@ -237,14 +202,19 @@ def _dk_classic(heap: ClassicHeap, x: Node) -> None:
         set_state(y, UNMARKED, tele)
         heap.roots.append(y)
         y = above
-    if y.parent is not y:
-        set_state(y, MARKED, tele)
+        if y.parent is y:
+            break
+        if y.state != MARKED:
+            set_state(y, MARKED, tele)
+            break
+    heap._offer_min(x)
 
 
 class Rule(NamedTuple):
     """One policy's row.  ``walk`` is the whole decrease-key step, run
-    after the key is lowered.  ``losers`` is the state a link's loser takes
-    (after a fair link, after a naive link; None keeps its state).
+    after the key is lowered: :func:`_one_cut` of a repair, most often a
+    climb, or :func:`_dk_classic`.  ``losers`` is the state a link's loser
+    takes (after a fair link, after a naive link; None keeps its state).
     ``bound`` names the report of the asserted size floor and ``floor``
     gives the least subtree size by the root's rank (None: no floor).  The
     ``audited`` policy's heaps are checked against the activity ledger that

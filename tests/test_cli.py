@@ -7,10 +7,12 @@ import csv
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import fibcascade.adversary
 import fibcascade.cli
 import fibcascade.instrumentation
 from fibcascade import Heap, Policy
@@ -21,9 +23,11 @@ from fibcascade.cli import (
     gen_graph,
     main,
 )
+from fibcascade.oracle import OracleHeap
 from fibcascade.policies import RULES, _one_cut
 
 from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
+from test_policies import FLOOR_REGRESSIONS
 
 
 def run_cli(*argv):
@@ -252,18 +256,40 @@ def test_adversary_check_with_fewer_than_three_k_names_the_flag(capsys):
     assert "--k" in capsys.readouterr().err
 
 
-def test_readme_cli_block_lists_the_subcommands():
+def _readme_cli_lines() -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
-    documented = {
-        line.split()[1] for line in block.splitlines() if line.startswith("fibcascade ")
-    }
+    return [line for line in block.splitlines() if line.startswith("fibcascade ")]
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
     subparsers = next(
         action
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    assert documented == set(subparsers.choices)
+    return subparsers.choices
+
+
+def test_readme_cli_block_lists_the_subcommands():
+    documented = {line.split()[1] for line in _readme_cli_lines()}
+    assert documented == set(_subcommands())
+
+
+def test_readme_cli_block_lists_each_subcommands_flags():
+    # a subcommand may take several lines; together they name every flag
+    documented: dict[str, set[str]] = {}
+    for line in _readme_cli_lines():
+        flags = set(re.findall(r"--[a-z][a-z-]*", line))
+        documented.setdefault(line.split()[1], set()).update(flags)
+    for name, parser in _subcommands().items():
+        options = {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        } - {"--help"}
+        assert documented[name] == options, name
 
 
 def test_parse_policies_expands_lists_and_all():
@@ -376,6 +402,19 @@ def test_verify_flags_a_comparison_that_makes_no_link(monkeypatch, capsys):
     assert "find-min: comparisons 1 != links 0" in out and "[FAIL]" in out
 
 
+def test_verify_tallies_a_divergence_from_the_reference(monkeypatch, capsys):
+    real = OracleHeap.decrease_key
+
+    def skewed(self, uid, key):
+        real(self, uid, key + 1)
+
+    monkeypatch.setattr(OracleHeap, "decrease_key", skewed)
+    code = run_cli("verify", "--policy", "simple", "--traces", "1", "--ops", "100")
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "1 divergences" in out and "[FAIL]" in out
+
+
 def test_verify_fault_injection_trips_the_audits(monkeypatch, capsys):
     monkeypatch.setitem(
         RULES,
@@ -405,6 +444,16 @@ def test_adversary_k_sweep_with_checks(tmp_path, capsys):
     for row in rows:
         assert row["op-kind"] == "delete-min"
         assert int(row["fair_links"]) == int(row["workload"].split("steady-k")[1])
+
+
+def test_adversary_reports_a_broken_shape(monkeypatch, capsys):
+    monkeypatch.setattr(
+        fibcascade.adversary, "verify_t_shape", lambda *args: ["a planted problem"]
+    )
+    code = run_cli("adversary", "--k", "10..30:10", "--rounds", "3")
+    assert code == 1
+    # the rows go to stdout, so the log lines go to stderr
+    assert "FAIL: a planted problem" in capsys.readouterr().err
 
 
 def test_adversary_control_replay_on_simple(tmp_path, capsys):
@@ -481,6 +530,26 @@ def test_dijkstra_all_policies_agree(tmp_path):
         assert int(row["n"]) == 120
 
 
+def test_dijkstra_check_flags_a_comparison_that_makes_no_link(monkeypatch, capsys):
+    # claim (iii) on the audited row: a cut that compares breaks it
+    real = Heap._cut
+
+    def comparing_cut(self, x):
+        self.universe.telemetry.comparisons += 1
+        real(self, x)
+
+    monkeypatch.setattr(Heap, "_cut", comparing_cut)
+    code = run_cli(
+        "dijkstra", "--vertices", "60", "--edges", "300",
+        "--policy", "simple", "--check",
+    )
+    assert code == 1
+    assert re.search(
+        r"dijkstra simple: FAIL comparisons \d+ != links \d+",
+        capsys.readouterr().err,
+    )
+
+
 # ---------------------------------------------------------------------------
 # replay
 
@@ -499,6 +568,21 @@ def test_replay_file_ok(tmp_path, capsys):
     path.write_text(TRACE)
     assert run_cli("replay", str(path), "--check", "--strict") == 0
     assert "ops ok" in capsys.readouterr().out
+
+
+def test_replay_check_names_the_failing_op(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(
+        RULES,
+        Policy.INCREASING_RANK,
+        RULES[Policy.INCREASING_RANK]._replace(walk=guarded_increasing_rank),
+    )
+    path = tmp_path / "tied.trace"
+    path.write_text(FLOOR_REGRESSIONS["tied-rank-cut"])
+    code = run_cli("replay", str(path), "--check", "--policy", "increasing-rank")
+    assert code == 1
+    assert "replay tied.trace: FAIL at op 12: h0/structure:" in (
+        capsys.readouterr().out
+    )
 
 
 def test_replay_builds_no_records_without_out(tmp_path, monkeypatch, capsys):

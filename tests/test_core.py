@@ -99,7 +99,10 @@ def test_insert_same_node_twice_is_rejected():
     h = u.make_heap(Policy.SIMPLE)
     node = u.make_item(1)
     h.insert(node)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="is already in a heap"):
+        h.insert(node)
+    h.delete_min()
+    with pytest.raises(PreconditionError, match=f"item {node.uid} was already removed"):
         h.insert(node)
 
 
@@ -239,8 +242,13 @@ def test_decrease_key_rejects_the_sentinel_and_dead_nodes():
     with pytest.raises(HeapError):
         h.decrease_key(node, BOTTOM)
     h.delete_min()
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=f"item {node.uid} was already removed"):
         h.decrease_key(node, 1)
+    loose = u.make_item(10)  # made but never inserted
+    with pytest.raises(PreconditionError, match=f"item {loose.uid} is not in a heap"):
+        h.decrease_key(loose, 1)
+    with pytest.raises(PreconditionError, match=f"item {loose.uid} is not in a heap"):
+        h.delete(loose)
 
 
 def test_decrease_key_to_new_minimum_moves_the_root():

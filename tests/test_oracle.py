@@ -605,6 +605,7 @@ CORRUPTIONS = {
     "phi": lambda u, h: setattr(u.telemetry, "phi", u.telemetry.phi + 3),
     "negative-phi": lambda u, h: setattr(u.telemetry, "phi", -1),
     "active": lambda u, h: _clear_every_active_flag(u),
+    "root-parent": lambda u, h: setattr(next(h.iter_roots()), "parent", None),
 }
 
 
