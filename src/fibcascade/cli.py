@@ -207,21 +207,6 @@ def _aggregate_rows(
 # verify
 
 
-class _SimpleAuditor(AmortizedAuditor):
-    """The amortized audit of ``simple`` plus the paper's claim (iii): every
-    comparison is kept as a link, so each record's ``comparisons`` equals
-    its ``links``."""
-
-    def __call__(self, rec: OpRecord) -> None:
-        super().__call__(rec)
-        if rec.comparisons != rec.links:
-            self.violation_count += 1
-            if len(self.violations) < self.KEEP:
-                self.violations.append(
-                    f"{rec.kind}: comparisons {rec.comparisons} != links {rec.links}"
-                )
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, ["all"])
     sink = RowSink(args.out, args.format)
@@ -236,7 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             trace_seed = args.seed + t
             ops = gen_trace(args.ops, trace_seed)
             for policy, tally in zip(policies, tallies):
-                auditor = _SimpleAuditor() if RULES[policy].audited else None
+                auditor = AmortizedAuditor() if RULES[policy].audited else None
                 records: list[OpRecord] = []
                 # records are built only for a row to write; without --out
                 # the auditor, if any, is the only sink

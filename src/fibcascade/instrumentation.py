@@ -238,7 +238,8 @@ def audit_violations(rec: OpRecord) -> list[str]:
 
 class AmortizedAuditor:
     """Streaming record sink that counts audit violations and keeps the
-    first :attr:`KEEP` messages."""
+    first :attr:`KEEP` messages: those of :func:`audit_violations`, and the
+    paper's claim (iii) that no comparison is wasted, as comparisons == links."""
 
     KEEP = 20
 
@@ -250,6 +251,10 @@ class AmortizedAuditor:
     def __call__(self, rec: OpRecord) -> None:
         self.ops += 1
         problems = audit_violations(rec)
+        if rec.comparisons != rec.links:
+            problems.append(
+                f"{rec.kind}: comparisons {rec.comparisons} != links {rec.links}"
+            )
         if problems:
             self.violation_count += len(problems)
             room = self.KEEP - len(self.violations)

@@ -59,8 +59,9 @@ class OracleHeap:
     fresh pair and a removal only forgets the item's key; stale pairs are
     dropped when they reach the top, and once they outnumber the live ones
     the entries are rebuilt from the live keys with one heapify.  So the
-    entries stay within twice the live items, and every operation is
-    O(log n) amortized.
+    entries stay within twice the live items, and every operation but meld
+    is O(log n) amortized.  A meld pushes the smaller side's entries into the
+    larger side's, at O(k log n) for k entries on the smaller side.
     """
 
     def __init__(self) -> None:
@@ -126,8 +127,8 @@ class OracleHeap:
     def meld(self, other: "OracleHeap") -> None:
         if len(other._entries) > len(self._entries):
             self._entries, other._entries = other._entries, self._entries
-        self._entries.extend(other._entries)
-        heapq.heapify(self._entries)
+        for pair in other._entries:
+            heapq.heappush(self._entries, pair)
         self._key.update(other._key)
         other._entries = []
         other._key = {}

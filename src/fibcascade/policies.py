@@ -218,8 +218,8 @@ class Rule(NamedTuple):
     ``bound`` names the report of the asserted size floor and ``floor``
     gives the least subtree size by the root's rank (None: no floor).  The
     ``audited`` policy's heaps are checked against the activity ledger that
-    every node keeps, its operations pass the amortized audit, and it keeps
-    every comparison as a link."""
+    every node keeps, and its operations pass the amortized audit, which
+    also asserts that it keeps every comparison as a link."""
 
     walk: Step
     bound: str | None = None

@@ -492,6 +492,35 @@ def test_adversary_m_schedule_reports_totals(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_adversary_m_check_passes_the_total_cost_gate(capsys):
+    assert run_cli("adversary", "--m", "100000", "--check") == 0
+    logged = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in logged] == [
+        "adversary m=10000",
+        "adversary m=30000",
+        "adversary m=100000",
+        "adversary total-cost exponent vs m",
+    ]
+    assert logged[-1].endswith(": 1.2561")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("--m", "100000"), "FAIL: exponent 1.0000 < 1.25"),
+        (("--k", "10..30:10", "--rounds", "3"),
+         "FAIL: exponent 1.0000 outside [0.45, 0.55]"),
+    ],
+    ids=["total-cost", "links-per-delete-min"],
+)
+def test_adversary_check_fails_an_exponent_off_its_gate(
+    argv, want, monkeypatch, capsys
+):
+    monkeypatch.setattr(fibcascade.cli, "fit_exponent", lambda points: 1.0)
+    assert run_cli("adversary", *argv, "--check") == 1
+    assert capsys.readouterr().err.splitlines()[-1] == want
+
+
 # ---------------------------------------------------------------------------
 # dijkstra
 
@@ -550,6 +579,25 @@ def test_dijkstra_check_flags_a_comparison_that_makes_no_link(monkeypatch, capsy
     )
 
 
+def test_dijkstra_flags_a_distance_off_the_reference(monkeypatch, capsys):
+    real = fibcascade.cli.dijkstra_reference
+
+    def shifted(adj):
+        dist = real(adj)
+        dist[7] += 1
+        return dist
+
+    monkeypatch.setattr(fibcascade.cli, "dijkstra_reference", shifted)
+    code = run_cli(
+        "dijkstra", "--vertices", "60", "--edges", "300", "--policy", "simple"
+    )
+    assert code == 1
+    assert re.fullmatch(
+        r"dijkstra simple: FAIL distance mismatch at vertex 7: (\d+) != (\d+)\n",
+        capsys.readouterr().err,
+    )
+
+
 # ---------------------------------------------------------------------------
 # replay
 
@@ -568,6 +616,20 @@ def test_replay_file_ok(tmp_path, capsys):
     path.write_text(TRACE)
     assert run_cli("replay", str(path), "--check", "--strict") == 0
     assert "ops ok" in capsys.readouterr().out
+
+
+def test_strict_replay_fails_a_tied_delete_min_on_simple(tmp_path, capsys):
+    path = tmp_path / "dup.trace"
+    path.write_text(
+        "newheap h0 simple\ninsert h0 a 5\ninsert h0 b 5\ndeletemin h0\n"
+    )
+    assert run_cli("replay", str(path), "--strict", "--policy", "simple") == 1
+    assert capsys.readouterr().out == (
+        "replay dup.trace: FAIL at op 3: delete-min on h0 removed item 1,"
+        " reference minimum is item 0\n"
+    )
+    assert run_cli("replay", str(path), "--policy", "simple") == 0
+    assert "4 ops ok (simple)" in capsys.readouterr().out
 
 
 def test_replay_check_names_the_failing_op(tmp_path, monkeypatch, capsys):

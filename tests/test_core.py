@@ -36,6 +36,11 @@ def test_make_heap_names_and_live_list():
     assert set(u.live_heaps()) == {h0, h1}
 
 
+def test_make_heap_rejects_an_unknown_policy_tag():
+    with pytest.raises(HeapError, match="^unknown policy tag 'bogus'$"):
+        Universe().make_heap("bogus")
+
+
 def test_make_item_rejects_the_sentinel_key():
     u = Universe()
     with pytest.raises(HeapError):

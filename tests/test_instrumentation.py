@@ -171,6 +171,25 @@ def test_auditor_streams_and_keeps_a_sample():
     assert len(auditor.violations) == AmortizedAuditor.KEEP
 
 
+def test_auditor_asserts_claim_iii_after_the_bounds():
+    # claim (iii): a comparison that no link keeps is a violation, listed
+    # after the record's bound messages and under the same cap
+    auditor = AmortizedAuditor()
+    auditor(_record("find-min", comparisons=1))
+    auditor(_record("delete-min", n=8, fair_links=2, comparisons=2))
+    auditor(_record("make-heap", d_phi=0.5, comparisons=3, naive_links=1))
+    assert auditor.ops == 3 and auditor.violation_count == 3
+    assert auditor.violations == [
+        "find-min: comparisons 1 != links 0",
+        "make-heap: d_phi 0.5 exceeds 0",
+        "make-heap: comparisons 3 != links 1",
+    ]
+    for _ in range(AmortizedAuditor.KEEP):
+        auditor(_record("insert", comparisons=1))
+    assert auditor.violation_count == 3 + AmortizedAuditor.KEEP
+    assert len(auditor.violations) == AmortizedAuditor.KEEP
+
+
 def test_telemetry_op_records_flow_to_the_sink():
     u = Universe()
     h = u.make_heap(Policy.SIMPLE)

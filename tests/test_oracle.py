@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibcascade.oracle
-from fibcascade import POLICY_TAGS, Node, Policy
+from fibcascade import POLICY_TAGS, Heap, Node, Policy
 from fibcascade.instrumentation import COUNTER_FIELDS, iter_children
 from fibcascade.oracle import (
     OracleHeap,
@@ -236,6 +236,27 @@ def test_oracle_top_is_the_least_live_pair_after_every_mutation():
     }
 
 
+def test_meld_pushes_the_smaller_side_without_a_heapify(monkeypatch):
+    # a heapify of both sides makes every meld O(n): a meld-heavy replay
+    # would be quadratic
+    big, small = OracleHeap(), OracleHeap()
+    for uid in range(1000):
+        big.insert(uid, uid)
+    small.insert(1000, -1)
+    heapified = []
+    real = fibcascade.oracle.heapq.heapify
+
+    def recording(entries):
+        heapified.append(len(entries))
+        real(entries)
+
+    monkeypatch.setattr(fibcascade.oracle.heapq, "heapify", recording)
+    small.meld(big)  # the larger side is swapped in first
+    assert heapified == []
+    assert len(small) == 1001 and small.top == (-1, 1000)
+    assert len(big) == 0 and big.top is None
+
+
 def test_mirror_entries_stay_within_twice_the_live_items(monkeypatch):
     over = []
 
@@ -287,6 +308,38 @@ def test_replay_reports_a_sabotaged_reference(monkeypatch):
     verdict = replay_differential(ops)
     assert not verdict.ok
     assert "finds min 50" in verdict.divergence
+    assert verdict.step_index == 3
+
+
+TIED = "newheap h0 simple\ninsert h0 a 5\ninsert h0 b 5\ndeletemin h0\n"
+
+
+def test_strict_replay_names_the_item_a_tied_delete_min_removed():
+    ops = parse_trace(TIED)
+    verdict = replay_differential(ops, policy="simple", strict_identity=True)
+    assert verdict.divergence == (
+        "delete-min on h0 removed item 1, reference minimum is item 0"
+    )
+    assert verdict.step_index == 3
+    # equal keys are a legal choice without strict identity; classic keeps
+    # the first of them
+    assert replay_differential(ops, policy="simple").ok
+    assert replay_differential(ops, policy="classic", strict_identity=True).ok
+
+
+def test_replay_names_the_key_a_wrong_delete_min_returned(monkeypatch):
+    real = Heap.delete_min
+
+    def returns_the_new_root(self):
+        real(self)
+        return self.peek()
+
+    monkeypatch.setattr(Heap, "delete_min", returns_the_new_root)
+    ops = parse_trace(TIED.replace("b 5", "b 6"))
+    verdict = replay_differential(ops)
+    assert verdict.divergence == (
+        "delete-min on h0 removed key 6, reference minimum is 5"
+    )
     assert verdict.step_index == 3
 
 
