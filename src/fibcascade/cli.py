@@ -30,6 +30,7 @@ import json
 import random
 import sys
 import time
+from collections import deque
 from heapq import heappop, heappush
 from operator import attrgetter
 from pathlib import Path
@@ -138,6 +139,10 @@ def _parse_policies(values: list[str] | None, default: list[str]) -> list[Policy
     tags: list[str] = []
     for value in values or default:
         tags.extend(t for t in value.split(",") if t)
+    if values and not tags:
+        _usage_error(
+            f"--policy names no policy (choose from {', '.join(POLICY_TAGS)})"
+        )
     if "all" in tags:
         tags = list(POLICY_TAGS)
     out = []
@@ -286,7 +291,9 @@ def _steady_rows(
 ) -> list[tuple[float, float]]:
     """Build each k-stage schedule and run its rounds shape-verified; write
     one ``delete-min`` row per round, taken on ``simple`` from a replay of
-    the recorded schedule.  Returns (shape size, mean links) per k."""
+    the recorded schedule.  The replay keeps only the delete-min records it
+    writes, the last ``rounds``, not one per build operation.  Returns
+    (shape size, mean links) per k."""
     replayed = policy is not Policy.NON_CASCADING
     points = []
     for k in ks:
@@ -296,11 +303,14 @@ def _steady_rows(
         records = builder.run_rounds(rounds)
         universe = builder.universe
         if replayed:
-            records = []
-            universe, _ = replay_ops(
-                builder.trace, policy=policy, record_sink=records.append
-            )
-            records = [r for r in records if r.kind == "delete-min"][-rounds:]
+            last: deque[OpRecord] = deque(maxlen=rounds)
+
+            def keep(rec: OpRecord) -> None:
+                if rec.kind == "delete-min":
+                    last.append(rec)
+
+            universe, _ = replay_ops(builder.trace, policy=policy, record_sink=keep)
+            records = last
         wall = time.perf_counter_ns() - t0
         phi = universe.telemetry.phi
         workload = f"steady-k{k}"

@@ -163,14 +163,21 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+").fullmatch
 
 
 def parse_trace(text: str) -> list[Op]:
-    """Parse trace text to a list of op tuples; errors carry line numbers."""
+    """Parse trace text to a list of op tuples; errors carry line numbers.
+
+    Equal tokens share one ``str`` object: every verb, heap name, item name
+    and policy tag passes through one dict for the call.  A split line
+    makes a new string per token, so without this a parsed trace would
+    hold one string per occurrence, about twice what its tuples need.
+    """
     ops: list[Op] = []
+    tokens: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        verb = parts[0]
+        verb = tokens.setdefault(parts[0], parts[0])
         if verb not in _VERBS:
             raise TraceError(f"line {lineno}: unknown verb {verb!r}")
         argc = len(parts) - 1
@@ -189,7 +196,7 @@ def parse_trace(text: str) -> list[Op]:
                     )
                 op.append(int(tok))
             else:
-                op.append(tok)
+                op.append(tokens.setdefault(tok, tok))
         if verb == "newheap" and op[2] not in POLICY_TAGS:
             raise TraceError(f"line {lineno}: unknown policy {op[2]!r}")
         ops.append(tuple(op))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from fibcascade.cli import (
     gen_graph,
     main,
 )
+from fibcascade.instrumentation import OpRecord
 from fibcascade.oracle import OracleHeap
 from fibcascade.policies import RULES, _one_cut
 
@@ -91,6 +93,13 @@ NON_ASCII_DECIMALS = [
     ("adversary", "--m", "100_000"),
 ]
 
+# a --policy that names no tag, alone or in a comma list
+EMPTY_POLICIES = [
+    ("verify", "--policy", ""),
+    ("dijkstra", "--policy", ","),
+    ("replay", "--policy", "", "t.trace"),
+]
+
 # flags that do not combine: a whole --m schedule takes no stage sweep or
 # round count
 EXCLUSIVE_FLAGS = [
@@ -129,6 +138,7 @@ EXCLUSIVE_FLAGS = [
         ("adversary", "--seed", "3"),  # the schedule draws no coin
         ("dijkstra", "--vertices", "x"),
         *NON_ASCII_DECIMALS,
+        *EMPTY_POLICIES,
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -299,6 +309,14 @@ def test_parse_policies_expands_lists_and_all():
     ]
     assert len(_parse_policies(["all"], ["simple"])) == 10
     assert [p.value for p in _parse_policies(None, ["simple"])] == ["simple"]
+
+
+@pytest.mark.parametrize("values", [[""], [","], [",", ""]])
+def test_parse_policies_names_the_flag_when_no_tag_is_given(values, capsys):
+    with pytest.raises(SystemExit) as err:
+        _parse_policies(values, [])
+    assert err.value.code == 2
+    assert "--policy names no policy" in capsys.readouterr().err
 
 
 def test_parse_k_spec():
@@ -482,6 +500,34 @@ def test_adversary_steady_rows_carry_no_wall_time(policy, tmp_path, capsys):
     assert len(rows) == 6  # 2 stages x 3 rounds
     assert {row["policy"] for row in rows} == {policy}
     assert {row["wall_time_ns"] for row in rows} == {"0"}
+
+
+def test_adversary_replay_keeps_only_the_records_it_writes(
+    monkeypatch, tmp_path, capsys
+):
+    # on simple the replayed schedule's build makes thousands of records;
+    # only the last --rounds delete-min records, the rows, may stay alive
+    real = fibcascade.cli.replay_ops
+    grown = []
+
+    def live_records():
+        gc.collect()
+        return sum(isinstance(o, OpRecord) for o in gc.get_objects())
+
+    def counted(*args, **kwargs):
+        before = live_records()
+        result = real(*args, **kwargs)
+        grown.append(live_records() - before)
+        return result
+
+    monkeypatch.setattr(fibcascade.cli, "replay_ops", counted)
+    code = run_cli(
+        "adversary", "--k", "10..20:10", "--rounds", "5",
+        "--policy", "simple", "--out", str(tmp_path / "steady.csv"),
+    )
+    assert code == 0
+    assert grown == [5, 5]
+    capsys.readouterr()
 
 
 def test_adversary_m_schedule_reports_totals(tmp_path, capsys):

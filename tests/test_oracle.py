@@ -58,6 +58,14 @@ def test_parse_and_format_round_trip():
     assert parse_trace(text) == ops
 
 
+def test_parse_shares_one_string_per_distinct_token():
+    ops = parse_trace(SAMPLE)
+    # an item name, a heap name and a verb, each on several lines
+    for token in ("x3", "h0", "insert"):
+        first, *rest = [part for op in ops for part in op if part == token]
+        assert rest and all(part is first for part in rest), token
+
+
 def test_parse_skips_comments_and_blank_lines():
     assert parse_trace("\n  # nothing here\n\nfindmin h0  # trailing\n") == [
         ("findmin", "h0")
