@@ -31,6 +31,7 @@ import random
 import sys
 import time
 from collections import deque
+from contextlib import nullcontext
 from heapq import heappop, heappush
 from operator import attrgetter
 from pathlib import Path
@@ -52,7 +53,7 @@ from .oracle import (
     _DECIMAL,
     TraceError,
     gen_trace,
-    parse_trace,
+    iter_trace,
     replay_differential,
 )
 from .policies import RULES
@@ -179,33 +180,40 @@ def _parse_k_spec(spec: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _totals(records: list[OpRecord]) -> OpRecord:
-    """The records' counters summed, at the largest size any began at."""
-    sums = dict(zip(_COUNTED, map(sum, zip(*map(_counts, records)))))
-    return OpRecord("", max((r.n_before for r in records), default=0), **sums)
+class RowSums:
+    """A record sink that sums rows as records arrive: per op kind, in one
+    :class:`OpRecord`, the four row counters and the largest size an operation
+    began at.  It keeps no record; ``then`` (the auditor) gets each one next."""
 
+    def __init__(self, then: Callable[[OpRecord], None] | None = None) -> None:
+        self.kinds: dict[str, OpRecord] = {}
+        self._then = then
 
-def _aggregate_rows(
-    policy: Policy | str,
-    workload: str,
-    records: list[OpRecord],
-    phi: float,
-    wall_ns: int,
-) -> list[dict]:
-    """One row per op kind plus an ``all`` total; only the total carries
-    wall time (per-operation timing is not collected)."""
-    if isinstance(policy, Policy):
-        policy = policy.value
-    kinds: dict[str, list[OpRecord]] = {}
-    for rec in records:
-        kinds.setdefault(rec.kind, []).append(rec)
-    rows = []
-    for kind, recs in sorted(kinds.items()):
-        total = _totals(recs)
-        rows.append(_row(policy, workload, total.n_before, kind, total, 0, phi))
-    total = _totals(records)
-    rows.append(_row(policy, workload, total.n_before, "all", total, wall_ns, phi))
-    return rows
+    def __call__(self, rec: OpRecord) -> None:
+        total = self.kinds.get(rec.kind)
+        if total is None:
+            total = self.kinds[rec.kind] = OpRecord(rec.kind, 0)
+        total.n_before = max(total.n_before, rec.n_before)
+        total.fair_links += rec.fair_links
+        total.naive_links += rec.naive_links
+        total.iterations += rec.iterations
+        total.comparisons += rec.comparisons
+        if self._then is not None:
+            self._then(rec)
+
+    def kind_rows(self, policy: str, workload: str) -> list[dict]:
+        """One row per op kind, by name, with no wall time (none is per op)."""
+        return [
+            _row(policy, workload, total.n_before, kind, total, 0, 0.0)
+            for kind, total in sorted(self.kinds.items())
+        ]
+
+    def all_row(self, policy: str, workload: str, wall_ns: int) -> dict:
+        """The sum over the kinds, at the largest size among them."""
+        kinds = self.kinds.values()
+        sums = dict(zip(_COUNTED, map(sum, zip(*map(_counts, kinds)))))
+        total = OpRecord("all", max((t.n_before for t in kinds), default=0), **sums)
+        return _row(policy, workload, total.n_before, "all", total, wall_ns, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +235,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ops = gen_trace(args.ops, trace_seed)
             for policy, tally in zip(policies, tallies):
                 auditor = AmortizedAuditor() if RULES[policy].audited else None
-                records: list[OpRecord] = []
-                # records are built only for a row to write; without --out
-                # the auditor, if any, is the only sink
-                tap = auditor
-                if args.out is not None:
-
-                    def tap(rec: OpRecord, auditor=auditor, records=records) -> None:
-                        records.append(rec)
-                        if auditor is not None:
-                            auditor(rec)
-
+                # rows are summed only to be written; without --out the
+                # auditor, if any, is the only sink
+                sums = None if args.out is None else RowSums(auditor)
                 t0 = time.perf_counter_ns()
                 verdict = replay_differential(
                     ops,
@@ -245,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     seed=trace_seed,
                     strict_identity=True,
                     check_interval=25,
-                    record_sink=tap,
+                    record_sink=auditor if sums is None else sums,
                 )
                 wall = time.perf_counter_ns() - t0
                 if verdict.divergence:
@@ -257,13 +257,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if auditor is not None and not auditor.ok:
                     tally.audits += auditor.violation_count
                     tally.first = tally.first or auditor.violations[0]
-                if args.out is not None:
-                    total = _totals(records)
+                if sums is not None:
                     workload = f"fuzz-seed{trace_seed}"
-                    tally.rows.append(
-                        _row(policy.value, workload, total.n_before, "all", total,
-                             wall, 0.0)
-                    )
+                    tally.rows.append(sums.all_row(policy.value, workload, wall))
         for policy, tally in zip(policies, tallies):
             for row in tally.rows:
                 sink.write(row)
@@ -562,30 +558,28 @@ def cmd_replay(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, [])
     if len(policies) > 1:
         _usage_error("replay takes at most one policy")
-    if args.trace == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(args.trace).read_text()
-    ops = parse_trace(text)
-    sink = RowSink(args.out, args.format)
-    try:
-        # records are built only for the rows --out writes
-        records: list[OpRecord] = []
+    sums = None if args.out is None else RowSums()
+    # the trace streams from its file, so the rows file opens after the
+    # replay: --out may name the trace itself
+    with nullcontext(sys.stdin) if args.trace == "-" else open(args.trace) as lines:
         t0 = time.perf_counter_ns()
         verdict = replay_differential(
-            ops,
+            iter_trace(lines),
             policy=policies[0] if policies else None,
             seed=args.seed,
             strict_identity=args.strict,
             check_interval=25 if args.check else 0,
-            record_sink=None if args.out is None else records.append,
+            record_sink=sums,
         )
         wall = time.perf_counter_ns() - t0
+    sink = RowSink(args.out, args.format)
+    try:
         name = "stdin" if args.trace == "-" else Path(args.trace).name
-        if args.out is not None:
+        if sums is not None:
             workload = f"replay-{name}"
-            for row in _aggregate_rows(verdict.policy, workload, records, 0.0, wall):
+            for row in sums.kind_rows(verdict.policy, workload):
                 sink.write(row)
+            sink.write(sums.all_row(verdict.policy, workload, wall))
         if verdict.ok:
             _log(sink, f"replay {name}: {verdict.steps} ops ok ({verdict.policy})")
             return 0

@@ -88,9 +88,8 @@ def fit_exponent(points: Iterable[tuple[float, float]]) -> float:
 class OpRecord:
     """Counter deltas and potential change for a single heap operation.
 
-    Slotted: a record has no ``__dict__``, so the callers that keep one per
-    operation (``replay --out``, ``verify --out``, test sinks) pay about a
-    quarter less memory per record.
+    Slotted: a record has no ``__dict__``, so a sink that keeps one per
+    operation pays about a quarter less memory for each.
     """
 
     kind: str

@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from random import Random
 from typing import Any, Callable, Iterable, Iterator
 
@@ -157,50 +158,56 @@ _VERBS = {
     "findmin": 1,
 }
 
-_INT_FIELDS = {("item", 2), ("decreasekey", 2), ("insert", 3)}
+# the argument count at which a verb's last argument is an integer key
+_KEY_AT = {"item": 2, "decreasekey": 2, "insert": 3}
 # ASCII signed decimals: bare int() would also take 1_000 and non-ASCII digits
 _DECIMAL = re.compile(r"[+-]?[0-9]+").fullmatch
 
 
 def parse_trace(text: str) -> list[Op]:
-    """Parse trace text to a list of op tuples; errors carry line numbers.
+    """Parse trace text to a list of op tuples: :func:`iter_trace` of it."""
+    return list(iter_trace((text,)))
+
+
+def iter_trace(lines: Iterable[str]) -> Iterator[Op]:
+    """Parse trace lines to op tuples as they are read; errors carry line numbers.
+
+    ``lines`` is an open file or any iterable of text.  Each piece is split
+    with :meth:`str.splitlines`, as whole text is (a form feed ends a line),
+    and the lines of all pieces are numbered as one sequence.
 
     Equal tokens share one ``str`` object: every verb, heap name, item name
-    and policy tag passes through one dict for the call.  A split line
-    makes a new string per token, so without this a parsed trace would
-    hold one string per occurrence, about twice what its tuples need.
+    and policy tag passes through one dict for the call; split lines alone
+    would give one string per occurrence, about twice what the tuples need.
     """
-    ops: list[Op] = []
     tokens: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    pieces = chain.from_iterable(map(str.splitlines, lines))
+    for lineno, raw in enumerate(pieces, start=1):
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        verb = tokens.setdefault(parts[0], parts[0])
-        if verb not in _VERBS:
+        verb = parts[0]
+        want = _VERBS.get(verb)
+        if want is None:
             raise TraceError(f"line {lineno}: unknown verb {verb!r}")
         argc = len(parts) - 1
-        want = _VERBS[verb]
         if argc != want and not (verb == "insert" and argc == 3):
             raise TraceError(
                 f"line {lineno}: {verb} takes {want} arguments, got {argc}"
             )
-        op: list[Any] = [verb]
-        for pos, tok in enumerate(parts[1:], start=1):
-            if (verb, pos) in _INT_FIELDS:
-                if not _DECIMAL(tok):
-                    raise TraceError(
-                        f"line {lineno}: {verb} argument {pos} must be an"
-                        f" integer, got {tok!r}"
-                    )
-                op.append(int(tok))
-            else:
-                op.append(tokens.setdefault(tok, tok))
+        if _KEY_AT.get(verb) == argc:
+            key = parts.pop()
+            if not _DECIMAL(key):
+                raise TraceError(
+                    f"line {lineno}: {verb} argument {argc} must be an"
+                    f" integer, got {key!r}"
+                )
+            op = (*map(tokens.setdefault, parts, parts), int(key))
+        else:
+            op = tuple(map(tokens.setdefault, parts, parts))
         if verb == "newheap" and op[2] not in POLICY_TAGS:
             raise TraceError(f"line {lineno}: unknown policy {op[2]!r}")
-        ops.append(tuple(op))
-    return ops
+        yield op
 
 
 def format_trace(ops: Iterable[Op]) -> str:

@@ -8,7 +8,9 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from fibcascade.cli import (
     main,
 )
 from fibcascade.instrumentation import OpRecord
-from fibcascade.oracle import OracleHeap
+from fibcascade.oracle import OracleHeap, format_trace, gen_trace
 from fibcascade.policies import RULES, _one_cut
 
 from _shaping import guarded_increasing_rank, toggle_walk_without_unmark
@@ -352,7 +354,7 @@ def test_verify_builds_only_the_total_row(tmp_path, monkeypatch, capsys):
     def no_kind_rows(*args):
         raise AssertionError("rows per op kind were built")
 
-    monkeypatch.setattr(fibcascade.cli, "_aggregate_rows", no_kind_rows)
+    monkeypatch.setattr(fibcascade.cli.RowSums, "kind_rows", no_kind_rows)
     monkeypatch.chdir(tmp_path)
     code = run_cli(
         "verify", "--policy", "simple,classic", "--traces", "2", "--ops", "200",
@@ -365,6 +367,23 @@ def test_verify_builds_only_the_total_row(tmp_path, monkeypatch, capsys):
     assert [(row["policy"], row["op-kind"]) for row in rows] == [
         ("simple", "all"), ("simple", "all"), ("classic", "all"), ("classic", "all"),
     ]
+
+
+def test_verify_audits_the_records_it_sums(tmp_path, monkeypatch, capsys):
+    # under --out one sink sums the rows and hands each record to the auditor
+    real = Heap.peek
+
+    def comparing_peek(self):
+        self.universe.telemetry.comparisons += 1
+        return real(self)
+
+    monkeypatch.setattr(Heap, "peek", comparing_peek)
+    argv = ("verify", "--policy", "simple", "--traces", "1", "--ops", "200")
+    assert run_cli(*argv) == 1
+    alone = capsys.readouterr().out
+    assert "find-min: comparisons 1 != links 0" in alone
+    assert run_cli(*argv, "--out", str(tmp_path / "rows")) == 1
+    assert capsys.readouterr().out == alone
 
 
 def test_verify_detects_the_undersized_trees(monkeypatch, capsys):
@@ -710,6 +729,77 @@ def test_replay_rejects_a_broken_trace(tmp_path, capsys):
     path.write_text("newheap h0 simple\ndeletemin h0\n")
     assert run_cli("replay", str(path)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_replay_out_may_name_its_own_trace(tmp_path, capsys):
+    # the trace streams, so its rows file opens only after the replay
+    path = tmp_path / "t.trace"
+    path.write_text(TRACE)
+    assert run_cli("replay", str(path), "--out", str(path)) == 0
+    assert capsys.readouterr().out == "replay t.trace: 6 ops ok (recorded)\n"
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["op-kind"] for row in rows] == [
+        "decrease-key", "delete-min", "find-min", "insert", "make-heap", "all",
+    ]
+
+
+def _replay_source(source, text, tmp_path, monkeypatch):
+    """The replay argument naming ``text``: a file, or stdin holding it."""
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return "-"
+    (tmp_path / "t.trace").write_text(text)
+    return "t.trace"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_replay_stops_at_a_malformed_last_line(source, tmp_path, monkeypatch, capsys):
+    # the lines above it run first, yet no result line is printed and no
+    # rows file is opened
+    monkeypatch.chdir(tmp_path)
+    trace = _replay_source(source, TRACE + "deletemin h0 h1\n", tmp_path, monkeypatch)
+    assert run_cli("replay", trace, "--check", "--out", "rows") == 1
+    assert capsys.readouterr() == (
+        "", "error: line 7: deletemin takes 1 arguments, got 2\n"
+    )
+    assert not (tmp_path / "rows").exists()
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_replay_reports_a_divergence_above_a_malformed_line(
+    source, tmp_path, monkeypatch, capsys
+):
+    # a streamed trace diverges before its bad line is read
+    monkeypatch.chdir(tmp_path)
+    text = "newheap h0 simple\ninsert h0 a 5\ninsert h0 b 5\ndeletemin h0\nbad\n"
+    trace = _replay_source(source, text, tmp_path, monkeypatch)
+    assert run_cli("replay", trace, "--strict", "--policy", "simple") == 1
+    name = "stdin" if source == "stdin" else "t.trace"
+    assert capsys.readouterr() == (
+        f"replay {name}: FAIL at op 3: delete-min on h0 removed item 1,"
+        " reference minimum is item 0\n",
+        "",
+    )
+
+
+def test_replay_out_keeps_no_record_per_operation(tmp_path, capsys):
+    # rows sum as records arrive: --out adds a few totals, not a list the
+    # length of the trace
+    path = tmp_path / "t.trace"
+    path.write_text(format_trace(gen_trace(10000, seed=3)))
+    argv = ["replay", str(path), "--policy", "simple"]
+    peaks = []
+    for extra in ([], ["--out", os.devnull]):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, *extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 def test_replay_missing_file(capsys):

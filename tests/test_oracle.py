@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib
+import io
 import random
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from fibcascade.oracle import (
     TraceError,
     format_trace,
     gen_trace,
+    iter_trace,
     parse_trace,
     replay_differential,
     replay_ops,
@@ -66,10 +68,28 @@ def test_parse_shares_one_string_per_distinct_token():
         assert rest and all(part is first for part in rest), token
 
 
+def read_as_lines(text):
+    """The ops of ``text`` read line by line, as ``replay`` reads a file."""
+    return list(iter_trace(io.StringIO(text)))
+
+
 def test_parse_skips_comments_and_blank_lines():
     assert parse_trace("\n  # nothing here\n\nfindmin h0  # trailing\n") == [
         ("findmin", "h0")
     ]
+    text = "\n  # nothing here\n\nfindmin h0  # trailing\n"
+    assert read_as_lines(text) == [("findmin", "h0")]
+
+
+def test_a_form_feed_ends_a_line_whole_or_read_as_lines():
+    text = "newheap h0 simple\ninsert h0 x0 5\finsert h0 x1 3\n"
+    ops = [
+        ("newheap", "h0", "simple"),
+        ("insert", "h0", "x0", 5),
+        ("insert", "h0", "x1", 3),
+    ]
+    assert parse_trace(text) == ops
+    assert read_as_lines(text) == ops
 
 
 @pytest.mark.parametrize(
@@ -85,11 +105,15 @@ def test_parse_skips_comments_and_blank_lines():
         # keys are ASCII signed decimals, not everything int() accepts
         ("item x0 1_000", "must be an integer"),
         ("decreasekey x0 \uff15", "must be an integer"),
+        # a form feed ends a line, and the lines after it count on
+        ("findmin h0\f\ninsert h0", "line 3: insert takes 2 arguments"),
     ],
 )
 def test_parse_rejections(line, fragment):
     with pytest.raises(TraceError, match=fragment):
         parse_trace(line)
+    with pytest.raises(TraceError, match=fragment):
+        read_as_lines(line)
 
 
 def test_every_policy_tag_parses():
