@@ -31,6 +31,9 @@ mirror-free consumer of the one trace interpreter, re-exported here.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator
+
 from .core import Heap, Node, Policy, Universe
 from .instrumentation import (
     OpRecord,
@@ -209,21 +212,75 @@ class _LastRecord:
         self.last = rec
 
 
+_NEWHEAP = ("newheap", "h0", Policy.NON_CASCADING.value)
 _DELETE_MIN = ("deletemin", "h0")  # every recorded delete-min shares this op
 _INSERT_COST = OpRecord("insert", 0).estimated_time  # the cost model's insert
+_INSERT, _DELETE, _DECREASE = range(3)  # verb bytes of a recording
+
+
+class Recording:
+    """A recorded schedule in the replayable trace format, stored as
+    machine integers: one verb byte per operation, and in an int64 array
+    an insert's key, or a decrease-key's new key then its item's uid --
+    9 bytes per insert, 1 per delete-min and 17 per decrease-key.
+
+    Iterating decodes the ops, the ``newheap`` declaration first; an
+    insert's item is named by its ordinal among the inserts, which is its
+    uid because the builder makes items only by inserting them.  Names
+    are formatted as they are decoded, so a recording keeps no strings,
+    and every delete-min is the one shared op.  A key outside int64
+    raises :class:`OverflowError` at record time.
+    """
+
+    __slots__ = ("_verbs", "_ints")
+
+    def __init__(self) -> None:
+        self._verbs = bytearray()
+        self._ints = array("q")
+
+    def __len__(self) -> int:
+        return 1 + len(self._verbs)
+
+    def insert(self, key: int) -> None:
+        self._ints.append(key)
+        self._verbs.append(_INSERT)
+
+    def delete_min(self) -> None:
+        self._verbs.append(_DELETE)
+
+    def decrease_key(self, uid: int, key: int) -> None:
+        self._ints.append(key)  # first: a key that does not fit stores nothing
+        self._ints.append(uid)
+        self._verbs.append(_DECREASE)
+
+    def __iter__(self) -> Iterator[tuple]:
+        yield _NEWHEAP
+        take = iter(self._ints).__next__
+        uid = 0
+        for verb in self._verbs:
+            if verb == _DELETE:
+                yield _DELETE_MIN
+            elif verb == _INSERT:
+                yield ("insert", "h0", f"x{uid}", take())
+                uid += 1
+            else:
+                key = take()
+                yield ("decreasekey", f"x{take()}", key)
 
 
 class AdversaryBuilder:
     """Drives a non-cascading heap through the worst-case construction.
 
     All mutations go through the public heap operations; ``recording=True``
-    additionally logs every operation in the replayable trace format, so the
-    very same schedule can be rerun on other policies.  A recorded item's
-    name is formatted once, kept in its ``info`` and shared by every op that
-    names it.  Telemetry builds records only for the delete-mins and
-    decrease-keys, whose links and cascade steps the builder reads; an
-    insert costs the cost model's constant, so ``est_total`` sums the same
-    estimated times, in the same order, as a sink attached throughout.
+    additionally logs every operation as a :class:`Recording` in ``trace``,
+    which iterates as the replayable trace, so the very same schedule can
+    be rerun on other policies (without recording, ``trace`` is empty).
+    The recording keeps no names and no tuples, so a replay's memory
+    follows what it replays.  Telemetry builds records only for the
+    delete-mins and decrease-keys, whose links and cascade steps the
+    builder reads; an insert costs the cost model's constant, so
+    ``est_total`` sums the same estimated times, in the same order, as a
+    sink attached throughout.
     """
 
     def __init__(self, seed: int = 0, recording: bool = False) -> None:
@@ -234,11 +291,9 @@ class AdversaryBuilder:
         self.s0: Node | None = None  # current S_0 (rank-0 child of the root)
         self.k = 0
         self.op_count = 0
-        self.trace: list[tuple] = []
+        self.trace: Recording | tuple[()] = Recording() if recording else ()
         self._recording = recording
         self._records = _LastRecord()
-        if recording:
-            self.trace.append(("newheap", "h0", Policy.NON_CASCADING.value))
 
     # -- plumbing -----------------------------------------------------------
 
@@ -250,8 +305,7 @@ class AdversaryBuilder:
     def _insert(self, key: int) -> Node:
         node = self.universe.make_item(key)
         if self._recording:
-            node.info = f"x{node.uid}"  # its trace name, as replay names items
-            self.trace.append(("insert", "h0", node.info, key))
+            self.trace.insert(key)
         self.heap.insert(node)
         self._records.est_total += _INSERT_COST
         self.op_count += 1
@@ -259,7 +313,7 @@ class AdversaryBuilder:
 
     def _delete_min(self) -> Node:
         if self._recording:
-            self.trace.append(_DELETE_MIN)
+            self.trace.delete_min()
         tele = self.universe.telemetry
         tele.record_sink = self._records
         try:
@@ -271,7 +325,7 @@ class AdversaryBuilder:
 
     def _decrease_key(self, node: Node, key: int) -> None:
         if self._recording:
-            self.trace.append(("decreasekey", node.info, key))
+            self.trace.decrease_key(node.uid, key)
         tele = self.universe.telemetry
         tele.record_sink = self._records
         try:

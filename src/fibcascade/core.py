@@ -150,9 +150,10 @@ class Universe:
 
     Holds the telemetry (counters and potential), the item id sequence, the
     coin the randomized walk flips (seeded by ``seed``, so a replay is
-    deterministic per trace and seed), and the consolidation registry,
-    which is reused across delete-mins and must be all-``None`` between
-    operations.
+    deterministic per trace and seed), the consolidation registry, which
+    is reused across delete-mins and must be all-``None`` between
+    operations, and the live heaps in creation order (a meld drops the
+    heap it consumes; default heap names count every heap made).
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -160,7 +161,8 @@ class Universe:
         self.telemetry = Telemetry()
         self.registry: list[Node | None] = [None] * 8
         self.item_count = 0  # items made so far: the next item's uid
-        self._heaps: list[Heap] = []
+        self.heap_count = 0  # heaps made so far: the next default name
+        self._heaps: dict[Heap, None] = {}  # the live heaps, in creation order
 
     def make_item(self, key: Any, info: Any = None) -> Node:
         if isinstance(key, _Bottom):
@@ -173,11 +175,12 @@ class Universe:
         if isinstance(policy, str):
             policy = Policy.from_tag(policy)
         if name is None:
-            name = f"h{len(self._heaps)}"
+            name = f"h{self.heap_count}"
         from .policies import RULES
 
         heap = RULES[policy].heap_class(self, policy, name)
-        self._heaps.append(heap)
+        self.heap_count += 1
+        self._heaps[heap] = None
         tele = self.telemetry
         if tele.record_sink is not None:
             tele.op_begin("make-heap", 0)
@@ -185,7 +188,7 @@ class Universe:
         return heap
 
     def live_heaps(self) -> list["Heap"]:
-        return [h for h in self._heaps if h.live]
+        return list(self._heaps)
 
     def registry_is_clear(self) -> bool:
         return all(slot is None for slot in self.registry)
@@ -386,6 +389,7 @@ class Heap:
         self._size += other._size
         other._size = 0
         other.live = False
+        del self.universe._heaps[other]  # a melded-away heap is dropped
         if recording:
             tele.op_end()
         return self

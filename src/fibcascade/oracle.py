@@ -535,7 +535,9 @@ def run_trace(
     ``policy`` overrides every ``newheap`` line's recorded policy.
 
     Item ownership is tracked by heap name (insert records the heap, meld
-    the absorber), never by walking the tree.  A removed item keeps its name,
+    the absorber), never by walking the tree; a lookup points every heap on
+    the absorber chain it walked at the live heap, so a chain of melds is
+    walked once, not once per item.  A removed item keeps its name,
     so the name cannot be reused, but drops its node: memory follows the
     live items and the names seen so far.  Malformed ops raise
     :class:`TraceError` naming the op's index.
@@ -555,9 +557,14 @@ def run_trace(
         if node is None or not node.in_heap:
             raise TraceError(f"op {i}: item {name!r} is in no live heap")
         h = home[name]
-        while h in absorber:
-            h = absorber[h]
-        home[name] = h
+        if h in absorber:
+            walked = []
+            while h in absorber:
+                walked.append(h)
+                h = absorber[h]
+            for w in walked:  # path compression: the next walk is one step
+                absorber[w] = h
+            home[name] = h
         return heaps[h], node
 
     try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import pytest
@@ -15,6 +16,7 @@ from fibcascade.adversary import (
     SIGMA_STRIDE,
     VERIFY_ROUNDS,
     AdversaryBuilder,
+    Recording,
     ShapeError,
     _KeyAllocator,
     build_ops_needed,
@@ -213,18 +215,67 @@ def test_recorded_schedule_text_is_pinned():
     )
 
 
-def test_a_recording_stores_each_name_once():
+def test_a_recording_decodes_to_the_operations_the_builder_ran(monkeypatch):
+    ran = [("newheap", "h0", "non-cascading")]
+    insert, delete_min, decrease_key = (
+        Heap.insert, Heap.delete_min, Heap.decrease_key
+    )
+
+    def logged_insert(heap, node):
+        ran.append(("insert", heap.name, f"x{node.uid}", node.key))
+        insert(heap, node)
+
+    def logged_delete_min(heap):
+        ran.append(("deletemin", heap.name))
+        return delete_min(heap)
+
+    def logged_decrease_key(heap, node, key):
+        ran.append(("decreasekey", f"x{node.uid}", key))
+        decrease_key(heap, node, key)
+
+    monkeypatch.setattr(Heap, "insert", logged_insert)
+    monkeypatch.setattr(Heap, "delete_min", logged_delete_min)
+    monkeypatch.setattr(Heap, "decrease_key", logged_decrease_key)
     builder = AdversaryBuilder(recording=True)
     builder.build(6)
     builder.run_rounds(3)
-    names = {}
-    for op in builder.trace:
-        if op[0] == "insert":
-            names[op[2]] = op[2]
-        elif op[0] == "decreasekey":
-            assert op[1] is names[op[1]]
+    assert any(op[0] == "decreasekey" for op in ran)
+    assert len(builder.trace) == len(ran) == builder.op_count + 1
+    assert list(builder.trace) == ran
+    assert list(builder.trace) == ran  # a recording iterates again
+    assert len(AdversaryBuilder().trace) == 0  # only a recording builder records
+
+
+def test_a_recording_keeps_machine_integers_and_one_delete_min():
+    builder = AdversaryBuilder(recording=True)
+    builder.build(4)
+    builder.start_rounds()
+    for _ in range(100):
+        builder.steady_round(verify=False)
+    rounds = 2000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(rounds):
+            builder.steady_round(verify=False)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 16 * 2 * rounds  # an insert and a delete-min per round
     deletes = [op for op in builder.trace if op[0] == "deletemin"]
     assert len(deletes) > 1 and all(op is deletes[0] for op in deletes)
+
+
+@pytest.mark.parametrize("key", [1 << 63, -(1 << 63) - 1])
+def test_a_recording_refuses_a_key_outside_int64(key):
+    trace = Recording()
+    with pytest.raises(OverflowError):
+        trace.insert(key)
+    with pytest.raises(OverflowError):
+        trace.decrease_key(0, key)
+    assert list(trace) == [("newheap", "h0", "non-cascading")]
 
 
 def test_replay_on_simple_takes_a_different_path():

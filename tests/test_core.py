@@ -36,6 +36,29 @@ def test_make_heap_names_and_live_list():
     assert set(u.live_heaps()) == {h0, h1}
 
 
+def test_a_universe_holds_only_its_live_heaps_after_melds():
+    def heaps_alive():
+        return sum(isinstance(o, Heap) for o in gc.get_objects())
+
+    gc.collect()
+    before = heaps_alive()
+    u = Universe()
+    made = [u.make_heap(Policy.SIMPLE) for _ in range(5)]
+    made[1].meld(made[2])
+    made.append(u.make_heap(Policy.SIMPLE))
+    made[5].meld(made[1])
+    made.append(u.make_heap(Policy.SIMPLE, "special"))
+    made.append(u.make_heap(Policy.SIMPLE))
+    # default names count every heap made, the melded-away ones too
+    assert [h.name for h in made] == [
+        "h0", "h1", "h2", "h3", "h4", "h5", "special", "h7"
+    ]
+    live = [made[i] for i in (0, 3, 4, 5, 6, 7)]
+    assert u.live_heaps() == live  # in creation order
+    del made
+    assert heaps_alive() - before == len(live)  # the melded-away are freed
+
+
 def test_make_heap_rejects_an_unknown_policy_tag():
     with pytest.raises(HeapError, match="^unknown policy tag 'bogus'$"):
         Universe().make_heap("bogus")

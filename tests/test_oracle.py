@@ -498,6 +498,29 @@ def test_replay_routes_ownership_through_melds(replay, tag):
         assert heaps["h2"].find_min().key == 60
 
 
+def test_ownership_lookups_walk_a_meld_chain_once():
+    # n items go into h0, m melds chain h0 into h1 into ... into hm, then
+    # every item is decreased: a walk per lookup hashes O(n * m) heap names
+    hashes = [0]
+
+    class Name(str):
+        def __hash__(self):
+            hashes[0] += 1
+            return str.__hash__(self)
+
+    n = m = 300
+    names = [Name(f"h{j}") for j in range(m + 1)]
+    ops = [("newheap", names[0], "simple")]
+    ops += [("insert", names[0], f"x{i}", 10 * i + 5) for i in range(n)]
+    for j in range(1, m + 1):
+        ops += [("newheap", names[j], "simple"), ("meld", names[j], names[j - 1])]
+    ops += [("decreasekey", f"x{i}", 10 * i) for i in range(n)]
+    _, heaps = replay_ops(ops)
+    assert list(heaps) == [f"h{m}"]
+    assert len(heaps[f"h{m}"]) == n and heaps[f"h{m}"].find_min().key == 0
+    assert hashes[0] <= 20 * (n + m)
+
+
 def test_mirror_observes_without_touching_the_policy_heaps():
     # one multi-heap trace per policy: the reference mirror and the
     # lockstep checks must not change a single counter or potential step
