@@ -136,15 +136,13 @@ class _KeyAllocator:
 # shape verification (from raw pointers; never trusts the builder's notes)
 
 
-def broom_problems(root: Node, r: int) -> list[str]:
-    """Check that ``root`` heads a perfect rank-r broom."""
+def broom_problems(root: Node) -> list[str]:
+    """Check that ``root`` heads a perfect broom of its own rank."""
     out: list[str] = []
-    if root.rank != r:
-        out.append(f"broom root {root.uid}: rank {root.rank}, expected {r}")
     kids = list(iter_children(root))
-    if len(kids) != r:
+    if len(kids) != root.rank:
         out.append(
-            f"broom root {root.uid}: {len(kids)} children, expected {r}"
+            f"broom root {root.uid}: {len(kids)} children, expected {root.rank}"
         )
     for leaf in kids:
         if leaf.rank != 0:
@@ -178,7 +176,7 @@ def verify_t_shape(heap: Heap, k: int, missing: int | None = None) -> list[str]:
     ranks: list[int] = []
     for child in iter_children(root):
         ranks.append(child.rank)
-        out.extend(broom_problems(child, child.rank))
+        out.extend(broom_problems(child))
         if not child.key > root.key:
             out.append(f"broom {child.uid}: key not above the tree root")
     if sorted(ranks) != sorted(expected):
@@ -345,8 +343,8 @@ class AdversaryBuilder:
 
     # -- construction -------------------------------------------------------
 
-    def build(self, k: int, verify_each_step: bool = False) -> None:
-        """Grow the complete k-stage shape from nothing."""
+    def build(self, k: int) -> None:
+        """Grow the complete k-stage shape from nothing, verified per phase."""
         self._require(self.k == 0 and len(self.heap) == 0, "build on a used heap")
         self._require(k >= 1, "k must be at least 1")
         root = self._insert(self.alloc.barrier())
@@ -357,8 +355,6 @@ class AdversaryBuilder:
         for phase in range(1, k):
             for i in range(phase, 0, -1):
                 self._convert(phase, i)
-                if verify_each_step and i > 1:
-                    self._verify(phase, missing=i - 1)
             self._promote()
             self.k = phase + 1
             self._verify(self.k)

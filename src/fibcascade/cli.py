@@ -110,8 +110,6 @@ class RowSink:
             self._owns = True
 
     def write(self, row: dict) -> None:
-        if self._file is None:
-            return
         if self._fmt == "csv":
             if self._writer is None:
                 self._writer = csv.DictWriter(self._file, fieldnames=RESULT_FIELDS)
@@ -121,7 +119,7 @@ class RowSink:
             self._file.write(json.dumps(row) + "\n")
 
     def close(self) -> None:
-        if self._owns and self._file is not None:
+        if self._owns:
             self._file.close()
 
 
@@ -365,7 +363,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     failed = False
     try:
         if args.m:
-            ms = sorted(args.m)
+            ms = sorted(set(args.m))  # a repeated size runs once
             if args.check and len(ms) == 1:
                 ms = sorted({ms[0] // 10, 3 * ms[0] // 10, ms[0]})
             points = []
@@ -594,10 +592,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # argument plumbing
 
 
-def _at_least(least: int, expected: str) -> Callable[[str], int]:
-    """The argparse type of a count flag whose values start at ``least``:
-    text that is no integer, or an integer below ``least``, is told the
-    flag's range, ``expected``."""
+def _at_least(least: int | None, expected: str) -> Callable[[str], int]:
+    """The argparse type of an integer flag whose values start at ``least``,
+    or take any integer when ``least`` is None: text that is no integer, or
+    an integer below ``least``, is told the flag's range, ``expected``."""
 
     def count(text: str) -> int:
         try:
@@ -605,7 +603,7 @@ def _at_least(least: int, expected: str) -> Callable[[str], int]:
         except ValueError:
             pass
         else:
-            if value >= least:
+            if least is None or value >= least:
                 return value
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
@@ -613,14 +611,7 @@ def _at_least(least: int, expected: str) -> Callable[[str], int]:
 
 
 _nonnegative = _at_least(0, "a nonnegative integer")
-
-
-def _seed(text: str) -> int:
-    """The argparse type of ``--seed``: any integer, negative ones too."""
-    try:
-        return _int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_seed = _at_least(None, "an integer")  # negative seeds too
 
 
 def _k_spec(text: str) -> list[int]:

@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from .instrumentation import Telemetry
+
+if TYPE_CHECKING:  # policies imports this module
+    from .policies import Rule
 
 UNMARKED = 0
 MARKED = 1
@@ -178,7 +181,8 @@ class Universe:
             name = f"h{self.heap_count}"
         from .policies import RULES
 
-        heap = RULES[policy].heap_class(self, policy, name)
+        rule = RULES[policy]
+        heap = rule.heap_class(self, policy, rule, name)
         self.heap_count += 1
         self._heaps[heap] = None
         tele = self.telemetry
@@ -246,14 +250,13 @@ class Heap:
         "_naive_loser_state",
     )
 
-    def __init__(self, universe: Universe, policy: Policy, name: str) -> None:
-        from .policies import RULES
-
+    def __init__(
+        self, universe: Universe, policy: Policy, rule: Rule, name: str
+    ) -> None:
         self.universe = universe
         self.policy = policy
         # bound once per heap from the policy's row: its decrease-key walk,
         # and the state a link loser takes (None: it keeps its state)
-        rule = RULES[policy]
         self._walk = rule.walk
         self._fair_loser_state, self._naive_loser_state = rule.losers
         self.name = name
@@ -578,8 +581,8 @@ class ClassicHeap(Heap):
 
     __slots__ = ("roots",)
 
-    def __init__(self, universe: Universe, policy: Policy, name: str) -> None:
-        super().__init__(universe, policy, name)
+    def __init__(self, *args: Any) -> None:  # Heap's parameters
+        super().__init__(*args)
         self.roots: list[Node] = []
 
     def iter_roots(self) -> Iterator[Node]:

@@ -137,11 +137,7 @@ class OracleHeap:
         self._settle()
 
 
-class _Absent:
-    __slots__ = ()
-
-
-_ABSENT = _Absent()
+_ABSENT = object()  # the _settle lookup's default: equal to no key
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +279,9 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
     verbs = sorted(TRACE_WEIGHTS)
     weights = [TRACE_WEIGHTS[v] for v in verbs]
     ops: list[Op] = [("newheap", "h0", "simple")]
-    live_heaps = ["h0"]
     n_heaps = 1
     n_items = 0
-    members: dict[str, _ModelHeap] = {"h0": _ModelHeap()}
+    members: dict[str, _ModelHeap] = {"h0": _ModelHeap()}  # the live heaps
     seen_keys: set[int] = set()
     budget = n_ops - 1
 
@@ -299,7 +294,7 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
 
     def emit_insert() -> None:
         nonlocal n_items
-        h = live_heaps[rng.randrange(len(live_heaps))]
+        h = list(members)[rng.randrange(len(members))]
         x = f"x{n_items}"
         n_items += 1
         key = fresh_key()
@@ -307,7 +302,7 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
         ops.append(("insert", h, x, key))
 
     def some_loaded() -> str | None:
-        loaded = [h for h in live_heaps if members[h]]
+        loaded = [h for h, model in members.items() if model]
         if not loaded:
             return None
         return loaded[rng.randrange(len(loaded))]
@@ -323,7 +318,6 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
                 continue
             h = f"h{n_heaps}"
             n_heaps += 1
-            live_heaps.append(h)
             members[h] = _ModelHeap()
             ops.append(("newheap", h, "simple"))
         elif verb == "deletemin":
@@ -355,15 +349,14 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
             members[h].remove(x)
             ops.append(("delete", x))
         elif verb == "meld":
-            if len(live_heaps) < 2:
+            if len(members) < 2:
                 emit_insert()
                 continue
-            h1, h2 = rng.sample(live_heaps, 2)
-            live_heaps.remove(h2)
+            h1, h2 = rng.sample(list(members), 2)
             members[h1].meld(members.pop(h2))
             ops.append(("meld", h1, h2))
         elif verb == "findmin":
-            ops.append(("findmin", live_heaps[rng.randrange(len(live_heaps))]))
+            ops.append(("findmin", list(members)[rng.randrange(len(members))]))
     return ops
 
 

@@ -13,6 +13,7 @@ import pytest
 from fibcascade import Heap, Policy, Universe, instrumentation
 from fibcascade.adversary import (
     RUNG_BASE,
+    RUNG_STRIDE,
     SIGMA_STRIDE,
     VERIFY_ROUNDS,
     AdversaryBuilder,
@@ -53,9 +54,22 @@ def test_max_k_within_matches_the_budget_table():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-def test_build_verified_at_every_step(k):
+def test_build_verified_at_every_step(k, monkeypatch):
+    # build verifies each phase's end; every conversion in between that
+    # leaves a broom missing is checked here, on the raw pointers
+    checked = []
+    real = AdversaryBuilder._convert
+
+    def convert(self, phase, i):
+        real(self, phase, i)
+        if i > 1:
+            assert verify_t_shape(self.heap, phase, missing=i - 1) == []
+            checked.append((phase, i))
+
+    monkeypatch.setattr(AdversaryBuilder, "_convert", convert)
     builder = AdversaryBuilder(seed=0)
-    builder.build(k, verify_each_step=True)
+    builder.build(k)
+    assert len(checked) == sum(phase - 1 for phase in range(1, k))
     assert builder.k == k
     assert builder.op_count == build_ops_needed(k)
     assert len(builder.heap) == steady_tree_size(k)
@@ -190,6 +204,145 @@ def test_low_zone_overflow_raises_shape_error():
     with pytest.raises(ShapeError, match="low-zone keys exhausted"):
         alloc.barrier()
     assert alloc._low == RUNG_BASE - SIGMA_STRIDE
+
+
+def test_key_allocator_failures_name_their_window():
+    alloc = _KeyAllocator()
+    with pytest.raises(ShapeError) as err:
+        alloc.start_rounds(5, 5)
+    assert str(err.value) == "round window is empty: root 5 !< ceiling 5"
+    alloc.start_rounds(0, 2)
+    assert alloc.round_key() == 1
+    with pytest.raises(ShapeError) as err:
+        alloc.round_key()
+    assert str(err.value) == "steady-round keys exhausted at 2 (limit 2)"
+    with pytest.raises(ShapeError) as err:
+        alloc.gap_pair(100, 103)  # the gap's first pair is 102, 103
+    assert str(err.value) == "conversion pair 102,103 does not fit below 103"
+    alloc._gap_next[100] = RUNG_STRIDE - 1
+    with pytest.raises(ShapeError) as err:
+        alloc.gap_pair(100, None)
+    assert str(err.value) == "gap above 100 is exhausted"
+
+
+def _built(k):
+    builder = AdversaryBuilder()
+    builder.build(k)
+    return builder, builder.heap.root
+
+
+def _broom(root, rank):
+    broom = root.child
+    while broom.rank != rank:
+        broom = broom.after
+    return broom
+
+
+def test_verifier_reports_an_empty_heap():
+    heap = Universe().make_heap(Policy.NON_CASCADING)
+    assert verify_t_shape(heap, 3) == ["expected the 3-stage shape, heap is empty"]
+
+
+def test_verifier_reports_a_registry_left_full():
+    builder, root = _built(3)
+    builder.universe.registry[0] = root
+    assert verify_t_shape(builder.heap, 3) == [
+        "rank registry is not empty between operations"
+    ]
+
+
+def test_verifier_reports_a_leaf_of_nonzero_rank():
+    builder, root = _built(3)
+    leaf = _broom(root, 2).child
+    leaf.rank = 1
+    assert verify_t_shape(builder.heap, 3) == [f"leaf {leaf.uid}: rank 1 != 0"]
+
+
+def test_verifier_reports_a_leaf_with_children():
+    # move one leaf of the rank-2 broom under the other
+    builder, root = _built(3)
+    broom = _broom(root, 2)
+    first, second = broom.child, broom.child.after
+    first.after = second.before = None
+    first.child = second
+    second.parent = first
+    assert verify_t_shape(builder.heap, 3) == [
+        f"broom root {broom.uid}: 1 children, expected 2",
+        f"leaf {first.uid}: has children",
+    ]
+
+
+def test_verifier_reports_keys_out_of_order():
+    builder, root = _built(3)
+    broom = _broom(root, 2)
+    leaf = broom.child
+    leaf.key = broom.key
+    assert verify_t_shape(builder.heap, 3) == [
+        f"leaf {leaf.uid}: key not above broom root"
+    ]
+    leaf.key = broom.key + 1
+    broom.key = root.key
+    assert verify_t_shape(builder.heap, 3) == [
+        f"broom {broom.uid}: key not above the tree root"
+    ]
+
+
+@pytest.mark.parametrize(
+    "k, want", [(2, "build on a used heap"), (0, "k must be at least 1")]
+)
+def test_build_refuses_a_used_heap_and_no_stages(k, want):
+    builder = AdversaryBuilder()
+    if k:
+        builder.build(k)
+    with pytest.raises(ShapeError) as err:
+        builder.build(k)
+    assert str(err.value) == want
+
+
+def _round_error(builder):
+    with pytest.raises(ShapeError) as err:
+        builder.steady_round()
+    return str(err.value)
+
+
+def test_steady_round_refuses_a_key_off_its_window():
+    builder, root = _built(3)
+    builder.start_rounds()
+    builder.alloc._round_cursor = root.key
+    assert _round_error(builder) == (
+        "round key must fall between the root and everything else"
+    )
+
+
+def test_steady_round_refuses_a_delete_min_that_misses_the_root(monkeypatch):
+    # no heap state makes delete-min remove anything but the root
+    builder, root = _built(3)
+    builder.start_rounds()
+    real = builder._delete_min
+
+    def off_root():
+        real()
+        return builder.heap.root
+
+    monkeypatch.setattr(builder, "_delete_min", off_root)
+    assert _round_error(builder) == "round delete-min missed the root"
+
+
+def test_steady_round_refuses_a_root_other_than_the_insert():
+    # a broom keyed as low as the root outbids the round's insert
+    builder, root = _built(3)
+    builder.start_rounds()
+    _broom(root, 2).key = root.key
+    assert _round_error(builder) == "round insert did not take the root"
+
+
+def test_steady_round_refuses_a_link_count_off_the_stage():
+    builder, _ = _built(3)
+    builder.start_rounds()
+    builder.k = 4  # the heap still has three brooms: three fair links
+    assert _round_error(builder) == (
+        "round delete-min did 3 fair / 0 naive links, expected 4 / 0"
+    )
 
 
 def test_recorded_trace_rebuilds_the_same_state():

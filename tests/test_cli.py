@@ -557,6 +557,31 @@ def test_adversary_m_schedule_reports_totals(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_adversary_repeated_m_runs_once(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code = run_cli(
+        "adversary", "--m", "1000", "--m", "1000", "--m", "1000",
+        "--out", str(out),
+    )
+    assert code == 0
+    with out.open() as fh:
+        assert len(list(csv.DictReader(fh))) == 1
+    logged = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in logged] == ["adversary m=1000"]
+
+
+def test_adversary_repeated_m_counts_once_in_the_fit(tmp_path, capsys):
+    runs = []
+    for i, ms in enumerate([(1000, 2000, 3000), (1000, 2000, 2000, 3000)]):
+        out = tmp_path / f"m{i}.csv"
+        argv = [arg for m in ms for arg in ("--m", str(m))]
+        assert run_cli("adversary", *argv, "--out", str(out)) == 0
+        logged = capsys.readouterr().out.splitlines()
+        assert logged[-1].startswith("adversary total-cost exponent vs m: ")
+        runs.append((out.read_text(), logged))
+    assert runs[0] == runs[1]
+
+
 def test_adversary_m_check_passes_the_total_cost_gate(capsys):
     assert run_cli("adversary", "--m", "100000", "--check") == 0
     logged = capsys.readouterr().err.splitlines()
@@ -642,6 +667,32 @@ def test_dijkstra_check_flags_a_comparison_that_makes_no_link(monkeypatch, capsy
         r"dijkstra simple: FAIL comparisons \d+ != links \d+",
         capsys.readouterr().err,
     )
+
+
+@pytest.mark.parametrize(
+    "count, want",
+    [
+        ("decrease_calls", "more decrease-keys than edges"),
+        ("delete_calls", "more delete-mins than vertices"),
+    ],
+)
+def test_dijkstra_check_flags_a_call_count_over_its_bound(
+    count, want, monkeypatch, capsys
+):
+    real = fibcascade.cli.dijkstra_policy
+
+    def overcounted(adj, policy, seed):
+        dist, stats, phi = real(adj, policy, seed)
+        stats[count] = 301  # above both --vertices and --edges
+        return dist, stats, phi
+
+    monkeypatch.setattr(fibcascade.cli, "dijkstra_policy", overcounted)
+    code = run_cli(
+        "dijkstra", "--vertices", "60", "--edges", "300",
+        "--policy", "simple", "--check",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"dijkstra simple: FAIL {want}\n"
 
 
 def test_dijkstra_flags_a_distance_off_the_reference(monkeypatch, capsys):

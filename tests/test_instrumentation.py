@@ -42,6 +42,12 @@ def test_fibonacci_numbers():
     assert [fib(i) for i in range(15)] == want
 
 
+def test_fib_refuses_a_negative_index():
+    with pytest.raises(ValueError) as err:
+        fib(-1)
+    assert str(err.value) == "negative Fibonacci index: -1"
+
+
 def test_lucas_numbers():
     assert [lucas(i) for i in range(8)] == [2, 1, 3, 4, 7, 11, 18, 29]
 

@@ -60,6 +60,19 @@ def test_parse_and_format_round_trip():
     assert parse_trace(text) == ops
 
 
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_the_readme_trace_sample_replays(tag):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Trace format", 1)[1].split("```", 2)[1]
+    ops = parse_trace(block)
+    assert ops[0] == ("newheap", "h0", "simple")
+    verdict = replay_differential(
+        ops, policy=tag, strict_identity=True, check_interval=1
+    )
+    assert verdict.ok, verdict
+    assert verdict.steps == len(ops)
+
+
 def test_parse_shares_one_string_per_distinct_token():
     ops = parse_trace(SAMPLE)
     # an item name, a heap name and a verb, each on several lines
