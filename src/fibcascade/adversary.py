@@ -336,8 +336,8 @@ class AdversaryBuilder:
         if not cond:
             raise ShapeError(msg)
 
-    def _verify(self, k: int, missing: int | None = None) -> None:
-        problems = verify_t_shape(self.heap, k, missing)
+    def _verify(self, k: int) -> None:
+        problems = verify_t_shape(self.heap, k)
         if problems:
             raise ShapeError("; ".join(problems[:4]))
 

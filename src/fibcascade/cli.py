@@ -94,20 +94,27 @@ def _row(
 
 
 class RowSink:
-    """Writes result rows as CSV (header first) or JSON lines."""
+    """The owner of a command's output: result rows go to ``out`` (``-``:
+    standard output) as CSV (header first) or JSON lines, and human lines
+    go to standard output, or to standard error when the rows go there.
+    A context manager: leaving it closes a rows file it opened."""
 
     def __init__(self, out: str | None, fmt: str) -> None:
         self._fmt = fmt
-        self._file = None
-        self._owns = False
         self._writer = None
-        if out is None:
-            return
-        if out == "-":
-            self._file = sys.stdout
-        else:
+        self._owns = out not in (None, "-")
+        if self._owns:
             self._file = open(out, "w", newline="")
-            self._owns = True
+        else:  # no rows, or rows on standard output
+            self._file = None if out is None else sys.stdout
+        self._human = sys.stderr if out == "-" else sys.stdout
+
+    def __enter__(self) -> RowSink:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._owns:
+            self._file.close()
 
     def write(self, row: dict) -> None:
         if self._fmt == "csv":
@@ -118,15 +125,8 @@ class RowSink:
         else:
             self._file.write(json.dumps(row) + "\n")
 
-    def close(self) -> None:
-        if self._owns:
-            self._file.close()
-
-
-def _log(sink: RowSink, message: str) -> None:
-    # keep human lines off stdout when the rows go there
-    stream = sys.stderr if sink._file is sys.stdout else sys.stdout
-    print(message, file=stream)
+    def log(self, message: str) -> None:
+        print(message, file=self._human)
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -217,17 +217,20 @@ class RowSums:
 # ---------------------------------------------------------------------------
 # verify
 
+#: Operations between the invariant checks of ``verify`` and
+#: ``replay --check``; both check once more at the end.
+CHECK_INTERVAL = 25
+
 
 def cmd_verify(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policy, ["all"])
-    sink = RowSink(args.out, args.format)
     # one tally per selected policy, in order; its rows wait for the last trace
     tallies = [
         SimpleNamespace(divergences=0, checks=0, audits=0, first="", rows=[])
         for _ in policies
     ]
     failed = False
-    try:
+    with RowSink(args.out, args.format) as sink:
         for t in range(args.traces):
             trace_seed = args.seed + t
             ops = gen_trace(args.ops, trace_seed)
@@ -242,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     policy=policy,
                     seed=trace_seed,
                     strict_identity=True,
-                    check_interval=25,
+                    check_interval=CHECK_INTERVAL,
                     record_sink=auditor if sums is None else sums,
                 )
                 wall = time.perf_counter_ns() - t0
@@ -264,15 +267,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok = not (tally.divergences or tally.checks or tally.audits)
             failed = failed or not ok
             verdict_word = "ok" if ok else "FAIL"
-            _log(
-                sink,
+            sink.log(
                 f"verify {policy.value}: {args.traces} traces x {args.ops} ops"
                 f" — {tally.divergences} divergences, {tally.checks} check"
                 f" failures, {tally.audits} audit violations [{verdict_word}]"
-                + (f" ({tally.first})" if tally.first else ""),
+                + (f" ({tally.first})" if tally.first else "")
             )
-    finally:
-        sink.close()
     return 1 if failed else 0
 
 
@@ -312,7 +312,7 @@ def _steady_rows(
             row = _row(policy.value, workload, rec.n_before, "delete-min", rec, 0, phi)
             sink.write(row)
         points.append((steady_tree_size(k), sum(r.links for r in records) / rounds))
-        _log(sink, f"adversary k={k}: {rounds} rounds, wall {wall} ns")
+        sink.log(f"adversary k={k}: {rounds} rounds, wall {wall} ns")
     return points
 
 
@@ -320,9 +320,13 @@ def _steady_rows(
 K_DEFAULT = "10..100"
 ROUNDS_DEFAULT = 50
 
+#: The least fitted total-cost exponent ``adversary --m --check`` accepts:
+#: without cascading, the worst-case schedules cost more than linear in m.
+MIN_EXPONENT = 1.25
+
 #: The least value the largest ``--m`` may take under ``--check``: the fitted
-#: total-cost exponent first reaches its 1.25 gate there on correct code
-#: (1.2462 at 50,000, 1.2501 at 70,000, 1.2561 at 100,000).
+#: total-cost exponent first reaches :data:`MIN_EXPONENT` there on correct
+#: code (1.2462 at 50,000, 1.2501 at 70,000, 1.2561 at 100,000).
 CHECK_MIN_M = 100_000
 
 
@@ -346,7 +350,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if args.m and args.check and max(args.m) < CHECK_MIN_M:
         _usage_error(
             f"adversary --m {max(args.m)} --check: the total-cost exponent"
-            f" gate (>= 1.25) needs a largest --m of at least {CHECK_MIN_M}"
+            f" gate (>= {MIN_EXPONENT}) needs a largest --m of at least {CHECK_MIN_M}"
         )
     # --check fits an exponent, which takes at least three distinct sizes
     if args.m and args.check and len(args.m) > 1 and len(set(args.m)) < 3:
@@ -359,53 +363,50 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             f"adversary --check: --k gives {len(args.k)} stage value(s);"
             " the exponent fit needs at least three"
         )
-    sink = RowSink(args.out, args.format)
     failed = False
-    try:
-        if args.m:
-            ms = sorted(set(args.m))  # a repeated size runs once
-            if args.check and len(ms) == 1:
-                ms = sorted({ms[0] // 10, 3 * ms[0] // 10, ms[0]})
-            points = []
-            for m in ms:
-                builder = run_lower_bound(m)
-                tele = builder.universe.telemetry
-                workload = f"lower-bound-m{m}"
-                size = len(builder.heap)
-                sink.write(_row(policy.value, workload, size, "all", tele, 0, tele.phi))
-                points.append((builder.op_count, builder.est_total))
-                rounds = (builder.op_count - build_ops_needed(builder.k)) // 2
-                _log(
-                    sink,
-                    f"adversary m={m}: k={builder.k} rounds={rounds}"
-                    f" est-total={builder.est_total:.1f}",
-                )
-            if len(points) >= 3:
-                slope = fit_exponent(points)
-                _log(sink, f"adversary total-cost exponent vs m: {slope:.4f}")
-                if args.check and slope < 1.25:
-                    failed = True
-                    _log(sink, f"FAIL: exponent {slope:.4f} < 1.25")
-        else:
-            points = _steady_rows(args.k, args.rounds, policy, sink)
-            lo, hi = (0.45, 0.55) if policy is Policy.NON_CASCADING else (None, 0.1)
-            if len(points) >= 3:
-                slope = fit_exponent(points)
-                _log(
-                    sink,
-                    f"adversary links-per-delete-min exponent vs n"
-                    f" ({policy.value}): {slope:.4f}",
-                )
-                if args.check:
-                    if (lo is not None and slope < lo) or slope > hi:
+    with RowSink(args.out, args.format) as sink:
+        try:
+            if args.m:
+                ms = sorted(set(args.m))  # a repeated size runs once
+                if args.check and len(ms) == 1:
+                    ms = sorted({ms[0] // 10, 3 * ms[0] // 10, ms[0]})
+                points = []
+                for m in ms:
+                    builder = run_lower_bound(m)
+                    tele = builder.universe.telemetry
+                    workload = f"lower-bound-m{m}"
+                    size = len(builder.heap)
+                    sink.write(
+                        _row(policy.value, workload, size, "all", tele, 0, tele.phi)
+                    )
+                    points.append((builder.op_count, builder.est_total))
+                    rounds = (builder.op_count - build_ops_needed(builder.k)) // 2
+                    sink.log(
+                        f"adversary m={m}: k={builder.k} rounds={rounds}"
+                        f" est-total={builder.est_total:.1f}"
+                    )
+                if len(points) >= 3:
+                    slope = fit_exponent(points)
+                    sink.log(f"adversary total-cost exponent vs m: {slope:.4f}")
+                    if args.check and slope < MIN_EXPONENT:
+                        failed = True
+                        sink.log(f"FAIL: exponent {slope:.4f} < {MIN_EXPONENT}")
+            else:
+                points = _steady_rows(args.k, args.rounds, policy, sink)
+                lo, hi = (0.45, 0.55) if policy is Policy.NON_CASCADING else (None, 0.1)
+                if len(points) >= 3:
+                    slope = fit_exponent(points)
+                    sink.log(
+                        f"adversary links-per-delete-min exponent vs n"
+                        f" ({policy.value}): {slope:.4f}"
+                    )
+                    if args.check and ((lo is not None and slope < lo) or slope > hi):
                         failed = True
                         band = f"<= {hi}" if lo is None else f"[{lo}, {hi}]"
-                        _log(sink, f"FAIL: exponent {slope:.4f} outside {band}")
-    except ShapeError as exc:
-        _log(sink, f"FAIL: {exc}")
-        failed = True
-    finally:
-        sink.close()
+                        sink.log(f"FAIL: exponent {slope:.4f} outside {band}")
+        except ShapeError as exc:
+            sink.log(f"FAIL: {exc}")
+            failed = True
     return 1 if failed else 0
 
 
@@ -485,7 +486,7 @@ def dijkstra_policy(
             if other.in_heap and alt < other.key:
                 heap.decrease_key(other, alt)
                 decrease_calls += 1
-    stats = dict(universe.telemetry.counters())
+    stats = universe.telemetry.counters()
     stats["decrease_calls"] = decrease_calls
     stats["delete_calls"] = delete_calls
     return dist, stats, universe.telemetry.phi
@@ -497,9 +498,8 @@ def cmd_dijkstra(args: argparse.Namespace) -> int:
         adj = gen_graph(args.vertices, args.edges, args.seed)
     except ValueError as exc:
         _usage_error(f"--vertices {args.vertices} --edges {args.edges}: {exc}")
-    sink = RowSink(args.out, args.format)
     failed = False
-    try:
+    with RowSink(args.out, args.format) as sink:
         reference = dijkstra_reference(adj)
         for policy in policies:
             t0 = time.perf_counter_ns()
@@ -524,13 +524,12 @@ def cmd_dijkstra(args: argparse.Namespace) -> int:
                     )
             if problems:
                 failed = True
-                _log(sink, f"dijkstra {policy.value}: FAIL {problems[0]}")
+                sink.log(f"dijkstra {policy.value}: FAIL {problems[0]}")
             else:
-                _log(
-                    sink,
+                sink.log(
                     f"dijkstra {policy.value}: {args.vertices} vertices"
                     f" {args.edges} edges ok"
-                    f" ({stats['decrease_calls']} decrease-keys)",
+                    f" ({stats['decrease_calls']} decrease-keys)"
                 )
             sink.write(
                 _row(
@@ -543,8 +542,6 @@ def cmd_dijkstra(args: argparse.Namespace) -> int:
                     phi,
                 )
             )
-    finally:
-        sink.close()
     return 1 if failed else 0
 
 
@@ -566,26 +563,23 @@ def cmd_replay(args: argparse.Namespace) -> int:
             policy=policies[0] if policies else None,
             seed=args.seed,
             strict_identity=args.strict,
-            check_interval=25 if args.check else 0,
+            check_interval=CHECK_INTERVAL if args.check else 0,
             record_sink=sums,
         )
         wall = time.perf_counter_ns() - t0
-    sink = RowSink(args.out, args.format)
-    try:
-        name = "stdin" if args.trace == "-" else Path(args.trace).name
+    name = "stdin" if args.trace == "-" else Path(args.trace).name
+    with RowSink(args.out, args.format) as sink:
         if sums is not None:
             workload = f"replay-{name}"
             for row in sums.kind_rows(verdict.policy, workload):
                 sink.write(row)
             sink.write(sums.all_row(verdict.policy, workload, wall))
         if verdict.ok:
-            _log(sink, f"replay {name}: {verdict.steps} ops ok ({verdict.policy})")
+            sink.log(f"replay {name}: {verdict.steps} ops ok ({verdict.policy})")
             return 0
         detail = verdict.divergence or verdict.check_failures[0]
-        _log(sink, f"replay {name}: FAIL at op {verdict.step_index}: {detail}")
+        sink.log(f"replay {name}: FAIL at op {verdict.step_index}: {detail}")
         return 1
-    finally:
-        sink.close()
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         f" least {MIN_M} (repeatable; with --check give one value, which"
         f" expands to m/10, 3m/10, m, or at least three distinct values, and"
         f" the largest must be at least {CHECK_MIN_M:,}: below that the"
-        f" exponent falls short of 1.25 on correct code)",
+        f" exponent falls short of {MIN_EXPONENT} on correct code)",
     )
     p.set_defaults(func=cmd_adversary)
 
@@ -703,7 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="run the invariant checks every 25 operations and at the end",
+        help=f"run the invariant checks every {CHECK_INTERVAL} operations and at"
+        " the end",
     )
     p.add_argument("trace", help="trace file path, or - for stdin")
     p.add_argument(

@@ -245,6 +245,7 @@ class Heap:
         "root",
         "_size",
         "live",
+        "rule",
         "_walk",
         "_fair_loser_state",
         "_naive_loser_state",
@@ -255,8 +256,9 @@ class Heap:
     ) -> None:
         self.universe = universe
         self.policy = policy
-        # bound once per heap from the policy's row: its decrease-key walk,
-        # and the state a link loser takes (None: it keeps its state)
+        self.rule = rule  # the policy's row, which the checks read
+        # bound once per heap from that row: its decrease-key walk, and the
+        # state a link loser takes (None: it keeps its state)
         self._walk = rule.walk
         self._fair_loser_state, self._naive_loser_state = rule.losers
         self.name = name

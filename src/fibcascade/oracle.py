@@ -38,7 +38,6 @@ from random import Random
 from typing import Any, Callable, Iterable, Iterator
 
 from .core import MARKED, POLICY_TAGS, Heap, HeapError, Node, Policy, Universe
-from .policies import RULES, Rule
 
 Op = tuple  # one parsed trace line: (verb, arg, ...)
 
@@ -380,9 +379,7 @@ class ReplayVerdict:
         return self.divergence is None and not self.check_failures
 
 
-def _walk_checks(
-    heap: Heap, rule: Rule
-) -> tuple[list[str], list[str], list[str], int]:
+def _walk_checks(heap: Heap) -> tuple[list[str], list[str], list[str], int]:
     """One walk of a heap's trees for every asserted clause: the program's
     only copy of them.
 
@@ -390,9 +387,9 @@ def _walk_checks(
     each root its own parent with no siblings, heap order, rank sanity and
     degree >= rank; last, the heap's size against the nodes it reached),
     the nodes whose subtree is smaller than the floor of their rank that
-    ``rule``, the heap's policy row, asserts (none without a floor), the
-    nodes with fewer ``active`` children than their rank (asserted only
-    when ``rule`` is ``audited``), and the heap's share of the potential.
+    ``heap.rule``, the heap's policy row, asserts (none without a floor),
+    the nodes with fewer ``active`` children than their rank (asserted only
+    when that row is ``audited``), and the heap's share of the potential.
     A node reached a second time is reported once, as reachable twice, and
     not walked again.  A child chain longer than the universe has items
     must loop: its scan stops there, and the cut is reported ahead of the
@@ -400,8 +397,8 @@ def _walk_checks(
     loop's repeats.  So the walk ends on any pointer graph, a cycle of
     child or sibling links included.
     """
-    floor = rule.floor
-    audited = rule.audited
+    floor = heap.rule.floor
+    audited = heap.rule.audited
     most = heap.universe.item_count
     cut: list[str] = []
     bad: list[str] = []
@@ -496,13 +493,12 @@ def run_checks(universe: Universe) -> list[str]:
     out: list[str] = []
     phi = 0
     for heap in universe.live_heaps():
-        rule = RULES[heap.policy]
-        bad, short, idle, share = _walk_checks(heap, rule)
+        bad, short, idle, share = _walk_checks(heap)
         phi += share
         if bad or short or idle:
             for check, found in (
                 ("structure", bad),
-                (rule.bound, short),
+                (heap.rule.bound, short),
                 ("active-children", idle),
             ):
                 out.extend(f"{heap.name}/{check}: {v}" for v in found[:5])

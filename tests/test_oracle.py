@@ -153,6 +153,21 @@ def test_gen_trace_keys_are_globally_unique():
     assert len(keys) == len(set(keys))
 
 
+def test_gen_trace_moves_a_decreased_key_past_drawn_keys(monkeypatch):
+    # 600 insert keys and decrements of 1..2 put decreases on keys already
+    # drawn (21 repeats in this trace without the step down), so the keys
+    # stay distinct only if the generator moves each one further down
+    monkeypatch.setattr(fibcascade.oracle, "KEY_SPAN", 300)
+    monkeypatch.setattr(fibcascade.oracle, "DECREMENT_SPAN", 2)
+    ops = gen_trace(400, seed=1)
+    keys = [op[3] for op in ops if op[0] == "insert"]
+    keys += [op[2] for op in ops if op[0] == "decreasekey"]
+    assert len(keys) == len(set(keys))
+    for tag in POLICY_TAGS:
+        verdict = replay_differential(ops, policy=tag, strict_identity=True)
+        assert verdict.ok, (tag, verdict)
+
+
 def test_gen_trace_seeds_differ():
     a = gen_trace(200, seed=0)
     b = gen_trace(200, seed=1)
