@@ -145,7 +145,7 @@ def _parse_policies(values: list[str] | None, default: list[str]) -> list[Policy
     if "all" in tags:
         tags = list(POLICY_TAGS)
     out = []
-    for tag in tags:
+    for tag in dict.fromkeys(tags):  # a repeated tag runs once
         if tag not in POLICY_TAGS:
             _usage_error(
                 f"unknown policy {tag!r} (choose from {', '.join(POLICY_TAGS)})"
@@ -353,10 +353,10 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             f" gate (>= {MIN_EXPONENT}) needs a largest --m of at least {CHECK_MIN_M}"
         )
     # --check fits an exponent, which takes at least three distinct sizes
-    if args.m and args.check and len(args.m) > 1 and len(set(args.m)) < 3:
+    if args.m and args.check and len(set(args.m)) == 2:
         _usage_error(
-            "adversary --check: give one --m (expanded to m/10, 3m/10, m)"
-            " or at least three distinct --m values"
+            "adversary --check: give one distinct --m (expanded to m/10,"
+            " 3m/10, m) or at least three distinct --m values"
         )
     if not args.m and args.check and len(args.k) < 3:
         _usage_error(
@@ -556,7 +556,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     sums = None if args.out is None else RowSums()
     # the trace streams from its file, so the rows file opens after the
     # replay: --out may name the trace itself
-    with nullcontext(sys.stdin) if args.trace == "-" else open(args.trace) as lines:
+    # a file decodes as stdin does in UTF-8 mode: a bad byte reaches the parser
+    with nullcontext(sys.stdin) if args.trace == "-" else open(
+        args.trace, encoding="utf-8", errors="surrogateescape"
+    ) as lines:
         t0 = time.perf_counter_ns()
         verdict = replay_differential(
             iter_trace(lines),
@@ -669,10 +672,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=_at_least(MIN_M, f"at least {MIN_M} operations"),
         metavar="OPS",
         help=f"run whole lower-bound schedules of this many operations, at"
-        f" least {MIN_M} (repeatable; with --check give one value, which"
-        f" expands to m/10, 3m/10, m, or at least three distinct values, and"
-        f" the largest must be at least {CHECK_MIN_M:,}: below that the"
-        f" exponent falls short of {MIN_EXPONENT} on correct code)",
+        f" least {MIN_M} (repeatable, a repeated value runs once; with --check"
+        f" give one distinct value, which expands to m/10, 3m/10, m, or at"
+        f" least three distinct values, and the largest must be at least"
+        f" {CHECK_MIN_M:,}: below that the exponent falls short of"
+        f" {MIN_EXPONENT} on correct code)",
     )
     p.set_defaults(func=cmd_adversary)
 

@@ -229,8 +229,8 @@ DECREMENT_SPAN = 1 << 20  # a decrease-key lowers a key by 1..DECREMENT_SPAN
 
 
 class _ModelHeap(OracleHeap):
-    """Generator-side bookkeeping for one heap: the reference heap plus an
-    O(1) random member pick via a swap-remove list of names."""
+    """Generator-side bookkeeping for one heap: the reference heap plus a
+    swap-remove list of its item names, for O(1) uniform picks."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -250,9 +250,6 @@ class _ModelHeap(OracleHeap):
             self.names[i] = last
             self.pos[last] = i
 
-    def pick(self, rng: Random) -> str:
-        return self.names[rng.randrange(len(self.names))]
-
     def meld(self, other: "_ModelHeap") -> None:
         for x in other._key:
             self.pos[x] = len(self.names)
@@ -264,11 +261,12 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
     """Generate a random, precondition-respecting trace; same arguments =>
     same trace.
 
-    ``n_ops`` counts heap operations — standalone ``item`` declarations are
-    free.  Every ``newheap`` line names ``simple``: callers choose the policy
-    at replay, so one trace serves all ten.  Generated keys are globally
-    unique so that the trace is valid under every tie-breaking choice a
-    policy might make.
+    The trace has exactly ``n_ops`` lines.  Verbs are drawn by
+    :data:`TRACE_WEIGHTS`, and a draw whose precondition fails is written as
+    an insert.  Every ``newheap`` line names ``simple``: callers choose the
+    policy at replay, so one trace serves all ten.  Generated keys are
+    globally unique so that the trace is valid under every tie-breaking
+    choice a policy might make.
     """
     if n_ops < 0:
         raise TraceError("n_ops must be nonnegative")
@@ -282,80 +280,53 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
     n_items = 0
     members: dict[str, _ModelHeap] = {"h0": _ModelHeap()}  # the live heaps
     seen_keys: set[int] = set()
-    budget = n_ops - 1
 
-    def fresh_key() -> int:
-        while True:
-            key = rng.randrange(-KEY_SPAN, KEY_SPAN)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                return key
+    def some(names: list[str]) -> str:
+        return names[rng.randrange(len(names))]
 
-    def emit_insert() -> None:
-        nonlocal n_items
-        h = list(members)[rng.randrange(len(members))]
-        x = f"x{n_items}"
-        n_items += 1
-        key = fresh_key()
-        members[h].insert(x, key)
-        ops.append(("insert", h, x, key))
-
-    def some_loaded() -> str | None:
-        loaded = [h for h, model in members.items() if model]
-        if not loaded:
-            return None
-        return loaded[rng.randrange(len(loaded))]
-
-    while budget > 0:
-        budget -= 1
+    for _ in range(n_ops - 1):
         verb = rng.choices(verbs, weights)[0]
-        if verb == "insert":
-            emit_insert()
-        elif verb == "newheap":
-            if n_heaps >= max_heaps:
-                emit_insert()
-                continue
+        if verb == "newheap" and n_heaps < max_heaps:
             h = f"h{n_heaps}"
             n_heaps += 1
             members[h] = _ModelHeap()
             ops.append(("newheap", h, "simple"))
-        elif verb == "deletemin":
-            h = some_loaded()
-            if h is None:
-                emit_insert()
-                continue
-            members[h].remove(members[h].find_min()[1])
-            ops.append(("deletemin", h))
-        elif verb == "decreasekey":
-            h = some_loaded()
-            if h is None:
-                emit_insert()
-                continue
-            model = members[h]
-            x = model.pick(rng)
-            key = model._key[x] - 1 - rng.randrange(DECREMENT_SPAN)
-            while key in seen_keys:
-                key -= 1
-            seen_keys.add(key)
-            model.decrease_key(x, key)
-            ops.append(("decreasekey", x, key))
-        elif verb == "delete":
-            h = some_loaded()
-            if h is None:
-                emit_insert()
-                continue
-            x = members[h].pick(rng)
-            members[h].remove(x)
-            ops.append(("delete", x))
-        elif verb == "meld":
-            if len(members) < 2:
-                emit_insert()
-                continue
+        elif verb == "findmin":
+            ops.append(("findmin", some(list(members))))
+        elif verb == "meld" and len(members) > 1:
             h1, h2 = rng.sample(list(members), 2)
             members[h1].meld(members.pop(h2))
             ops.append(("meld", h1, h2))
-        elif verb == "findmin":
-            ops.append(("findmin", list(members)[rng.randrange(len(members))]))
+        elif verb in ("deletemin", "decreasekey", "delete") and (
+            loaded := [h for h, model in members.items() if model]
+        ):
+            h = some(loaded)
+            model = members[h]
+            if verb == "deletemin":
+                model.remove(model.top[1])
+                ops.append(("deletemin", h))
+            elif verb == "delete":
+                x = some(model.names)
+                model.remove(x)
+                ops.append(("delete", x))
+            else:
+                x = some(model.names)
+                key = model._key[x] - 1 - rng.randrange(DECREMENT_SPAN)
+                while key in seen_keys:
+                    key -= 1
+                seen_keys.add(key)
+                model.decrease_key(x, key)
+                ops.append(("decreasekey", x, key))
+        else:  # an insert, drawn or in place of an infeasible draw
+            h = some(list(members))
+            key = rng.randrange(-KEY_SPAN, KEY_SPAN)
+            while key in seen_keys:
+                key = rng.randrange(-KEY_SPAN, KEY_SPAN)
+            seen_keys.add(key)
+            x = f"x{n_items}"
+            n_items += 1
+            members[h].insert(x, key)
+            ops.append(("insert", h, x, key))
     return ops
 
 

@@ -313,6 +313,31 @@ def test_parse_policies_expands_lists_and_all():
     assert [p.value for p in _parse_policies(None, ["simple"])] == ["simple"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--traces", "1", "--ops", "50"),
+        ("adversary", "--k", "10..30:10", "--rounds", "2"),
+        ("replay", "t.trace"),
+    ],
+    ids=["verify", "adversary", "replay"],
+)
+def test_a_repeated_policy_tag_runs_once(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "t.trace").write_text(TRACE)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for flags in (
+        ("--policy", "simple"),
+        ("--policy", "simple,simple"),
+        ("--policy", "simple", "--policy", "simple"),
+    ):
+        code = run_cli(*argv, *flags)
+        logged = re.sub(r"wall \d+ ns", "wall", "".join(capsys.readouterr()))
+        runs.append((code, logged))
+    assert runs[0][0] == 0
+    assert runs[1:] == runs[:1] * 2
+
+
 @pytest.mark.parametrize("values", [[""], [","], [",", ""]])
 def test_parse_policies_names_the_flag_when_no_tag_is_given(values, capsys):
     with pytest.raises(SystemExit) as err:
@@ -582,6 +607,20 @@ def test_adversary_repeated_m_counts_once_in_the_fit(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
+def test_adversary_repeated_m_is_one_distinct_size_under_check(
+    monkeypatch, capsys
+):
+    # one distinct size expands to three, however often it is given; the
+    # exponent at 3000 (1.2380) falls short of the gate, so both exit 1
+    monkeypatch.setattr(fibcascade.cli, "CHECK_MIN_M", 3000)
+    runs = []
+    for argv in (("--m", "3000"), ("--m", "3000", "--m", "3000")):
+        code = run_cli("adversary", *argv, "--check")
+        runs.append((code, capsys.readouterr()))
+    assert runs[0][0] == 1
+    assert runs[1] == runs[0]
+
+
 def test_adversary_m_check_passes_the_total_cost_gate(capsys):
     assert run_cli("adversary", "--m", "100000", "--check") == 0
     logged = capsys.readouterr().err.splitlines()
@@ -780,6 +819,17 @@ def test_replay_rejects_a_broken_trace(tmp_path, capsys):
     path.write_text("newheap h0 simple\ndeletemin h0\n")
     assert run_cli("replay", str(path)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_replay_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    # a file decodes as stdin does: the bad byte reaches the parser, which
+    # names its line, not a position in a read buffer
+    path = tmp_path / "t.trace"
+    path.write_bytes(TRACE.encode() + b"\xffbad\n")
+    assert run_cli("replay", str(path)) == 1
+    assert capsys.readouterr() == (
+        "", "error: line 7: unknown verb '\\udcffbad'\n"
+    )
 
 
 def test_replay_out_may_name_its_own_trace(tmp_path, capsys):
