@@ -192,24 +192,6 @@ def verify_t_shape(heap: Heap, k: int, missing: int | None = None) -> list[str]:
 # the builder
 
 
-class _LastRecord:
-    """A builder's record sink: the latest record and the sum of all
-    estimated times.  The builder attaches it only around the delete-mins
-    and decrease-keys, the records it reads, and adds each insert's cost
-    itself.  It does not refer back to the builder, so a finished schedule
-    is freed by reference count."""
-
-    __slots__ = ("last", "est_total")
-
-    def __init__(self) -> None:
-        self.last: OpRecord | None = None
-        self.est_total = 0.0
-
-    def __call__(self, rec: OpRecord) -> None:
-        self.est_total += rec.estimated_time
-        self.last = rec
-
-
 _NEWHEAP = ("newheap", "h0", Policy.NON_CASCADING.value)
 _DELETE_MIN = ("deletemin", "h0")  # every recorded delete-min shares this op
 _INSERT_COST = OpRecord("insert", 0).estimated_time  # the cost model's insert
@@ -291,21 +273,23 @@ class AdversaryBuilder:
         self.op_count = 0
         self.trace: Recording | tuple[()] = Recording() if recording else ()
         self._recording = recording
-        self._records = _LastRecord()
+        self.est_total = 0.0  # estimated time of every operation so far
+        self._last: OpRecord | None = None
 
     # -- plumbing -----------------------------------------------------------
 
-    @property
-    def est_total(self) -> float:
-        """Estimated time of every operation so far."""
-        return self._records.est_total
+    def _read(self, rec: OpRecord) -> None:
+        """The record sink, attached only while a delete-min or decrease-key
+        runs: between operations nothing in the universe refers to the builder."""
+        self.est_total += rec.estimated_time
+        self._last = rec
 
     def _insert(self, key: int) -> Node:
         node = self.universe.make_item(key)
         if self._recording:
             self.trace.insert(key)
         self.heap.insert(node)
-        self._records.est_total += _INSERT_COST
+        self.est_total += _INSERT_COST
         self.op_count += 1
         return node
 
@@ -313,7 +297,7 @@ class AdversaryBuilder:
         if self._recording:
             self.trace.delete_min()
         tele = self.universe.telemetry
-        tele.record_sink = self._records
+        tele.record_sink = self._read
         try:
             removed = self.heap.delete_min()
         finally:
@@ -325,7 +309,7 @@ class AdversaryBuilder:
         if self._recording:
             self.trace.decrease_key(node.uid, key)
         tele = self.universe.telemetry
-        tele.record_sink = self._records
+        tele.record_sink = self._read
         try:
             self.heap.decrease_key(node, key)
         finally:
@@ -402,7 +386,7 @@ class AdversaryBuilder:
                 )
 
         removed = self._delete_min()
-        rec = self._records.last
+        rec = self._last
         self._require(removed is old_root, "delete-min removed a non-root")
         self._require(heap.root is sigma, "the old S_0 did not become the root")
         self._require(
@@ -463,7 +447,7 @@ class AdversaryBuilder:
             )
         fresh = self._insert(key)
         removed = self._delete_min()
-        rec = self._records.last
+        rec = self._last
         if removed is not old_root:
             raise ShapeError("round delete-min missed the root")
         if heap.root is not fresh:

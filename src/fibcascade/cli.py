@@ -338,38 +338,37 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     ):
         _usage_error("adversary takes exactly one policy: non-cascading or simple")
     policy = policies[0]
-    if args.m and policy is not Policy.NON_CASCADING:
-        _usage_error("adversary --m runs the non-cascading schedule only")
     if args.m:
+        if policy is not Policy.NON_CASCADING:
+            _usage_error("adversary --m runs the non-cascading schedule only")
         for flag, value in (("--k", args.k), ("--rounds", args.rounds)):
             if value is not None:
                 _usage_error(f"adversary --m runs whole schedules; drop {flag}")
+        if args.check and max(args.m) < CHECK_MIN_M:
+            _usage_error(
+                f"adversary --m {max(args.m)} --check: the total-cost exponent gate"
+                f" (>= {MIN_EXPONENT}) needs a largest --m of at least {CHECK_MIN_M}"
+            )
+        ms = sorted(set(args.m))  # a repeated size runs once
+        # --check fits an exponent, which takes at least three distinct sizes
+        if args.check and len(ms) == 2:
+            _usage_error(
+                "adversary --check: give one distinct --m (expanded to m/10,"
+                " 3m/10, m) or at least three distinct --m values"
+            )
+        if args.check and len(ms) == 1:
+            ms = sorted({ms[0] // 10, 3 * ms[0] // 10, ms[0]})
     else:
-        args.k = args.k or _parse_k_spec(K_DEFAULT)
-        args.rounds = args.rounds or ROUNDS_DEFAULT
-    if args.m and args.check and max(args.m) < CHECK_MIN_M:
-        _usage_error(
-            f"adversary --m {max(args.m)} --check: the total-cost exponent"
-            f" gate (>= {MIN_EXPONENT}) needs a largest --m of at least {CHECK_MIN_M}"
-        )
-    # --check fits an exponent, which takes at least three distinct sizes
-    if args.m and args.check and len(set(args.m)) == 2:
-        _usage_error(
-            "adversary --check: give one distinct --m (expanded to m/10,"
-            " 3m/10, m) or at least three distinct --m values"
-        )
-    if not args.m and args.check and len(args.k) < 3:
-        _usage_error(
-            f"adversary --check: --k gives {len(args.k)} stage value(s);"
-            " the exponent fit needs at least three"
-        )
+        ks = args.k or _parse_k_spec(K_DEFAULT)
+        if args.check and len(ks) < 3:
+            _usage_error(
+                f"adversary --check: --k gives {len(ks)} stage value(s);"
+                " the exponent fit needs at least three"
+            )
     failed = False
     with RowSink(args.out, args.format) as sink:
         try:
             if args.m:
-                ms = sorted(set(args.m))  # a repeated size runs once
-                if args.check and len(ms) == 1:
-                    ms = sorted({ms[0] // 10, 3 * ms[0] // 10, ms[0]})
                 points = []
                 for m in ms:
                     builder = run_lower_bound(m)
@@ -392,7 +391,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                         failed = True
                         sink.log(f"FAIL: exponent {slope:.4f} < {MIN_EXPONENT}")
             else:
-                points = _steady_rows(args.k, args.rounds, policy, sink)
+                points = _steady_rows(ks, args.rounds or ROUNDS_DEFAULT, policy, sink)
                 lo, hi = (0.45, 0.55) if policy is Policy.NON_CASCADING else (None, 0.1)
                 if len(points) >= 3:
                     slope = fit_exponent(points)

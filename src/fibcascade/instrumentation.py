@@ -192,12 +192,7 @@ def iter_children(node) -> Iterator:
 
 def degree(node) -> int:
     """Number of children, always counted by traversal, never cached."""
-    d = 0
-    child = node.child
-    while child is not None:
-        d += 1
-        child = child.after
-    return d
+    return sum(1 for _ in iter_children(node))
 
 
 # ---------------------------------------------------------------------------

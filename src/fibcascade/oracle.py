@@ -60,8 +60,8 @@ class OracleHeap:
     dropped when they reach the top, and once they outnumber the live ones
     the entries are rebuilt from the live keys with one heapify.  So the
     entries stay within twice the live items, and every operation but meld
-    is O(log n) amortized.  A meld pushes the smaller side's entries into the
-    larger side's, at O(k log n) for k entries on the smaller side.
+    is O(log n) amortized.  A meld keeps the larger side's tables and adds the
+    smaller side's to them, at O(k log n) for k entries on the smaller side.
     """
 
     def __init__(self) -> None:
@@ -125,8 +125,9 @@ class OracleHeap:
         self._settle()
 
     def meld(self, other: "OracleHeap") -> None:
-        if len(other._entries) > len(self._entries):
+        if len(other) > len(self):  # keep the larger side's tables
             self._entries, other._entries = other._entries, self._entries
+            self._key, other._key = other._key, self._key
         for pair in other._entries:
             heapq.heappush(self._entries, pair)
         self._key.update(other._key)
@@ -251,7 +252,7 @@ class _ModelHeap(OracleHeap):
             self.pos[last] = i
 
     def meld(self, other: "_ModelHeap") -> None:
-        for x in other._key:
+        for x in other.pos:  # in joining order; `names` is swap-removed
             self.pos[x] = len(self.names)
             self.names.append(x)
         super().meld(other)
@@ -545,6 +546,8 @@ def run_trace(
                 node = new_item(i, name, op[3]) if len(op) == 4 else items[name]
                 if node is None:
                     raise TraceError(f"op {i}: item {name!r} was already removed")
+                if node.parent is not None:
+                    raise TraceError(f"op {i}: item {name!r} is already in a heap")
                 heap = heaps[op[1]]
                 heap.insert(node)
                 home[name] = op[1]

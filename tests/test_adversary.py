@@ -76,21 +76,29 @@ def test_build_verified_at_every_step(k, monkeypatch):
     assert verify_t_shape(builder.heap, k) == []
 
 
-def test_the_record_sink_does_not_refer_to_the_builder(monkeypatch):
+def test_the_record_sink_is_attached_only_around_the_reads(monkeypatch):
     builder = AdversaryBuilder()
     tele = builder.universe.telemetry
-    attached = []
-    real = Heap.delete_min
+    seen: dict[str, list] = {"insert": [], "delete_min": [], "decrease_key": []}
 
-    def spied(heap):
-        attached.append(tele.record_sink)
-        return real(heap)
+    def spy(name):
+        real = getattr(Heap, name)
 
-    monkeypatch.setattr(Heap, "delete_min", spied)
+        def spied(heap, *args):
+            seen[name].append(tele.record_sink)
+            return real(heap, *args)
+
+        monkeypatch.setattr(Heap, name, spied)
+
+    for name in seen:
+        spy(name)
     builder.build(3)
-    assert attached and all(sink is builder._records for sink in attached)
-    assert tele.record_sink is None  # attached only around its reads
-    assert builder not in gc.get_referents(builder._records)
+    builder.run_rounds(2)
+    assert all(seen.values())
+    for name in ("delete_min", "decrease_key"):
+        assert all(sink == builder._read for sink in seen[name])
+    assert all(sink is None for sink in seen["insert"])
+    assert tele.record_sink is None
 
 
 def test_a_finished_schedule_is_freed_by_reference_count():

@@ -311,8 +311,10 @@ def test_meld_pushes_the_smaller_side_without_a_heapify(monkeypatch):
         real(entries)
 
     monkeypatch.setattr(fibcascade.oracle.heapq, "heapify", recording)
-    small.meld(big)  # the larger side is swapped in first
+    big_keys = big._key
+    small.meld(big)  # the larger side's tables are swapped in first
     assert heapified == []
+    assert small._key is big_keys  # its keys are not copied either
     assert len(small) == 1001 and small.top == (-1, 1000)
     assert len(big) == 0 and big.top is None
 
@@ -346,6 +348,47 @@ def test_replay_clean_for_every_policy(tag):
     assert verdict.ok, verdict
     assert verdict.steps == len(ops)
     assert verdict.policy == tag
+
+
+def meld_chain(fresh_absorbs: bool, items: int = 200, melds: int = 50):
+    """A trace whose heap melds ``melds`` times with a fresh one-item heap,
+    the fresh heap absorbing the chain or the chain absorbing it; then
+    decrease-keys on the first items between a few delete-mins.  Returns
+    the ops, the last heap's name and its end keys, sorted."""
+    base = items - melds
+    keys = {f"x{i}": 10 * ((i * 37) % base) + 5 for i in range(base)}
+    ops = [("newheap", "h0", "simple")]
+    ops += [("insert", "h0", x, key) for x, key in keys.items()]
+    last = "h0"
+    for j in range(1, melds + 1):
+        fresh, key = f"h{j}", 10 * ((j * 7) % base)
+        keys[f"y{j}"] = key
+        ops += [("newheap", fresh, "simple"), ("insert", fresh, f"y{j}", key)]
+        ops.append(("meld", fresh, last) if fresh_absorbs else ("meld", last, fresh))
+        last = fresh if fresh_absorbs else last
+    for first in (0, 20):
+        for i in range(first, first + 20):
+            keys[f"x{i}"] = -(i + 1)
+            ops.append(("decreasekey", f"x{i}", -(i + 1)))
+        for _ in range(5):
+            del keys[min(keys, key=keys.get)]
+            ops.append(("deletemin", last))
+    return ops, last, sorted(keys.values())
+
+
+@pytest.mark.parametrize("fresh_absorbs", [True, False], ids=["fresh", "chain"])
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_a_long_meld_chain_replays_clean(tag, fresh_absorbs):
+    ops, last, keys = meld_chain(fresh_absorbs)
+    verdict = replay_differential(
+        ops, policy=tag, strict_identity=True, check_interval=25
+    )
+    assert verdict.ok, verdict
+    assert verdict.steps == len(ops)
+    _, heaps = replay_ops(ops, policy=tag)
+    assert list(heaps) == [last]
+    assert len(heaps[last]) == len(keys)
+    assert heaps[last].peek().key == keys[0]
 
 
 def test_replay_without_override_uses_recorded_policies():
@@ -460,6 +503,10 @@ H0 = ("newheap", "h0", "simple")
             [H0, ("insert", "h0", "x0", 5), ("delete", "x0"), ("insert", "h0", "x0")],
             "op 3: item 'x0' was already removed",
         ),
+        (
+            [H0, ("insert", "h0", "x0", 5), ("insert", "h0", "x0")],
+            "op 2: item 'x0' is already in a heap",
+        ),
     ],
     ids=[
         "insert-unknown-item",
@@ -476,6 +523,7 @@ H0 = ("newheap", "h0", "simple")
         "meld-with-itself",
         "reinsert-after-deletemin",
         "reinsert-after-delete",
+        "insert-item-already-in-a-heap",
     ],
 )
 def test_replay_wraps_unknown_names(replay, ops, fragment):
