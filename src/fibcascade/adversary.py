@@ -336,14 +336,13 @@ class AdversaryBuilder:
         self._require(self.heap.root is root, "initial insert order broke")
         self.s0 = first
         self.k = 1
+        self._verify(1)
         for phase in range(1, k):
             for i in range(phase, 0, -1):
                 self._convert(phase, i)
             self._promote()
             self.k = phase + 1
             self._verify(self.k)
-        if k == 1:
-            self._verify(1)
         expected_ops = build_ops_needed(k)
         self._require(
             self.op_count == expected_ops,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 import time
@@ -135,23 +136,18 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _parse_policies(values: list[str] | None, default: list[str]) -> list[Policy]:
-    tags: list[str] = []
-    for value in values or default:
-        tags.extend(t for t in value.split(",") if t)
+    """The policies ``--policy`` names: every tag is checked, ``all`` among
+    them, before ``all`` expands and a repeated tag drops out."""
+    tags = [t for value in values or default for t in value.split(",") if t]
+    choices = ", ".join(POLICY_TAGS)
     if values and not tags:
-        _usage_error(
-            f"--policy names no policy (choose from {', '.join(POLICY_TAGS)})"
-        )
+        _usage_error(f"--policy names no policy (choose from {choices})")
+    for tag in tags:
+        if tag != "all" and tag not in POLICY_TAGS:
+            _usage_error(f"unknown policy {tag!r} (choose from {choices})")
     if "all" in tags:
-        tags = list(POLICY_TAGS)
-    out = []
-    for tag in dict.fromkeys(tags):  # a repeated tag runs once
-        if tag not in POLICY_TAGS:
-            _usage_error(
-                f"unknown policy {tag!r} (choose from {', '.join(POLICY_TAGS)})"
-            )
-        out.append(Policy.from_tag(tag))
-    return out
+        tags = POLICY_TAGS
+    return [Policy.from_tag(tag) for tag in dict.fromkeys(tags)]
 
 
 def _int(text: str) -> int:
@@ -160,22 +156,6 @@ def _int(text: str) -> int:
     if not _DECIMAL(text):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
-
-
-def _parse_k_spec(spec: str) -> list[int]:
-    """"25" -> [25]; "10..100" -> 10,20,...,100; "10..50:5" -> step 5."""
-    step = 10
-    if ":" in spec:
-        spec, step_text = spec.split(":", 1)
-        step = _int(step_text)
-    if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo, hi = _int(lo_text), _int(hi_text)
-    else:
-        lo = hi = _int(spec)
-    if lo < 1 or hi < lo or step < 1:
-        raise ValueError(f"bad k range {spec!r}")
-    return list(range(lo, hi + 1, step))
 
 
 class RowSums:
@@ -359,7 +339,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         if args.check and len(ms) == 1:
             ms = sorted({ms[0] // 10, 3 * ms[0] // 10, ms[0]})
     else:
-        ks = args.k or _parse_k_spec(K_DEFAULT)
+        ks = args.k or _k_spec(K_DEFAULT)
         if args.check and len(ks) < 3:
             _usage_error(
                 f"adversary --check: --k gives {len(ks)} stage value(s);"
@@ -384,25 +364,21 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                         f"adversary m={m}: k={builder.k} rounds={rounds}"
                         f" est-total={builder.est_total:.1f}"
                     )
-                if len(points) >= 3:
-                    slope = fit_exponent(points)
-                    sink.log(f"adversary total-cost exponent vs m: {slope:.4f}")
-                    if args.check and slope < MIN_EXPONENT:
-                        failed = True
-                        sink.log(f"FAIL: exponent {slope:.4f} < {MIN_EXPONENT}")
+                label = "total-cost exponent vs m"
+                lo, hi, gate = MIN_EXPONENT, math.inf, f"< {MIN_EXPONENT}"
             else:
                 points = _steady_rows(ks, args.rounds or ROUNDS_DEFAULT, policy, sink)
-                lo, hi = (0.45, 0.55) if policy is Policy.NON_CASCADING else (None, 0.1)
-                if len(points) >= 3:
-                    slope = fit_exponent(points)
-                    sink.log(
-                        f"adversary links-per-delete-min exponent vs n"
-                        f" ({policy.value}): {slope:.4f}"
-                    )
-                    if args.check and ((lo is not None and slope < lo) or slope > hi):
-                        failed = True
-                        band = f"<= {hi}" if lo is None else f"[{lo}, {hi}]"
-                        sink.log(f"FAIL: exponent {slope:.4f} outside {band}")
+                label = f"links-per-delete-min exponent vs n ({policy.value})"
+                if policy is Policy.NON_CASCADING:
+                    lo, hi, gate = 0.45, 0.55, "outside [0.45, 0.55]"
+                else:
+                    lo, hi, gate = -math.inf, 0.1, "outside <= 0.1"
+            if len(points) >= 3:
+                slope = fit_exponent(points)
+                sink.log(f"adversary {label}: {slope:.4f}")
+                if args.check and (slope < lo or slope > hi):
+                    failed = True
+                    sink.log(f"FAIL: exponent {slope:.4f} {gate}")
         except ShapeError as exc:
             sink.log(f"FAIL: {exc}")
             failed = True
@@ -611,14 +587,23 @@ _seed = _at_least(None, "an integer")  # negative seeds too
 
 
 def _k_spec(text: str) -> list[int]:
-    """The argparse type of ``adversary --k``: a stage value or range."""
+    """The argparse type of ``adversary --k``: "25" -> [25]; "10..100" ->
+    10,20,...,100; "10..50:5" -> step 5."""
+    spec, colon, step_text = text.partition(":")
+    lo_text, dots, hi_text = spec.partition("..")
     try:
-        return _parse_k_spec(text)
+        lo = _int(lo_text)
+        hi = _int(hi_text) if dots else lo
+        step = _int(step_text) if colon else 10
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected K, LO..HI or LO..HI:STEP with 1 <= K, 1 <= LO <= HI"
-            f" and STEP >= 1, got {text!r}"
-        ) from None
+        pass
+    else:
+        if 1 <= lo <= hi and step >= 1:
+            return list(range(lo, hi + 1, step))
+    raise argparse.ArgumentTypeError(
+        "expected K, LO..HI or LO..HI:STEP with 1 <= K, 1 <= LO <= HI"
+        f" and STEP >= 1, got {text!r}"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,7 +53,8 @@ class Policy(Enum):
     CLASSIC = "classic"
 
     @classmethod
-    def from_tag(cls, tag: str) -> "Policy":
+    def from_tag(cls, tag: "str | Policy") -> "Policy":
+        """The policy a tag names; a policy names itself."""
         try:
             return cls(tag)
         except ValueError:
@@ -175,8 +176,7 @@ class Universe:
         return node
 
     def make_heap(self, policy: Policy | str, name: str | None = None) -> "Heap":
-        if isinstance(policy, str):
-            policy = Policy.from_tag(policy)
+        policy = Policy.from_tag(policy)
         if name is None:
             name = f"h{self.heap_count}"
         from .policies import RULES
@@ -605,7 +605,11 @@ class ClassicHeap(Heap):
         self._offer_min(x)
 
     def _absorb(self, other: "ClassicHeap") -> None:
-        self.roots.extend(other.roots)
+        if len(other.roots) > len(self.roots):  # keep the longer list
+            other.roots[:0] = self.roots
+            self.roots = other.roots
+        else:
+            self.roots.extend(other.roots)
         other.roots = []
         if other.root is not None:
             self._offer_min(other.root)

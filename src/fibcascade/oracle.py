@@ -625,9 +625,7 @@ def replay_differential(
     one of those.  The reference only observes what :func:`run_trace`
     yields.
     """
-    if isinstance(policy, str):
-        policy = Policy.from_tag(policy)
-    tag = policy.value if policy is not None else "recorded"
+    tag = "recorded" if policy is None else Policy.from_tag(policy).value
     universe = Universe(seed=seed)
     universe.telemetry.record_sink = record_sink
     heaps: dict[str, Heap] = {}

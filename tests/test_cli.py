@@ -18,9 +18,9 @@ import pytest
 import fibcascade.adversary
 import fibcascade.cli
 import fibcascade.instrumentation
-from fibcascade import Heap, Policy
+from fibcascade import POLICY_TAGS, Heap, Policy
 from fibcascade.cli import (
-    _parse_k_spec,
+    _k_spec,
     _parse_policies,
     build_parser,
     gen_graph,
@@ -338,6 +338,30 @@ def test_a_repeated_policy_tag_runs_once(argv, tmp_path, monkeypatch, capsys):
     assert runs[1:] == runs[:1] * 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--traces", "1", "--ops", "10"),
+        ("dijkstra", "--vertices", "10", "--edges", "20"),
+        ("adversary", "--k", "1", "--rounds", "1"),
+        ("replay", "t.trace"),
+    ],
+    ids=["verify", "dijkstra", "adversary", "replay"],
+)
+@pytest.mark.parametrize("tags", ["all,bogus", "bogus,all", "simple,bogus"])
+def test_an_unknown_policy_tag_fails_even_next_to_all(
+    argv, tags, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "t.trace").write_text(TRACE)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--policy", tags)
+    assert err.value.code == 2
+    choices = ", ".join(POLICY_TAGS)
+    want = f"unknown policy 'bogus' (choose from {choices})\n"
+    assert capsys.readouterr() == ("", want)
+
+
 @pytest.mark.parametrize("values", [[""], [","], [",", ""]])
 def test_parse_policies_names_the_flag_when_no_tag_is_given(values, capsys):
     with pytest.raises(SystemExit) as err:
@@ -347,11 +371,11 @@ def test_parse_policies_names_the_flag_when_no_tag_is_given(values, capsys):
 
 
 def test_parse_k_spec():
-    assert _parse_k_spec("25") == [25]
-    assert _parse_k_spec("10..40") == [10, 20, 30, 40]
-    assert _parse_k_spec("10..20:5") == [10, 15, 20]
-    with pytest.raises(ValueError):
-        _parse_k_spec("20..10")
+    assert _k_spec("25") == [25]
+    assert _k_spec("10..40") == [10, 20, 30, 40]
+    assert _k_spec("10..20:5") == [10, 15, 20]
+    with pytest.raises(argparse.ArgumentTypeError):
+        _k_spec("20..10")
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +663,10 @@ def test_adversary_m_check_passes_the_total_cost_gate(capsys):
         (("--m", "100000"), "FAIL: exponent 1.0000 < 1.25"),
         (("--k", "10..30:10", "--rounds", "3"),
          "FAIL: exponent 1.0000 outside [0.45, 0.55]"),
+        (("--k", "10..30:10", "--rounds", "3", "--policy", "simple"),
+         "FAIL: exponent 1.0000 outside <= 0.1"),
     ],
-    ids=["total-cost", "links-per-delete-min"],
+    ids=["total-cost", "links-per-delete-min", "links-per-delete-min-simple"],
 )
 def test_adversary_check_fails_an_exponent_off_its_gate(
     argv, want, monkeypatch, capsys

@@ -370,6 +370,26 @@ def test_classic_delete_min_relinks_and_finds_new_min():
     assert_phi_consistent(u)
 
 
+@pytest.mark.parametrize("absorber_size, absorbed_size", [(1, 50), (50, 1)])
+def test_classic_meld_keeps_the_longer_root_list(absorber_size, absorbed_size):
+    # copying the longer list makes a chain of melds into fresh one-item heaps
+    # quadratic; the order stays the absorber's roots, then the absorbed roots
+    u = Universe()
+    h, g = u.make_heap(Policy.CLASSIC), u.make_heap(Policy.CLASSIC)
+    for heap, size, base in ((h, absorber_size, 0), (g, absorbed_size, 1000)):
+        for k in range(size):
+            heap.insert(u.make_item(base - k))
+    order = h.roots + g.roots
+    longer = max(h.roots, g.roots, key=len)
+    before = u.telemetry.comparisons
+    h.meld(g)
+    assert h.roots is longer
+    assert h.roots == order and g.roots == []
+    assert u.telemetry.comparisons == before + 1
+    assert h.root is min(order, key=lambda n: n.key)
+    assert_phi_consistent(u)
+
+
 def test_subtree_helpers_agree_with_the_tree():
     u = Universe()
     h = u.make_heap(Policy.SIMPLE)
