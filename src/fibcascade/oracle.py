@@ -56,12 +56,14 @@ class OracleHeap:
     Keeps (key, uid) pairs; the minimum is the lexicographically least live
     pair, and :attr:`top` holds it (``None`` when empty), settled after every
     mutation so that observers read it without a call.  A decrease pushes a
-    fresh pair and a removal only forgets the item's key; stale pairs are
-    dropped when they reach the top, and once they outnumber the live ones
-    the entries are rebuilt from the live keys with one heapify.  So the
-    entries stay within twice the live items, and every operation but meld
-    is O(log n) amortized.  A meld keeps the larger side's tables and adds the
-    smaller side's to them, at O(k log n) for k entries on the smaller side.
+    fresh pair, the new top when it beats the old one or re-keys it (the
+    old top is live, so no pop is due); a removal only forgets the item's
+    key; stale pairs are dropped when they reach the top, and once they
+    outnumber the live ones the entries are rebuilt from the live keys with
+    one heapify.  So the entries stay within twice the live items, and every
+    operation but meld is O(log n) amortized.  A meld keeps the larger
+    side's tables and adds the smaller side's to them, at O(k log n) for k
+    entries on the smaller side.
     """
 
     def __init__(self) -> None:
@@ -85,8 +87,13 @@ class OracleHeap:
         if key > old:
             raise TraceError(f"oracle: key increase {old!r} -> {key!r}")
         self._key[uid] = key
-        heapq.heappush(self._entries, (key, uid))
-        self._settle()  # the old pair is stale now: it may be due a rebuild
+        entries = self._entries
+        pair = (key, uid)
+        heapq.heappush(entries, pair)
+        if len(entries) > 2 * len(self._key):  # the old pair is stale now
+            self._settle()
+        elif pair <= self.top:  # it re-keys the top, or beats it
+            self.top = pair
 
     def _settle(self) -> None:
         entries = self._entries
@@ -616,20 +623,22 @@ def replay_differential(
 
     ``policy`` overrides every ``newheap`` line's recorded policy, which is
     how one generated trace is replayed across all ten.  After each step the
-    minimum key of every live heap, not only the one the step touched, is
+    root key of every live heap, not only the one the step touched, is
     compared with its mirror's settled :attr:`OracleHeap.top` (quietly —
     observation does not disturb the counters); that comparison also covers
     what a find-min returns.  ``check_interval`` > 0 additionally runs
     :func:`run_checks`, looked up as this module's global on every call,
     every that-many steps, and once more at the end unless the last step was
     one of those.  The reference only observes what :func:`run_trace`
-    yields.
+    yields.  ``record_sink`` is attached to the universe only while the
+    replay runs, however it ends: a finished universe is cyclic garbage
+    (each root is its own parent), and would keep the sink alive until a
+    full collection.
     """
     tag = "recorded" if policy is None else Policy.from_tag(policy).value
     universe = Universe(seed=seed)
-    universe.telemetry.record_sink = record_sink
     heaps: dict[str, Heap] = {}
-    mirrors: dict[str, OracleHeap] = {}
+    mirrors: dict[str, tuple[Heap, OracleHeap]] = {}  # live, in creation order
     verdict = ReplayVerdict(policy=tag)
 
     def diverged(i: int, msg: str) -> ReplayVerdict:
@@ -643,50 +652,55 @@ def replay_differential(
             verdict.step_index = i
         return bool(verdict.check_failures)
 
-    for i, op, heap, node in run_trace(ops, universe, heaps, policy):
-        verb = op[0]
-        if verb == "newheap":
-            mirrors[op[1]] = OracleHeap()
-        elif verb == "insert":
-            mirrors[op[1]].insert(node.uid, node.key)
-        elif verb == "deletemin":
-            name = op[1]
-            pair = mirrors[name].top
-            want = None if pair is None else pair[0]
-            if node.key != want:
-                return diverged(
-                    i,
-                    f"delete-min on {name} removed key {node.key!r},"
-                    f" reference minimum is {want!r}",
-                )
-            if strict_identity and pair is not None and pair[1] != node.uid:
-                return diverged(
-                    i,
-                    f"delete-min on {name} removed item {node.uid},"
-                    f" reference minimum is item {pair[1]}",
-                )
-            mirrors[name].remove(node.uid)
-        elif verb == "decreasekey":
-            mirrors[heap.name].decrease_key(node.uid, op[2])
-        elif verb == "delete":
-            mirrors[heap.name].remove(node.uid)
-        elif verb == "meld":
-            mirrors[op[1]].meld(mirrors.pop(op[2]))
-        verdict.steps += 1
-        for name, live in heaps.items():  # every live heap, not just this op's
-            least = live.peek()
-            got = None if least is None else least.key
-            pair = mirrors[name].top
-            want = None if pair is None else pair[0]
-            if got != want:
-                return diverged(
-                    i,
-                    f"after {' '.join(map(str, op))}: heap {name} finds min"
-                    f" {got!r}, reference finds {want!r}"
-                    f" (sizes {len(live)}/{len(mirrors[name])})",
-                )
-        if check_interval and (i + 1) % check_interval == 0 and checks_failed(i):
-            return verdict
-    if check_interval and verdict.steps % check_interval:
-        checks_failed(verdict.steps - 1)
-    return verdict
+    universe.telemetry.record_sink = record_sink
+    try:
+        for i, op, heap, node in run_trace(ops, universe, heaps, policy):
+            verb = op[0]
+            if verb == "newheap":
+                mirrors[op[1]] = (heap, OracleHeap())
+            elif verb == "insert":
+                mirrors[op[1]][1].insert(node.uid, node.key)
+            elif verb == "deletemin":
+                name = op[1]
+                mirror = mirrors[name][1]
+                pair = mirror.top
+                want = None if pair is None else pair[0]
+                if node.key != want:
+                    return diverged(
+                        i,
+                        f"delete-min on {name} removed key {node.key!r},"
+                        f" reference minimum is {want!r}",
+                    )
+                if strict_identity and pair is not None and pair[1] != node.uid:
+                    return diverged(
+                        i,
+                        f"delete-min on {name} removed item {node.uid},"
+                        f" reference minimum is item {pair[1]}",
+                    )
+                mirror.remove(node.uid)
+            elif verb == "decreasekey":
+                mirrors[heap.name][1].decrease_key(node.uid, op[2])
+            elif verb == "delete":
+                mirrors[heap.name][1].remove(node.uid)
+            elif verb == "meld":
+                mirrors[op[1]][1].meld(mirrors.pop(op[2])[1])
+            verdict.steps += 1
+            for name, (live, mirror) in mirrors.items():  # not just this op's
+                least = live.root
+                got = None if least is None else least.key
+                pair = mirror.top
+                want = None if pair is None else pair[0]
+                if got != want:
+                    return diverged(
+                        i,
+                        f"after {' '.join(map(str, op))}: heap {name} finds min"
+                        f" {got!r}, reference finds {want!r}"
+                        f" (sizes {len(live)}/{len(mirror)})",
+                    )
+            if check_interval and (i + 1) % check_interval == 0 and checks_failed(i):
+                return verdict
+        if check_interval and verdict.steps % check_interval:
+            checks_failed(verdict.steps - 1)
+        return verdict
+    finally:
+        universe.telemetry.record_sink = None

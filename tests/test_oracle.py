@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import io
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -259,7 +260,16 @@ def test_oracle_top_is_the_least_live_pair_after_every_mutation():
         elif roll < 0.6:
             victim = rng.choice(list(o._key))
             drop = rng.randrange(3)
-            o.decrease_key(victim, o._key[victim] - drop)
+            key = o._key[victim] - drop
+            if victim == o.top[1]:
+                covered.add("decrease the top")
+            elif (key, victim) < o.top:
+                covered.add("decrease another below the top")
+            else:
+                covered.add("decrease another")
+            o.decrease_key(victim, key)
+            if o._entries is not entries:
+                covered.add("compaction on a decrease-key")
             if drop == 0:
                 covered.add("decrease-key to an equal key")
         elif roll < 0.75:
@@ -288,6 +298,10 @@ def test_oracle_top_is_the_least_live_pair_after_every_mutation():
             assert len(h._entries) <= 2 * len(h)
     assert covered == {
         "decrease-key to an equal key",
+        "decrease the top",
+        "decrease another",
+        "decrease another below the top",
+        "compaction on a decrease-key",
         "remove the top",
         "remove another",
         "meld a larger one in",
@@ -414,6 +428,30 @@ def test_replay_reports_a_sabotaged_reference(monkeypatch):
     assert verdict.step_index == 3
 
 
+def test_the_compare_reports_a_heap_the_op_did_not_touch(monkeypatch):
+    # every live heap is compared after every op: a fault that an insert
+    # into h1 leaves in h0 is reported at that insert, under h0's name
+    real = Heap.insert
+
+    def insert_and_lower_h0(self, node):
+        real(self, node)
+        if self.name == "h1":
+            (h0,) = (h for h in self.universe.live_heaps() if h.name == "h0")
+            h0.root.key -= 40
+
+    monkeypatch.setattr(Heap, "insert", insert_and_lower_h0)
+    ops = parse_trace(
+        "newheap h0 simple\nnewheap h1 simple\ninsert h0 x0 50\n"
+        "insert h1 x1 70\nfindmin h0"
+    )
+    verdict = replay_differential(ops)
+    assert verdict.divergence == (
+        "after insert h1 x1 70: heap h0 finds min 10, reference finds 50"
+        " (sizes 1/1)"
+    )
+    assert verdict.step_index == 3
+
+
 TIED = "newheap h0 simple\ninsert h0 a 5\ninsert h0 b 5\ndeletemin h0\n"
 
 
@@ -454,6 +492,61 @@ def test_replay_wraps_precondition_failures():
     ]
     with pytest.raises(TraceError, match="precondition failed"):
         replay_differential(ops)
+
+
+class _Sink:
+    """A record sink that a weak reference can follow."""
+
+    def __init__(self) -> None:
+        self.records = []
+
+    def __call__(self, rec) -> None:
+        self.records.append(rec)
+
+
+def test_a_finished_replay_keeps_nothing_of_the_callers(monkeypatch):
+    # a finished universe is cyclic garbage (each root is its own parent):
+    # with the collector off, only reference counts can free the sink
+    monkeypatch.setitem(
+        RULES,
+        Policy.INCREASING_RANK,
+        RULES[Policy.INCREASING_RANK]._replace(walk=guarded_increasing_rank),
+    )
+    paths = {
+        "clean": (gen_trace(300, seed=3), "simple", lambda v: v.ok),
+        "divergence": (parse_trace(TIED), "simple", lambda v: v.divergence),
+        "failed check": (
+            gen_trace(1000, seed=0),
+            "increasing-rank",
+            lambda v: v.check_failures,
+        ),
+        "malformed": (
+            [H0, ("insert", "h0", "x0", 5), ("decreasekey", "x0", 9)],
+            "simple",
+            lambda v: v is None,
+        ),
+    }
+    gc.disable()
+    try:
+        for path, (ops, tag, expect) in paths.items():
+            sink = _Sink()
+            gone = weakref.ref(sink)
+            try:
+                verdict = replay_differential(
+                    ops,
+                    policy=tag,
+                    strict_identity=True,
+                    check_interval=25,
+                    record_sink=sink,
+                )
+            except TraceError:
+                verdict = None  # the error and its traceback are dropped
+            assert sink.records, path
+            assert expect(verdict), path
+            del verdict, sink
+            assert gone() is None, path
+    finally:
+        gc.enable()
 
 
 REPLAYS = pytest.mark.parametrize(
