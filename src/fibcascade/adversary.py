@@ -32,7 +32,7 @@ mirror-free consumer of the one trace interpreter, re-exported here.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .core import Heap, Node, Policy, Universe
 from .instrumentation import (
@@ -40,7 +40,7 @@ from .instrumentation import (
     degree,
     iter_children,
 )
-from .oracle import replay_ops  # noqa: F401  (re-exported: schedules are replayed with it)
+from .oracle import replay_ops  # noqa: F401  (re-exported for benchmarks/workloads.py)
 
 SIGMA_STRIDE = 1 << 24  # low zone: root-line keys (initial roots, promotes, repulls)
 RUNG_BASE = 1 << 50  # high zone: broom roots and their leaves
@@ -272,21 +272,32 @@ class AdversaryBuilder:
         self.k = 0
         self.op_count = 0
         self.trace: Recording | tuple[()] = Recording() if recording else ()
-        self._recording = recording
         self.est_total = 0.0  # estimated time of every operation so far
         self._last: OpRecord | None = None
 
     # -- plumbing -----------------------------------------------------------
 
     def _read(self, rec: OpRecord) -> None:
-        """The record sink, attached only while a delete-min or decrease-key
-        runs: between operations nothing in the universe refers to the builder."""
+        """The record sink, attached only by :meth:`_window`: between
+        operations nothing in the universe refers to the builder."""
         self.est_total += rec.estimated_time
         self._last = rec
 
+    def _window(self, op: Callable[..., Node | None], *args: object) -> Node | None:
+        """Run one heap operation, whose record the builder reads, with
+        :meth:`_read` attached for just that operation."""
+        tele = self.universe.telemetry
+        tele.record_sink = self._read
+        try:
+            out = op(*args)
+        finally:
+            tele.record_sink = None
+        self.op_count += 1
+        return out
+
     def _insert(self, key: int) -> Node:
         node = self.universe.make_item(key)
-        if self._recording:
+        if self.trace:
             self.trace.insert(key)
         self.heap.insert(node)
         self.est_total += _INSERT_COST
@@ -294,27 +305,14 @@ class AdversaryBuilder:
         return node
 
     def _delete_min(self) -> Node:
-        if self._recording:
+        if self.trace:
             self.trace.delete_min()
-        tele = self.universe.telemetry
-        tele.record_sink = self._read
-        try:
-            removed = self.heap.delete_min()
-        finally:
-            tele.record_sink = None
-        self.op_count += 1
-        return removed
+        return self._window(self.heap.delete_min)
 
     def _decrease_key(self, node: Node, key: int) -> None:
-        if self._recording:
+        if self.trace:
             self.trace.decrease_key(node.uid, key)
-        tele = self.universe.telemetry
-        tele.record_sink = self._read
-        try:
-            self.heap.decrease_key(node, key)
-        finally:
-            tele.record_sink = None
-        self.op_count += 1
+        self._window(self.heap.decrease_key, node, key)
 
     def _require(self, cond: bool, msg: str) -> None:
         if not cond:

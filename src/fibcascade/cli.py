@@ -13,7 +13,9 @@ adversary
     the identical schedule on the one-tree cascading policy for contrast.
 dijkstra
     Single-source shortest paths over a random graph on the selected
-    policy heap, verified against a plain binary-heap reference.
+    policy heap, verified against a plain binary-heap reference; every run
+    also checks the call counts against the graph and, on ``simple``, that
+    every comparison is kept as a link.
 replay
     Re-run a recorded trace file against the reference model.
 
@@ -44,7 +46,6 @@ from .adversary import (
     AdversaryBuilder,
     ShapeError,
     build_ops_needed,
-    replay_ops,
     run_lower_bound,
     steady_tree_size,
 )
@@ -56,6 +57,7 @@ from .oracle import (
     gen_trace,
     iter_trace,
     replay_differential,
+    replay_ops,
 )
 from .policies import RULES
 
@@ -487,16 +489,13 @@ def cmd_dijkstra(args: argparse.Namespace) -> int:
                     f"distance mismatch at vertex {bad}:"
                     f" {dist[bad]} != {reference[bad]}"
                 )
-            if args.check:
-                if stats["decrease_calls"] > args.edges:
-                    problems.append("more decrease-keys than edges")
-                if stats["delete_calls"] > args.vertices:
-                    problems.append("more delete-mins than vertices")
-                links = stats["fair_links"] + stats["naive_links"]
-                if RULES[policy].audited and stats["comparisons"] != links:
-                    problems.append(
-                        f"comparisons {stats['comparisons']} != links {links}"
-                    )
+            if stats["decrease_calls"] > args.edges:
+                problems.append("more decrease-keys than edges")
+            if stats["delete_calls"] > args.vertices:
+                problems.append("more delete-mins than vertices")
+            links = stats["fair_links"] + stats["naive_links"]
+            if RULES[policy].audited and stats["comparisons"] != links:
+                problems.append(f"comparisons {stats['comparisons']} != links {links}")
             if problems:
                 failed = True
                 sink.log(f"dijkstra {policy.value}: FAIL {problems[0]}")
@@ -623,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=default_out, metavar="PATH")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
-    # verify always runs the full battery, so it alone takes no --check
+    # verify and dijkstra always run every check they have: no --check
     p = sub.add_parser("verify", help="differential fuzzing with audits")
     common(p, None)
     p.add_argument("--seed", type=_seed, default=0)
@@ -668,12 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "-")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
-        "--check",
-        action="store_true",
-        help="also check the call counts and, on the audited policy,"
-        " comparisons == links",
-    )
-    p.add_argument(
         "--vertices", type=_at_least(2, "at least 2 vertices"), default=1000
     )
     p.add_argument("--edges", type=_nonnegative, default=10000)
@@ -692,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strict",
         action="store_true",
-        help="also require identity-level agreement on delete-min",
+        help="also require identity-level agreement on delete-min and find-min",
     )
     p.set_defaults(func=cmd_replay)
     return parser

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
+from statistics import linear_regression
 from typing import Callable, Iterable, Iterator
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -58,11 +59,12 @@ def fib(k: int) -> int:
 
 
 def fit_exponent(points: Iterable[tuple[float, float]]) -> float:
-    """Least-squares slope of log(cost) against log(n).
+    """Least-squares slope of log(cost) against log(n), by
+    :func:`statistics.linear_regression`.
 
-    Pure closed form; needs at least three points with positive coordinates
-    and at least two distinct n values.  Exact power laws come back with
-    their exponent to well under 1e-9.
+    Needs at least three points with positive coordinates and at least two
+    distinct n values (``ValueError`` otherwise).  Exact power laws come
+    back with their exponent to well under 1e-9.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -70,14 +72,9 @@ def fit_exponent(points: Iterable[tuple[float, float]]) -> float:
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("fit requires positive coordinates")
     lx = [math.log(x) for x, _ in pts]
-    ly = [math.log(y) for _, y in pts]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    sxx = sum((a - mx) ** 2 for a in lx)
-    if sxx == 0.0:
+    if len(set(lx)) < 2:  # the regression's own test misses some equal n
         raise ValueError("fit requires at least two distinct n values")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-    return sxy / sxx
+    return linear_regression(lx, [math.log(y) for _, y in pts]).slope
 
 
 # ---------------------------------------------------------------------------

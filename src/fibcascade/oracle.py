@@ -522,7 +522,7 @@ def run_trace(
 
     def owner(i: int, name: str) -> tuple[Heap, Node]:
         node = items[name]
-        if node is None or not node.in_heap:
+        if node is None or node.parent is None:
             raise TraceError(f"op {i}: item {name!r} is in no live heap")
         h = home[name]
         if h in absorber:
@@ -611,6 +611,10 @@ def replay_ops(
     return universe, heaps
 
 
+# the verbs that answer with an item, and how a divergence says what each did
+_ANSWER = {"deletemin": "delete-min on {} removed", "findmin": "find-min on {} found"}
+
+
 def replay_differential(
     ops: Iterable[Op],
     policy: Policy | str | None = None,
@@ -625,8 +629,9 @@ def replay_differential(
     how one generated trace is replayed across all ten.  After each step the
     root key of every live heap, not only the one the step touched, is
     compared with its mirror's settled :attr:`OracleHeap.top` (quietly —
-    observation does not disturb the counters); that comparison also covers
-    what a find-min returns.  ``check_interval`` > 0 additionally runs
+    observation does not disturb the counters), and so is the item a
+    delete-min removed or a find-min found: by key, and by item too under
+    ``strict_identity``.  ``check_interval`` > 0 additionally runs
     :func:`run_checks`, looked up as this module's global on every call,
     every that-many steps, and once more at the end unless the last step was
     one of those.  The reference only observes what :func:`run_trace`
@@ -660,24 +665,26 @@ def replay_differential(
                 mirrors[op[1]] = (heap, OracleHeap())
             elif verb == "insert":
                 mirrors[op[1]][1].insert(node.uid, node.key)
-            elif verb == "deletemin":
+            elif verb in _ANSWER:
                 name = op[1]
                 mirror = mirrors[name][1]
                 pair = mirror.top
                 want = None if pair is None else pair[0]
-                if node.key != want:
+                got = None if node is None else node.key
+                if got != want:
                     return diverged(
                         i,
-                        f"delete-min on {name} removed key {node.key!r},"
+                        f"{_ANSWER[verb].format(name)} key {got!r},"
                         f" reference minimum is {want!r}",
                     )
                 if strict_identity and pair is not None and pair[1] != node.uid:
                     return diverged(
                         i,
-                        f"delete-min on {name} removed item {node.uid},"
+                        f"{_ANSWER[verb].format(name)} item {node.uid},"
                         f" reference minimum is item {pair[1]}",
                     )
-                mirror.remove(node.uid)
+                if verb == "deletemin":
+                    mirror.remove(node.uid)
             elif verb == "decreasekey":
                 mirrors[heap.name][1].decrease_key(node.uid, op[2])
             elif verb == "delete":

@@ -20,6 +20,7 @@ BENCH = str(Path(__file__).resolve().parent.parent / "benchmarks")
 sys.path.insert(0, BENCH)
 try:
     import calibration
+    import run
     import tracing
     from workloads import WORKLOADS
 finally:
@@ -51,6 +52,16 @@ def _changed(before: list[dict]) -> list[str]:
     ]
 
 
+# the seed-1 counters of each workload, as run.py digests them into
+# counters_sha256: a change that moves any counter shows here
+COUNTER_DIGESTS = {
+    "sssp": "cf3e60a3c7bdd7e0",
+    "drain": "ce37fb5236d789e8",
+    "fuzz": "4431664a0211aad1",
+    "adversary": "549897f8115bc1c8",
+}
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_runs_one_checked_round(name):
     workload = WORKLOADS[name](seed=1)
@@ -58,6 +69,7 @@ def test_workload_runs_one_checked_round(name):
     rnd = workload.run_round()
     assert rnd.failed == 0 and rnd.wrong == []
     assert rnd.ops > 0 and rnd.attempted > 0
+    assert run.digest(rnd.counters) == COUNTER_DIGESTS[name]
 
 
 def test_tracing_hooks_run_and_restore_every_attribute():

@@ -128,6 +128,7 @@ EXCLUSIVE_FLAGS = [
         *ZERO_COUNTS,
         *BAD_K_SPECS,
         ("verify", "--check"),  # verify always runs the full battery
+        ("dijkstra", "--check"),  # and dijkstra all of its checks
         ("adversary", "--m", "0"),  # a schedule needs at least 12 operations
         ("adversary", "--m", "11"),
         ("adversary", "--m", "3000", "--check"),  # the gate holds from 10^5
@@ -501,6 +502,15 @@ def test_verify_tallies_a_divergence_from_the_reference(monkeypatch, capsys):
     assert "1 divergences" in out and "[FAIL]" in out
 
 
+def test_verify_tallies_a_find_min_off_the_reference(monkeypatch, capsys):
+    # the item a find-min returns is checked, not only the heap's root
+    monkeypatch.setattr(Heap, "peek", lambda self: self.root and self.root.child)
+    code = run_cli("verify", "--policy", "simple", "--traces", "1", "--ops", "200")
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "1 divergences" in out and "[FAIL] (find-min on h" in out
+
+
 def test_verify_fault_injection_trips_the_audits(monkeypatch, capsys):
     monkeypatch.setitem(
         RULES,
@@ -700,7 +710,7 @@ def test_dijkstra_all_policies_agree(tmp_path):
     out = tmp_path / "dij.csv"
     code = run_cli(
         "dijkstra", "--vertices", "120", "--edges", "900",
-        "--policy", "all", "--out", str(out), "--check",
+        "--policy", "all", "--out", str(out),
     )
     assert code == 0
     with out.open() as fh:
@@ -724,8 +734,7 @@ def test_dijkstra_check_flags_a_comparison_that_makes_no_link(monkeypatch, capsy
 
     monkeypatch.setattr(Heap, "_cut", comparing_cut)
     code = run_cli(
-        "dijkstra", "--vertices", "60", "--edges", "300",
-        "--policy", "simple", "--check",
+        "dijkstra", "--vertices", "60", "--edges", "300", "--policy", "simple"
     )
     assert code == 1
     assert re.search(
@@ -753,8 +762,7 @@ def test_dijkstra_check_flags_a_call_count_over_its_bound(
 
     monkeypatch.setattr(fibcascade.cli, "dijkstra_policy", overcounted)
     code = run_cli(
-        "dijkstra", "--vertices", "60", "--edges", "300",
-        "--policy", "simple", "--check",
+        "dijkstra", "--vertices", "60", "--edges", "300", "--policy", "simple"
     )
     assert code == 1
     assert capsys.readouterr().err == f"dijkstra simple: FAIL {want}\n"

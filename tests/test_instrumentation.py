@@ -86,6 +86,13 @@ def test_fit_exponent_rejects_degenerate_input():
         fit_exponent([(2, 1), (2, 2), (2, 3)])  # no x spread
 
 
+def test_fit_exponent_rejects_one_n_whatever_its_mean_rounds_to():
+    # the mean of three log(6) is not log(6) in floating point, so a spread
+    # computed from the mean is not zero
+    with pytest.raises(ValueError, match="two distinct n"):
+        fit_exponent([(6, 1), (6, 2), (6, 3)])
+
+
 @given(
     st.floats(0.1, 3.0),
     st.floats(0.5, 100.0),

@@ -484,6 +484,27 @@ def test_replay_names_the_key_a_wrong_delete_min_returned(monkeypatch):
     assert verdict.step_index == 3
 
 
+def test_replay_names_the_key_a_wrong_find_min_returned(monkeypatch):
+    # a find-min that answers with the root's first child
+    monkeypatch.setattr(Heap, "peek", lambda heap: heap.root and heap.root.child)
+    ops = parse_trace(TIED.replace("b 5", "b 6").replace("deletemin", "findmin"))
+    verdict = replay_differential(ops)
+    assert verdict.divergence == "find-min on h0 found key 6, reference minimum is 5"
+    assert verdict.step_index == 3
+
+
+def test_strict_replay_names_the_item_a_tied_find_min_returned():
+    # as a tied delete-min would remove it
+    ops = parse_trace(TIED.replace("deletemin", "findmin"))
+    verdict = replay_differential(ops, policy="simple", strict_identity=True)
+    assert verdict.divergence == (
+        "find-min on h0 found item 1, reference minimum is item 0"
+    )
+    assert verdict.step_index == 3
+    assert replay_differential(ops, policy="simple").ok
+    assert replay_differential(ops, policy="classic", strict_identity=True).ok
+
+
 def test_replay_wraps_precondition_failures():
     ops = [
         ("newheap", "h0", "simple"),
