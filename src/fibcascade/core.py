@@ -284,6 +284,8 @@ class Heap:
         return self.root
 
     def _check_live(self) -> None:
+        """Raise if this heap was melded away; the operations test
+        ``self.live`` inline and call this only when it is false."""
         if not self.live:
             raise PreconditionError(f"heap {self.name!r} was consumed by a meld")
 
@@ -348,7 +350,8 @@ class Heap:
     # -- operations ---------------------------------------------------------
 
     def find_min(self) -> Node | None:
-        self._check_live()
+        if not self.live:
+            self._check_live()
         tele = self.universe.telemetry
         if tele.record_sink is None:
             return self.peek()
@@ -358,7 +361,8 @@ class Heap:
         return out
 
     def insert(self, x: Node) -> None:
-        self._check_live()
+        if not self.live:
+            self._check_live()
         if not x.live:
             raise PreconditionError(f"item {x.uid} was already removed")
         if x.in_heap:
@@ -376,8 +380,9 @@ class Heap:
             tele.op_end()
 
     def meld(self, other: "Heap") -> "Heap":
-        self._check_live()
-        other._check_live()
+        if not (self.live and other.live):
+            self._check_live()
+            other._check_live()
         if other is self:
             raise HeapError("cannot meld a heap with itself")
         if other.universe is not self.universe:
@@ -408,7 +413,8 @@ class Heap:
         self._decrease_key(x, new_key)
 
     def _decrease_key(self, x: Node, new_key: Any) -> None:
-        self._check_live()
+        if not self.live:
+            self._check_live()
         if not x.live:
             raise PreconditionError(f"item {x.uid} was already removed")
         if not x.in_heap:
@@ -427,7 +433,8 @@ class Heap:
             tele.op_end()
 
     def delete_min(self) -> Node:
-        self._check_live()
+        if not self.live:
+            self._check_live()
         if self._size == 0:
             raise PreconditionError("delete-min on an empty heap")
         tele = self.universe.telemetry

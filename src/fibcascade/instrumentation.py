@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from statistics import linear_regression
 from typing import Callable, Iterable, Iterator
 
@@ -36,9 +35,6 @@ COUNTER_FIELDS = (
     "unmarkings",
     "rank_clamps",
 )
-
-# every counter, then phi, in the order an OpRecord holds their deltas
-_snapshot = attrgetter(*COUNTER_FIELDS, "phi")
 
 
 def log_phi(n: float) -> float:
@@ -124,6 +120,9 @@ class OpRecord:
         return self.estimated_time + self.d_phi
 
 
+_new = object.__new__  # a record with its slots unset, for op_end to fill
+
+
 class Telemetry:
     """Cumulative counters plus the incrementally maintained potential.
 
@@ -143,37 +142,57 @@ class Telemetry:
             setattr(self, name, 0)
         self.phi = 0
         self.record_sink: Callable[[OpRecord], None] | None = None
-        # kind, size before and a snapshot of the counters and phi: taken by
-        # op_begin, read by the op_end that hands out the operation's record
+        # kind, size before, then every counter and phi: one flat tuple taken
+        # by op_begin, read by the op_end that hands out the operation's record
         self._op_open: tuple | None = None
 
     def counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
     def op_begin(self, kind: str, n_before: int) -> None:
-        """Open an operation's record; called only under a record sink."""
-        self._op_open = (kind, n_before, _snapshot(self))
+        """Open an operation's record; called only under a record sink.
+
+        Keeps one flat tuple: the kind, the size before, then every counter
+        and phi in the order an :class:`OpRecord` holds their deltas, each
+        read by its own slot load (cheaper than one ``attrgetter`` call).
+        """
+        self._op_open = (
+            kind,
+            n_before,
+            self.fair_links,
+            self.naive_links,
+            self.comparisons,
+            self.iterations,
+            self.cuts,
+            self.markings,
+            self.unmarkings,
+            self.rank_clamps,
+            self.phi,
+        )
 
     def op_end(self) -> None:
         """Hand the record of the operation :meth:`op_begin` opened to the
-        record sink."""
-        kind, n_before, counted = self._op_open
-        fair, naive, compared, steps, cuts, marks, unmarks, clamps, phi = counted
-        self.record_sink(
-            OpRecord(
-                kind,
-                n_before,
-                self.fair_links - fair,
-                self.naive_links - naive,
-                self.comparisons - compared,
-                self.iterations - steps,
-                self.cuts - cuts,
-                self.markings - marks,
-                self.unmarkings - unmarks,
-                self.rank_clamps - clamps,
-                self.phi - phi,
-            )
-        )
+        record sink.
+
+        The record is made bare and filled slot by slot, every field set:
+        the same record as the dataclass ``__init__`` builds, without the
+        cost of that eleven-argument call, paid once per operation.
+        """
+        (kind, n_before, fair, naive, compared, steps, cuts, marks, unmarks,
+         clamps, phi) = self._op_open
+        rec = _new(OpRecord)
+        rec.kind = kind
+        rec.n_before = n_before
+        rec.fair_links = self.fair_links - fair
+        rec.naive_links = self.naive_links - naive
+        rec.comparisons = self.comparisons - compared
+        rec.iterations = self.iterations - steps
+        rec.cuts = self.cuts - cuts
+        rec.markings = self.markings - marks
+        rec.unmarkings = self.unmarkings - unmarks
+        rec.rank_clamps = self.rank_clamps - clamps
+        rec.d_phi = self.phi - phi
+        self.record_sink(rec)
 
 
 # ---------------------------------------------------------------------------

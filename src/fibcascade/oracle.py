@@ -540,15 +540,7 @@ def run_trace(
             verb = op[0]
             heap: Heap | None = None
             node: Node | None = None
-            if verb == "newheap":
-                _, name, tag = op
-                if name in heaps or name in absorber:
-                    raise TraceError(f"op {i}: heap name {name!r} reused")
-                heap = universe.make_heap(tag if policy is None else policy, name)
-                heaps[name] = heap
-            elif verb == "item":
-                node = new_item(i, op[1], op[2])
-            elif verb == "insert":
+            if verb == "insert":
                 name = op[2]
                 node = new_item(i, name, op[3]) if len(op) == 4 else items[name]
                 if node is None:
@@ -558,14 +550,17 @@ def run_trace(
                 heap = heaps[op[1]]
                 heap.insert(node)
                 home[name] = op[1]
+            elif verb == "decreasekey":
+                heap, node = owner(i, op[1])
+                heap.decrease_key(node, op[2])
             elif verb == "deletemin":
                 heap = heaps[op[1]]
                 node = heap.delete_min()
                 items[node.info] = None  # every item is made with its name
                 del home[node.info]
-            elif verb == "decreasekey":
-                heap, node = owner(i, op[1])
-                heap.decrease_key(node, op[2])
+            elif verb == "findmin":
+                heap = heaps[op[1]]
+                node = heap.find_min()
             elif verb == "delete":
                 heap, node = owner(i, op[1])
                 heap.delete(node)
@@ -576,9 +571,14 @@ def run_trace(
                 heap.meld(heaps[op[2]])
                 del heaps[op[2]]
                 absorber[op[2]] = op[1]
-            elif verb == "findmin":
-                heap = heaps[op[1]]
-                node = heap.find_min()
+            elif verb == "newheap":
+                _, name, tag = op
+                if name in heaps or name in absorber:
+                    raise TraceError(f"op {i}: heap name {name!r} reused")
+                heap = universe.make_heap(tag if policy is None else policy, name)
+                heaps[name] = heap
+            elif verb == "item":
+                node = new_item(i, op[1], op[2])
             else:
                 raise TraceError(f"op {i}: unknown verb {verb!r}")
             yield i, op, heap, node
@@ -661,10 +661,10 @@ def replay_differential(
     try:
         for i, op, heap, node in run_trace(ops, universe, heaps, policy):
             verb = op[0]
-            if verb == "newheap":
-                mirrors[op[1]] = (heap, OracleHeap())
-            elif verb == "insert":
+            if verb == "insert":
                 mirrors[op[1]][1].insert(node.uid, node.key)
+            elif verb == "decreasekey":
+                mirrors[heap.name][1].decrease_key(node.uid, op[2])
             elif verb in _ANSWER:
                 name = op[1]
                 mirror = mirrors[name][1]
@@ -685,13 +685,13 @@ def replay_differential(
                     )
                 if verb == "deletemin":
                     mirror.remove(node.uid)
-            elif verb == "decreasekey":
-                mirrors[heap.name][1].decrease_key(node.uid, op[2])
             elif verb == "delete":
                 mirrors[heap.name][1].remove(node.uid)
             elif verb == "meld":
                 mirrors[op[1]][1].meld(mirrors.pop(op[2])[1])
-            verdict.steps += 1
+            elif verb == "newheap":
+                mirrors[op[1]] = (heap, OracleHeap())
+            verdict.steps = i + 1
             for name, (live, mirror) in mirrors.items():  # not just this op's
                 least = live.root
                 got = None if least is None else least.key

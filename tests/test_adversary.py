@@ -118,15 +118,16 @@ def test_a_finished_schedule_is_freed_by_reference_count():
 def test_est_total_sums_the_replayed_records_and_inserts_build_none(
     monkeypatch,
 ):
+    # op_begin opens each record, once per record and only under a sink
     built = []
-    real = instrumentation.OpRecord
+    real = instrumentation.Telemetry.op_begin
 
-    def counted(*args):
-        built.append(args[0])
-        return real(*args)
+    def counted(tele, kind, n_before):
+        built.append(kind)
+        real(tele, kind, n_before)
 
     with monkeypatch.context() as patch:
-        patch.setattr(instrumentation, "OpRecord", counted)
+        patch.setattr(instrumentation.Telemetry, "op_begin", counted)
         builder = run_lower_bound(3000, recording=True)
     verbs = [op[0] for op in builder.trace]
     assert built.count("delete-min") == verbs.count("deletemin") > 0

@@ -389,11 +389,12 @@ def test_verify_clean_policy_exits_0(capsys):
 
 
 def test_verify_builds_no_records_without_out(monkeypatch, capsys):
-    # with no row to write, a policy without the auditor needs no sink
+    # with no row to write, a policy without the auditor needs no sink, and
+    # without a sink no operation opens a record
     def no_records(*args):
-        raise AssertionError("an op record was built")
+        raise AssertionError("an op record was opened")
 
-    monkeypatch.setattr(fibcascade.instrumentation, "OpRecord", no_records)
+    monkeypatch.setattr(fibcascade.instrumentation.Telemetry, "op_begin", no_records)
     code = run_cli("verify", "--policy", "classic", "--traces", "2", "--ops", "200")
     assert code == 0
     assert "[ok]" in capsys.readouterr().out
@@ -837,13 +838,14 @@ def test_replay_check_names_the_failing_op(tmp_path, monkeypatch, capsys):
 
 
 def test_replay_builds_no_records_without_out(tmp_path, monkeypatch, capsys):
-    # with no row to write, a replay needs no sink
+    # with no row to write, a replay needs no sink, and without a sink no
+    # operation opens a record
     def no_records(*args):
-        raise AssertionError("an op record was built")
+        raise AssertionError("an op record was opened")
 
     path = tmp_path / "t.trace"
     path.write_text(TRACE)
-    monkeypatch.setattr(fibcascade.instrumentation, "OpRecord", no_records)
+    monkeypatch.setattr(fibcascade.instrumentation.Telemetry, "op_begin", no_records)
     assert run_cli("replay", str(path), "--policy", "classic", "--check") == 0
     assert "6 ops ok (classic)" in capsys.readouterr().out
 

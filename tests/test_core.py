@@ -225,6 +225,34 @@ def test_meld_keeps_the_smaller_root_and_consumes_the_other():
         h2.insert(u.make_item(1))
 
 
+# every entry point, called on (or, for meld, with) the consumed heap; x is
+# its item, which went to the absorber, and spare an item in no heap
+_ON_CONSUMED = {
+    "find_min": lambda gone, live, x, spare: gone.find_min(),
+    "insert": lambda gone, live, x, spare: gone.insert(spare),
+    "meld-absorbed": lambda gone, live, x, spare: live.meld(gone),
+    "meld-absorber": lambda gone, live, x, spare: gone.meld(live),
+    "decrease_key": lambda gone, live, x, spare: gone.decrease_key(x, 0),
+    "delete": lambda gone, live, x, spare: gone.delete(x),
+    "delete_min": lambda gone, live, x, spare: gone.delete_min(),
+}
+
+
+@pytest.mark.parametrize("entry", _ON_CONSUMED)
+def test_every_operation_on_a_consumed_heap_names_it(entry):
+    u = Universe()
+    absorber = u.make_heap(Policy.SIMPLE)
+    gone = u.make_heap(Policy.SIMPLE)
+    live = u.make_heap(Policy.SIMPLE)
+    x = u.make_item(5)
+    gone.insert(x)
+    live.insert(u.make_item(7))
+    absorber.meld(gone)
+    with pytest.raises(PreconditionError, match="^heap 'h1' was consumed by a meld$"):
+        _ON_CONSUMED[entry](gone, live, x, u.make_item(1))
+    assert x.key == 5 and len(absorber) == 1 and len(live) == 1
+
+
 def test_meld_rejects_self_and_mismatches():
     u = Universe()
     h1 = u.make_heap(Policy.SIMPLE)

@@ -15,7 +15,6 @@ import struct
 
 import pytest
 
-import fibcascade.instrumentation
 from fibcascade import POLICY_TAGS, Policy, Universe
 from fibcascade.cli import dijkstra_policy, gen_graph
 from fibcascade.instrumentation import COUNTER_FIELDS, Telemetry
@@ -98,6 +97,24 @@ DRAIN_SHAPE_PINS = {
     "classic": "1aeba05a3136c6d1",
 }
 
+# sha256 (first 16 hex digits) of every record of _TRACE's replay, in order:
+# its kind, then n_before, each counter delta in COUNTER_FIELDS order and
+# d_phi; taken before op_begin read the counters slot by slot and op_end
+# filled the record field by field.  These pin which operation each delta
+# lands in, which the sums over a trace do not see
+RECORD_STREAM_PINS = {
+    "simple": "c7bbb1ba77f3a333",
+    "heap-order": "3923641733568b49",
+    "increasing-rank": "d5ec51c16ee5a793",
+    "passive-child": "ca2089a607cad8ee",
+    "eager": "397ebd9b9644de4d",
+    "naive-increasing": "fe4cfc1acbb35c45",
+    "zero-rank": "bfef668a9755db15",
+    "randomized": "a3746b6461d687d2",
+    "non-cascading": "908a217520899b71",
+    "classic": "f3013b3021084031",
+}
+
 _TRACE = gen_trace(400, seed=11)
 
 
@@ -129,7 +146,7 @@ def _add_shapes(universe, digest) -> None:
 def test_pins_cover_every_policy():
     assert set(TRACE_PINS) == set(DIJKSTRA_PINS) == set(POLICY_TAGS)
     assert set(DRAIN_PINS) == set(TRACE_SHAPE_PINS) == set(POLICY_TAGS)
-    assert set(DRAIN_SHAPE_PINS) == set(POLICY_TAGS)
+    assert set(DRAIN_SHAPE_PINS) == set(RECORD_STREAM_PINS) == set(POLICY_TAGS)
     assert tuple(Universe().telemetry.counters()) == COUNTER_FIELDS
 
 
@@ -196,12 +213,25 @@ def test_drain_shapes_are_pinned(tag):
     assert digest.hexdigest()[:16] == DRAIN_SHAPE_PINS[tag]
 
 
+@pytest.mark.parametrize("tag", POLICY_TAGS)
+def test_record_streams_are_pinned(tag):
+    digest = hashlib.sha256()
+
+    def add(rec):
+        digest.update(rec.kind.encode() + b";")
+        fields = (getattr(rec, f) for f in COUNTER_FIELDS)
+        digest.update(struct.pack("<10q", rec.n_before, *fields, rec.d_phi))
+
+    replay_ops(_TRACE, policy=tag, seed=2, record_sink=add)
+    assert digest.hexdigest()[:16] == RECORD_STREAM_PINS[tag]
+
+
 def test_no_record_is_built_without_a_sink(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a record was opened or built with no sink attached")
 
-    monkeypatch.setattr(fibcascade.instrumentation, "OpRecord", forbidden)
-    # without a sink the heap operations call no record boundary at all
+    # without a sink the heap operations call no record boundary at all, and
+    # op_end is the one place a heap operation's record is built
     monkeypatch.setattr(Telemetry, "op_begin", forbidden)
     monkeypatch.setattr(Telemetry, "op_end", forbidden)
     for tag in POLICY_TAGS:
