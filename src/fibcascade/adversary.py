@@ -73,7 +73,8 @@ class _KeyAllocator:
     Low zone: an ascending counter striding by 2**24, below the high zone;
     each stride ceiling is handed to a node that must sit directly above the
     root (a promoted S_0 or a re-pulled leaf), leaving the 2**24 - 1 keys
-    underneath for the steady rounds' inserts, which go root_key + 1, +2, ...
+    underneath for the steady rounds' inserts, each keyed the root's key + 1
+    (the previous round's insert is the root).
 
     High zone (from 2**50): broom keys.  Each phase's new S_1 root tops all
     previous high keys by a 2**20 stride; conversion pairs for rebuilding
@@ -84,8 +85,6 @@ class _KeyAllocator:
 
     def __init__(self) -> None:
         self._low = 0
-        self._round_cursor: int | None = None
-        self._round_limit = 0
         self._rung_top = RUNG_BASE
         self._gap_next: dict[int, int] = {}
 
@@ -94,24 +93,6 @@ class _KeyAllocator:
             raise ShapeError(f"low-zone keys exhausted at {self._low}")
         self._low += SIGMA_STRIDE
         return self._low
-
-    def start_rounds(self, root_key: int, ceiling: int) -> None:
-        if not root_key < ceiling:
-            raise ShapeError(
-                f"round window is empty: root {root_key} !< ceiling {ceiling}"
-            )
-        self._round_cursor = root_key + 1
-        self._round_limit = ceiling
-
-    def round_key(self) -> int:
-        assert self._round_cursor is not None, "start_rounds was never called"
-        key = self._round_cursor
-        if key >= self._round_limit:
-            raise ShapeError(
-                f"steady-round keys exhausted at {key} (limit {self._round_limit})"
-            )
-        self._round_cursor += 1
-        return key
 
     def top_rung_pair(self) -> tuple[int, int]:
         kappa = self._rung_top + RUNG_STRIDE
@@ -425,20 +406,26 @@ class AdversaryBuilder:
     # -- the steady cycle ---------------------------------------------------
 
     def start_rounds(self) -> None:
+        """Refuse to start rounds unless the root's key is below S_0's."""
         assert self.s0 is not None and self.heap.root is not None
-        self.alloc.start_rounds(self.heap.root.key, self.s0.key)
+        root_key, ceiling = self.heap.root.key, self.s0.key
+        if not root_key < ceiling:
+            raise ShapeError(
+                f"round window is empty: root {root_key} !< ceiling {ceiling}"
+            )
 
     def steady_round(self, verify: bool = True) -> OpRecord:
-        """Insert just above the root, delete-min, land on the same shape;
-        return the delete-min's record (the insert's one naive link and one
-        comparison are in the telemetry's counters, not in this record)."""
+        """Insert keyed the root's key + 1, delete-min, land on the same
+        shape, with the insert as the new root; return the delete-min's
+        record (the insert's one naive link and one comparison are in the
+        telemetry's counters, not in this record)."""
         heap = self.heap
         k = self.k
         old_root = heap.root
         sigma = self.s0
         assert old_root is not None and sigma is not None
-        key = self.alloc.round_key()
-        if not old_root.key < key < sigma.key:
+        key = old_root.key + 1
+        if key >= sigma.key:
             raise ShapeError(
                 "round key must fall between the root and everything else"
             )

@@ -150,19 +150,18 @@ _ABSENT = object()  # the _settle lookup's default: equal to no key
 # ---------------------------------------------------------------------------
 # trace text format
 
+# verb -> (argument count, the count at which the last argument is an
+# integer key, or None); an insert takes 2 arguments, or 3 with an inline key
 _VERBS = {
-    "newheap": 2,
-    "item": 2,
-    "insert": 2,  # or 3 with an inline key
-    "deletemin": 1,
-    "decreasekey": 2,
-    "delete": 1,
-    "meld": 2,
-    "findmin": 1,
+    "newheap": (2, None),
+    "item": (2, 2),
+    "insert": (2, 3),
+    "deletemin": (1, None),
+    "decreasekey": (2, 2),
+    "delete": (1, None),
+    "meld": (2, None),
+    "findmin": (1, None),
 }
-
-# the argument count at which a verb's last argument is an integer key
-_KEY_AT = {"item": 2, "decreasekey": 2, "insert": 3}
 # ASCII signed decimals: bare int() would also take 1_000 and non-ASCII digits
 _DECIMAL = re.compile(r"[+-]?[0-9]+").fullmatch
 
@@ -190,15 +189,16 @@ def iter_trace(lines: Iterable[str]) -> Iterator[Op]:
         if not parts:
             continue
         verb = parts[0]
-        want = _VERBS.get(verb)
-        if want is None:
+        arity = _VERBS.get(verb)
+        if arity is None:
             raise TraceError(f"line {lineno}: unknown verb {verb!r}")
+        want, key_at = arity
         argc = len(parts) - 1
-        if argc != want and not (verb == "insert" and argc == 3):
+        if argc != want and argc != key_at:
             raise TraceError(
                 f"line {lineno}: {verb} takes {want} arguments, got {argc}"
             )
-        if _KEY_AT.get(verb) == argc:
+        if argc == key_at:
             key = parts.pop()
             if not _DECIMAL(key):
                 raise TraceError(
@@ -232,6 +232,7 @@ TRACE_WEIGHTS = {
     "meld": 4,
     "newheap": 6,
 }
+MAX_HEAPS = 4  # heaps a trace creates, melded ones included
 KEY_SPAN = 1 << 40  # inserted keys are drawn from [-KEY_SPAN, KEY_SPAN)
 DECREMENT_SPAN = 1 << 20  # a decrease-key lowers a key by 1..DECREMENT_SPAN
 
@@ -265,16 +266,16 @@ class _ModelHeap(OracleHeap):
         super().meld(other)
 
 
-def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
+def gen_trace(n_ops: int, seed: int = 0) -> list[Op]:
     """Generate a random, precondition-respecting trace; same arguments =>
     same trace.
 
     The trace has exactly ``n_ops`` lines.  Verbs are drawn by
     :data:`TRACE_WEIGHTS`, and a draw whose precondition fails is written as
-    an insert.  Every ``newheap`` line names ``simple``: callers choose the
-    policy at replay, so one trace serves all ten.  Generated keys are
-    globally unique so that the trace is valid under every tie-breaking
-    choice a policy might make.
+    an insert, as is a ``newheap`` past :data:`MAX_HEAPS` heaps.  Every
+    ``newheap`` line names ``simple``: callers choose the policy at replay,
+    so one trace serves all ten.  Generated keys are globally unique so that
+    the trace is valid under every tie-breaking choice a policy might make.
     """
     if n_ops < 0:
         raise TraceError("n_ops must be nonnegative")
@@ -294,7 +295,7 @@ def gen_trace(n_ops: int, seed: int = 0, max_heaps: int = 4) -> list[Op]:
 
     for _ in range(n_ops - 1):
         verb = rng.choices(verbs, weights)[0]
-        if verb == "newheap" and n_heaps < max_heaps:
+        if verb == "newheap" and n_heaps < MAX_HEAPS:
             h = f"h{n_heaps}"
             n_heaps += 1
             members[h] = _ModelHeap()

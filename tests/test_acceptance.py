@@ -13,13 +13,12 @@ import pytest
 from fibcascade import Policy
 from fibcascade.adversary import (
     AdversaryBuilder,
-    replay_ops,
     run_lower_bound,
     steady_tree_size,
 )
 from fibcascade.cli import dijkstra_policy, dijkstra_reference, gen_graph
 from fibcascade.instrumentation import AmortizedAuditor, fit_exponent
-from fibcascade.oracle import gen_trace, replay_differential
+from fibcascade.oracle import gen_trace, replay_differential, replay_ops
 
 from _reference import (
     active_children_violations,

@@ -22,13 +22,12 @@ from fibcascade.adversary import (
     _KeyAllocator,
     build_ops_needed,
     max_k_within,
-    replay_ops,
     run_lower_bound,
     steady_tree_size,
     verify_t_shape,
 )
 from fibcascade.instrumentation import log_phi
-from fibcascade.oracle import format_trace
+from fibcascade.oracle import format_trace, replay_ops
 
 
 def test_shape_sizes():
@@ -216,15 +215,15 @@ def test_low_zone_overflow_raises_shape_error():
 
 
 def test_key_allocator_failures_name_their_window():
+    # the round window is the builder's: the keys between the root and S_0
+    builder, root = _built(3)
+    builder.s0.key = root.key
+    with pytest.raises(ShapeError) as err:
+        builder.start_rounds()
+    assert str(err.value) == (
+        f"round window is empty: root {root.key} !< ceiling {root.key}"
+    )
     alloc = _KeyAllocator()
-    with pytest.raises(ShapeError) as err:
-        alloc.start_rounds(5, 5)
-    assert str(err.value) == "round window is empty: root 5 !< ceiling 5"
-    alloc.start_rounds(0, 2)
-    assert alloc.round_key() == 1
-    with pytest.raises(ShapeError) as err:
-        alloc.round_key()
-    assert str(err.value) == "steady-round keys exhausted at 2 (limit 2)"
     with pytest.raises(ShapeError) as err:
         alloc.gap_pair(100, 103)  # the gap's first pair is 102, 103
     assert str(err.value) == "conversion pair 102,103 does not fit below 103"
@@ -315,9 +314,10 @@ def _round_error(builder):
 
 
 def test_steady_round_refuses_a_key_off_its_window():
+    # S_0 just above the root leaves no key for the round's insert
     builder, root = _built(3)
     builder.start_rounds()
-    builder.alloc._round_cursor = root.key
+    builder.s0.key = root.key + 1
     assert _round_error(builder) == (
         "round key must fall between the root and everything else"
     )

@@ -130,6 +130,38 @@ def test_parse_rejections(line, fragment):
         read_as_lines(line)
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        # every verb with one argument too few and one too many
+        ("newheap h0", "newheap takes 2 arguments, got 1"),
+        ("newheap h0 simple x", "newheap takes 2 arguments, got 3"),
+        ("item x0", "item takes 2 arguments, got 1"),
+        ("item x0 1 2", "item takes 2 arguments, got 3"),
+        ("insert h0", "insert takes 2 arguments, got 1"),
+        ("insert h0 x0 1 2", "insert takes 2 arguments, got 4"),
+        ("deletemin", "deletemin takes 1 arguments, got 0"),
+        ("deletemin h0 h1", "deletemin takes 1 arguments, got 2"),
+        ("decreasekey x0", "decreasekey takes 2 arguments, got 1"),
+        ("decreasekey x0 1 2", "decreasekey takes 2 arguments, got 3"),
+        ("delete", "delete takes 1 arguments, got 0"),
+        ("delete x0 x1", "delete takes 1 arguments, got 2"),
+        ("meld h0", "meld takes 2 arguments, got 1"),
+        ("meld h0 h1 h2", "meld takes 2 arguments, got 3"),
+        ("findmin", "findmin takes 1 arguments, got 0"),
+        ("findmin h0 h1", "findmin takes 1 arguments, got 2"),
+        # the verbs whose last argument is a key
+        ("item x0 k", "item argument 2 must be an integer, got 'k'"),
+        ("decreasekey x0 k", "decreasekey argument 2 must be an integer, got 'k'"),
+        ("insert h0 x0 k", "insert argument 3 must be an integer, got 'k'"),
+    ],
+)
+def test_parse_arity_table_is_pinned(line, message):
+    with pytest.raises(TraceError) as err:
+        parse_trace(f"# header\n{line}")
+    assert str(err.value) == f"line 2: {message}"
+
+
 def test_every_policy_tag_parses():
     for tag in POLICY_TAGS:
         assert parse_trace(f"newheap h0 {tag}") == [("newheap", "h0", tag)]
@@ -186,14 +218,15 @@ def test_profile_validation():
         gen_trace(-1)
 
 
-def test_gen_trace_output_is_pinned():
+def test_gen_trace_output_is_pinned(monkeypatch):
     # the acceptance corpora are generated traces: they must not move by a
     # byte (a zero-op trace is empty)
     digest = hashlib.sha256()
     for seed in range(8):
         for n_ops in (0, 1, 51, 1000):
             for max_heaps in (4, 6):
-                ops = gen_trace(n_ops, seed=seed, max_heaps=max_heaps)
+                monkeypatch.setattr(fibcascade.oracle, "MAX_HEAPS", max_heaps)
+                ops = gen_trace(n_ops, seed=seed)
                 digest.update(format_trace(ops).encode())
     assert digest.hexdigest() == (
         "3b806dc1061ca45c8b261afc0fa1cff8bdae090474ccdbca0aa5f5ee1244e8cc"
@@ -837,9 +870,10 @@ def _compare_checks(ops, policy, every):
 
 
 @pytest.mark.parametrize("tag", POLICY_TAGS)
-def test_run_checks_matches_the_checkers_on_generated_states(tag):
+def test_run_checks_matches_the_checkers_on_generated_states(monkeypatch, tag):
+    monkeypatch.setattr(fibcascade.oracle, "MAX_HEAPS", 6)
     for seed in range(3):
-        ops = gen_trace(300, seed=seed, max_heaps=6)
+        ops = gen_trace(300, seed=seed)
         assert any(op[0] == "meld" for op in ops)
         assert _compare_checks(ops, tag, every=3) == 0
 
@@ -850,9 +884,10 @@ def test_run_checks_matches_the_checkers_on_undersized_trees(monkeypatch):
         Policy.INCREASING_RANK,
         RULES[Policy.INCREASING_RANK]._replace(walk=guarded_increasing_rank),
     )
+    monkeypatch.setattr(fibcascade.oracle, "MAX_HEAPS", 6)
     failing = 0
     for seed in range(2):
-        ops = gen_trace(1000, seed=seed, max_heaps=6)
+        ops = gen_trace(1000, seed=seed)
         failing += _compare_checks(ops, "increasing-rank", every=5)
     assert failing > 20
 
@@ -864,8 +899,9 @@ def test_run_checks_matches_the_checkers_without_unmarking(monkeypatch, tag):
         step = _guarded(step)
     policy = Policy(tag)
     monkeypatch.setitem(RULES, policy, RULES[policy]._replace(walk=step))
+    monkeypatch.setattr(fibcascade.oracle, "MAX_HEAPS", 6)
     for seed in range(2):
-        ops = gen_trace(600, seed=seed, max_heaps=6)
+        ops = gen_trace(600, seed=seed)
         _compare_checks(ops, tag, every=3)
 
 

@@ -15,8 +15,7 @@ import pytest
 
 import fibcascade
 from fibcascade import MARKED, PASSIVE, POLICY_TAGS, Heap, Policy, UNMARKED, Universe
-from fibcascade.adversary import replay_ops
-from fibcascade.oracle import gen_trace, parse_trace, replay_differential
+from fibcascade.oracle import gen_trace, parse_trace, replay_differential, replay_ops
 from fibcascade.policies import RULES
 
 from _reference import rank_bound_violations
