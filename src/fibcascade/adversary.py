@@ -406,30 +406,25 @@ class AdversaryBuilder:
     # -- the steady cycle ---------------------------------------------------
 
     def start_rounds(self) -> None:
-        """Refuse to start rounds unless the root's key is below S_0's."""
+        """Refuse unless a round can run now: its key, the root's key + 1,
+        must fall below S_0's.  Every steady round makes this check first."""
         assert self.s0 is not None and self.heap.root is not None
-        root_key, ceiling = self.heap.root.key, self.s0.key
-        if not root_key < ceiling:
-            raise ShapeError(
-                f"round window is empty: root {root_key} !< ceiling {ceiling}"
-            )
-
-    def steady_round(self, verify: bool = True) -> OpRecord:
-        """Insert keyed the root's key + 1, delete-min, land on the same
-        shape, with the insert as the new root; return the delete-min's
-        record (the insert's one naive link and one comparison are in the
-        telemetry's counters, not in this record)."""
-        heap = self.heap
-        k = self.k
-        old_root = heap.root
-        sigma = self.s0
-        assert old_root is not None and sigma is not None
-        key = old_root.key + 1
-        if key >= sigma.key:
+        if self.heap.root.key + 1 >= self.s0.key:
             raise ShapeError(
                 "round key must fall between the root and everything else"
             )
-        fresh = self._insert(key)
+
+    def steady_round(self, verify: bool = True) -> OpRecord:
+        """Check the window (:meth:`start_rounds`), insert keyed the root's
+        key + 1, delete-min, land on the same shape, with the insert as the
+        new root; return the delete-min's record (the insert's one naive
+        link and one comparison are in the telemetry's counters, not in this
+        record)."""
+        self.start_rounds()
+        heap = self.heap
+        k = self.k
+        old_root = heap.root
+        fresh = self._insert(old_root.key + 1)
         removed = self._delete_min()
         rec = self._last
         if removed is not old_root:
@@ -446,7 +441,6 @@ class AdversaryBuilder:
         return rec
 
     def run_rounds(self, rounds: int) -> list[OpRecord]:
-        self.start_rounds()
         return [self.steady_round() for _ in range(rounds)]
 
 
@@ -477,7 +471,6 @@ def run_lower_bound(m: int, recording: bool = False) -> AdversaryBuilder:
     builder = AdversaryBuilder(recording=recording)
     builder.build(max_k_within(m / 3))
     rounds = (m - builder.op_count) // 2
-    builder.start_rounds()
     for r in range(rounds):
         verify = r < VERIFY_ROUNDS or r >= rounds - VERIFY_ROUNDS
         builder.steady_round(verify=verify)

@@ -297,8 +297,9 @@ class Heap:
         A naive link leaves all ranks alone and costs no potential at all;
         the loser's state is adjusted where the policy calls for it.  Fair
         links happen only in :meth:`_fill_registry`.  This is the link of
-        insert, meld and decrease-key; delete-min's root pass
-        (:meth:`_remove_min`) writes the same splice inline.
+        insert and meld; the single-tree decrease-key's relink splice
+        (:meth:`_relink`) and delete-min's root pass (:meth:`_remove_min`)
+        write the same splice inline.
         """
         tele = self.universe.telemetry
         tele.comparisons += 1
@@ -322,7 +323,8 @@ class Heap:
         return winner
 
     def _cut(self, x: Node) -> None:
-        """Detach x from its parent; x becomes a root (phi net zero)."""
+        """Detach x from its parent; x becomes a root (phi net zero).
+        ``classic``'s cut; the single-tree rows cut in :meth:`_relink`."""
         tele = self.universe.telemetry
         tele.cuts += 1
         y = x.parent
@@ -335,6 +337,52 @@ class Heap:
         x.before = None
         x.after = None
         x.parent = x
+
+    def _relink(self, x: Node) -> None:
+        """Detach non-root x and naive-link it against the root in one
+        splice: the single-tree decrease-key's cut.
+
+        The counters, the loser's state and its ``active`` flag move as
+        :meth:`_cut` then :meth:`_add_root` would move them (one cut, one
+        comparison, one naive link, phi net zero), with x the first link
+        argument, so x wins ties; the splice is :meth:`_link`'s, written
+        inline as delete-min's passes write theirs.
+        """
+        tele = self.universe.telemetry
+        tele.cuts += 1
+        tele.comparisons += 1
+        tele.naive_links += 1
+        # detach x; the first child is the one with no back-link
+        before = x.before
+        after = x.after
+        if before is None:
+            x.parent.child = after
+        else:
+            before.after = after
+        if after is not None:
+            after.before = before
+        root = self.root
+        if x.key > root.key:
+            loser = x
+            x.parent = root
+        else:
+            loser = root
+            root.parent = x
+            x.parent = x
+            x.before = None
+            x.after = None
+            self.root = root = x
+        # splice the loser in as the root's first child
+        z = root.child
+        loser.before = None
+        loser.after = z
+        if z is not None:
+            z.before = loser
+        root.child = loser
+        state = self._naive_loser_state
+        if state is not None and loser.state != state:
+            set_state(loser, state, tele)
+        loser.active = False
 
     def _destroy(self, node: Node) -> None:
         """Remove a childless root from the universe and settle its phi."""

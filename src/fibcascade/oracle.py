@@ -385,24 +385,27 @@ def _walk_checks(heap: Heap) -> tuple[list[str], list[str], list[str], int]:
     short: list[str] = []
     idle: list[str] = []
     phi = 0
-    seen: set[Node] = set()
+    pos: dict[Node, int] = {}  # each node reached, by its walk position
+    n = 0
     for root in heap.iter_roots():
         phi += 1  # each root contributes one
         if root.parent is not root:
             bad.append(f"node {root.uid}: root is not its own parent")
         if root.before is not None or root.after is not None:
             bad.append(f"node {root.uid}: root has a sibling link")
-        order = []
+        ranked = []  # this tree's nodes of positive rank, in walk order
         stack = [root]
         while stack:
             node = stack.pop()
-            if node in seen:
+            if node in pos:
                 bad.append(f"node {node.uid} reachable twice")
                 continue
-            seen.add(node)
-            order.append(node)
+            pos[node] = n
+            n += 1
             rank = node.rank
-            if rank < 0:
+            if rank > 0:
+                ranked.append(node)
+            elif rank < 0:
                 bad.append(f"node {node.uid}: negative rank {rank}")
             key = node.key
             d = 0
@@ -439,21 +442,24 @@ def _walk_checks(heap: Heap) -> tuple[list[str], list[str], list[str], int]:
                 idle.append(f"node {node.uid}: {live} active children < rank {rank}")
         if floor is not None:
             # each subtree is a run of the walk, which visits a node's first
-            # child last: a subtree ends where the one of that child ends (a
-            # node whose first child this tree did not walk later is alone)
-            ends: dict[Node, int] = {}
-            i = len(order)
-            for node in reversed(order):
-                i -= 1
-                end = ends[node] = ends.get(node.child, i + 1)
+            # child last: a subtree ends where the one of that child ends, so
+            # at the end of its chain of first children, each reached later
+            # than its parent (a first child reached earlier, or never, ends
+            # the chain); only a positive rank asks for more than size 1
+            for node in reversed(ranked):
+                i = last = pos[node]
+                child = node.child
+                while (at := pos.get(child, -1)) > last:
+                    last = at
+                    child = child.child
                 rank = node.rank
-                if rank > 0 and end - i < floor(rank):  # rank 0 asks for 1
+                if last + 1 - i < floor(rank):
                     short.append(
-                        f"node {node.uid}: size {end - i} < bound {floor(rank)}"
-                        f" for rank {rank}"
+                        f"node {node.uid}: size {last + 1 - i} < bound"
+                        f" {floor(rank)} for rank {rank}"
                     )
-    if len(seen) != len(heap):
-        bad.append(f"size {len(heap)} != {len(seen)} nodes reached")
+    if len(pos) != len(heap):
+        bad.append(f"size {len(heap)} != {len(pos)} nodes reached")
     if cut:
         bad[:0] = cut
     return bad, short, idle, phi
@@ -515,12 +521,6 @@ def run_trace(
     home: dict[str, str] = {}  # live item -> the heap it went into, or its absorber
     absorber: dict[str, str] = {}  # melded-away heap -> the heap that took it
 
-    def new_item(i: int, name: str, key: Any) -> Node:
-        if name in items:
-            raise TraceError(f"op {i}: item name {name!r} reused")
-        items[name] = universe.make_item(key, info=name)
-        return items[name]
-
     def owner(i: int, name: str) -> tuple[Heap, Node]:
         node = items[name]
         if node is None or node.parent is None:
@@ -543,16 +543,26 @@ def run_trace(
             node: Node | None = None
             if verb == "insert":
                 name = op[2]
-                node = new_item(i, name, op[3]) if len(op) == 4 else items[name]
-                if node is None:
-                    raise TraceError(f"op {i}: item {name!r} was already removed")
-                if node.parent is not None:
-                    raise TraceError(f"op {i}: item {name!r} is already in a heap")
+                if len(op) == 4:  # declares the item
+                    if name in items:
+                        raise TraceError(f"op {i}: item name {name!r} reused")
+                    node = items[name] = universe.make_item(op[3], info=name)
+                else:
+                    node = items[name]
+                    if node is None:
+                        raise TraceError(f"op {i}: item {name!r} was already removed")
+                    if node.parent is not None:
+                        raise TraceError(f"op {i}: item {name!r} is already in a heap")
                 heap = heaps[op[1]]
                 heap.insert(node)
                 home[name] = op[1]
             elif verb == "decreasekey":
-                heap, node = owner(i, op[1])
+                # the item's home heap while that heap is live; owner()
+                # follows meld chains and raises for an item in no heap
+                node = items[op[1]]
+                heap = heaps.get(home.get(op[1]))
+                if heap is None or node.parent is None:
+                    heap, node = owner(i, op[1])
                 heap.decrease_key(node, op[2])
             elif verb == "deletemin":
                 heap = heaps[op[1]]
@@ -579,7 +589,10 @@ def run_trace(
                 heap = universe.make_heap(tag if policy is None else policy, name)
                 heaps[name] = heap
             elif verb == "item":
-                node = new_item(i, op[1], op[2])
+                name = op[1]
+                if name in items:
+                    raise TraceError(f"op {i}: item name {name!r} reused")
+                node = items[name] = universe.make_item(op[2], info=name)
             else:
                 raise TraceError(f"op {i}: unknown verb {verb!r}")
             yield i, op, heap, node
@@ -635,12 +648,14 @@ def replay_differential(
     ``strict_identity``.  ``check_interval`` > 0 additionally runs
     :func:`run_checks`, looked up as this module's global on every call,
     every that-many steps, and once more at the end unless the last step was
-    one of those.  The reference only observes what :func:`run_trace`
-    yields.  ``record_sink`` is attached to the universe only while the
-    replay runs, however it ends: a finished universe is cyclic garbage
-    (each root is its own parent), and would keep the sink alive until a
-    full collection.
+    one of those; a negative ``check_interval`` is a :class:`ValueError`.
+    The reference only observes what :func:`run_trace` yields.
+    ``record_sink`` is attached to the universe only while the replay runs,
+    however it ends: a finished universe is cyclic garbage (each root is its
+    own parent), and would keep the sink alive until a full collection.
     """
+    if check_interval < 0:
+        raise ValueError(f"check_interval must be nonnegative, got {check_interval}")
     tag = "recorded" if policy is None else Policy.from_tag(policy).value
     universe = Universe(seed=seed)
     heaps: dict[str, Heap] = {}
@@ -658,6 +673,7 @@ def replay_differential(
             verdict.step_index = i
         return bool(verdict.check_failures)
 
+    next_check = check_interval - 1  # the step index of the next check
     universe.telemetry.record_sink = record_sink
     try:
         for i, op, heap, node in run_trace(ops, universe, heaps, policy):
@@ -693,20 +709,26 @@ def replay_differential(
             elif verb == "newheap":
                 mirrors[op[1]] = (heap, OracleHeap())
             verdict.steps = i + 1
-            for name, (live, mirror) in mirrors.items():  # not just this op's
+            for live, mirror in mirrors.values():  # not just this op's
                 least = live.root
-                got = None if least is None else least.key
                 pair = mirror.top
+                if least is None or pair is None:
+                    if least is pair:  # both empty
+                        continue
+                elif least.key == pair[0]:
+                    continue
+                got = None if least is None else least.key
                 want = None if pair is None else pair[0]
-                if got != want:
-                    return diverged(
-                        i,
-                        f"after {' '.join(map(str, op))}: heap {name} finds min"
-                        f" {got!r}, reference finds {want!r}"
-                        f" (sizes {len(live)}/{len(mirror)})",
-                    )
-            if check_interval and (i + 1) % check_interval == 0 and checks_failed(i):
-                return verdict
+                return diverged(
+                    i,
+                    f"after {' '.join(map(str, op))}: heap {live.name} finds min"
+                    f" {got!r}, reference finds {want!r}"
+                    f" (sizes {len(live)}/{len(mirror)})",
+                )
+            if i == next_check:
+                next_check += check_interval
+                if checks_failed(i):
+                    return verdict
         if check_interval and verdict.steps % check_interval:
             checks_failed(verdict.steps - 1)
         return verdict

@@ -1,9 +1,10 @@
 """The pluggable part of decrease-key: rank maintenance.
 
 Every single-tree policy's step is :func:`_one_cut` of its walk: repair
-ranks and states above the decreased node, then make the one cut and
-naive-link the node back against the root (as the first link argument, so
-it wins ties).  Most walks are climbs, the paper's cascading rank changes:
+ranks and states above the decreased node, then make the one cut, the
+relink splice (:meth:`~fibcascade.core.Heap._relink`), which detaches the
+node and naive-links it back against the root (as the first link argument,
+so it wins ties).  Most walks are climbs, the paper's cascading rank changes:
 :func:`_climb` decrements each node that lost a child on the way up,
 :func:`_marking_climb` also flips marks, and such a row is only its stop
 rule (the table of rules follows the two climbs).  ``passive-child`` and
@@ -48,14 +49,14 @@ Stop = Callable[[Heap, Node, int], object]
 
 def _one_cut(repair: Step) -> Step:
     """The single-tree decrease-key step: unless x is the root, ``repair``
-    the path above x, then cut x and link it back as the first argument."""
+    the path above x, then relink x: cut it and link it back against the
+    root, as the first argument, in one splice."""
 
     def step(heap: Heap, x: Node) -> None:
         if x is heap.root:
             return
         repair(heap, x)
-        heap._cut(x)
-        heap._add_root(x)
+        heap._relink(x)
 
     return step
 

@@ -221,7 +221,7 @@ def test_key_allocator_failures_name_their_window():
     with pytest.raises(ShapeError) as err:
         builder.start_rounds()
     assert str(err.value) == (
-        f"round window is empty: root {root.key} !< ceiling {root.key}"
+        "round key must fall between the root and everything else"
     )
     alloc = _KeyAllocator()
     with pytest.raises(ShapeError) as err:
@@ -321,6 +321,15 @@ def test_steady_round_refuses_a_key_off_its_window():
     assert _round_error(builder) == (
         "round key must fall between the root and everything else"
     )
+
+
+def test_start_rounds_refuses_where_the_first_round_would():
+    # S_0 just above the root: the window is not empty, but holds no key
+    builder, root = _built(3)
+    builder.s0.key = root.key + 1
+    with pytest.raises(ShapeError) as err:
+        builder.start_rounds()
+    assert str(err.value) == _round_error(builder)
 
 
 def test_steady_round_refuses_a_delete_min_that_misses_the_root(monkeypatch):

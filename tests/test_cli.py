@@ -727,13 +727,13 @@ def test_dijkstra_all_policies_agree(tmp_path):
 
 def test_dijkstra_check_flags_a_comparison_that_makes_no_link(monkeypatch, capsys):
     # claim (iii) on the audited row: a cut that compares breaks it
-    real = Heap._cut
+    real = Heap._relink
 
-    def comparing_cut(self, x):
+    def comparing_relink(self, x):
         self.universe.telemetry.comparisons += 1
         real(self, x)
 
-    monkeypatch.setattr(Heap, "_cut", comparing_cut)
+    monkeypatch.setattr(Heap, "_relink", comparing_relink)
     code = run_cli(
         "dijkstra", "--vertices", "60", "--edges", "300", "--policy", "simple"
     )

@@ -20,6 +20,8 @@ from fibcascade import (
     Universe,
 )
 from fibcascade.instrumentation import degree
+from fibcascade.oracle import run_checks
+from fibcascade.policies import RULES
 
 from _reference import subtree_size
 from _shaping import adopt, assert_phi_consistent, child_keys, counters_delta, wire
@@ -316,6 +318,44 @@ def test_decrease_key_to_new_minimum_moves_the_root():
     h.decrease_key(nodes[0], 1)
     assert h.find_min() is nodes[0]
     assert_phi_consistent(u)
+
+
+SINGLE_TREE_ROWS = [p for p, rule in RULES.items() if rule.heap_class is Heap]
+
+
+@pytest.mark.parametrize("key", [-1, 0, 3], ids=["beats", "ties", "loses"])
+@pytest.mark.parametrize("policy", SINGLE_TREE_ROWS, ids=lambda p: p.value)
+def test_relink_splices_the_node_against_the_root(policy, key):
+    # root r (key 0) over a, x, c; x, a middle sibling, carries its child g
+    # along and, as the first link argument, wins a tie
+    u = Universe()
+    h = u.make_heap(policy)
+    r, a, x, c, g = (u.make_item(k) for k in (0, 5, 6, 7, 9))
+    wire(r, a, x, c)
+    wire(x, g)
+    h.root = r
+    adopt(u, h, [r, a, x, c, g])
+    r.active = x.active = True
+    loser_state = RULES[policy].losers[1]
+    base = u.telemetry.counters()
+    x.key = key
+    h._relink(x)
+    delta = counters_delta(u, base)
+    assert (delta["cuts"], delta["comparisons"], delta["naive_links"]) == (1, 1, 1)
+    if key <= 0:
+        assert h.root is x and x.parent is x
+        assert x.before is None and x.after is None
+        assert child_keys(x) == [0, 9]
+        assert child_keys(r) == [5, 7]
+        loser = r
+    else:
+        assert h.root is r
+        assert child_keys(r) == [3, 5, 7]
+        assert child_keys(x) == [9]
+        loser = x
+    assert loser.parent is h.root and not loser.active
+    assert loser.state == (UNMARKED if loser_state is None else loser_state)
+    assert run_checks(u) == []
 
 
 def test_delete_removes_by_identity_not_by_key():

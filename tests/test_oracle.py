@@ -786,20 +786,46 @@ def test_periodic_checks_expose_the_rank_walk_defect(monkeypatch):
 
 
 def test_final_check_runs_only_after_an_unchecked_step(monkeypatch):
-    # 50 ops at interval 25 end on a check point; 51 ops end one step past it
-    calls = []
+    # a check runs after every interval-th step, and once more after the
+    # last step unless that step was checked: 50 ops at interval 25 end on
+    # a check point, 51 ops end one step past it
+    steps = []  # the index of the step the interpreter last yielded
+    calls = []  # that index at each run_checks call
+    run_trace = fibcascade.oracle.run_trace
+
+    def stepping(*args):
+        for step in run_trace(*args):
+            steps.append(step[0])
+            yield step
 
     def counting(universe):
-        calls.append(universe)
+        calls.append(steps[-1])
         return run_checks(universe)
 
+    monkeypatch.setattr(fibcascade.oracle, "run_trace", stepping)
     monkeypatch.setattr(fibcascade.oracle, "run_checks", counting)
     ops = gen_trace(51, seed=2)
-    for n_ops, want in ((50, 2), (51, 3)):
+    for n_ops, interval, want in (
+        (50, 25, [24, 49]),
+        (51, 25, [24, 49, 50]),
+        (50, 1, list(range(50))),
+        (51, 1, list(range(51))),
+        (50, 7, [6, 13, 20, 27, 34, 41, 48, 49]),
+        (51, 7, [6, 13, 20, 27, 34, 41, 48, 50]),
+    ):
         calls.clear()
-        verdict = replay_differential(ops[:n_ops], policy="simple", check_interval=25)
+        verdict = replay_differential(
+            ops[:n_ops], policy="simple", check_interval=interval
+        )
         assert verdict.ok and verdict.steps == n_ops
-        assert len(calls) == want, n_ops
+        assert calls == want, (n_ops, interval)
+
+
+@pytest.mark.parametrize("interval", [-1, -25])
+def test_a_negative_check_interval_is_refused(interval):
+    with pytest.raises(ValueError) as err:
+        replay_differential(gen_trace(30, seed=2), check_interval=interval)
+    assert str(err.value) == f"check_interval must be nonnegative, got {interval}"
 
 
 def test_run_checks_clean_heap_with_and_without_active_tracking():
